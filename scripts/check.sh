@@ -13,8 +13,9 @@
 # JSON and Prometheus exposition, graceful SIGTERM drain with no staging
 # files left in the store), the densest fast-path smoke (phases 2-4 on the
 # CSR kernels, bit-identical to the faithful 4-phase simulator pipeline),
-# and the observability smoke (a traced solve exported to Chrome trace
-# format plus a non-empty `repro trace summarize` per-span table).
+# the observability smoke (a traced solve exported to Chrome trace
+# format plus a non-empty `repro trace summarize` per-span table), and the
+# bench/ smoke (each BENCHMARK.json workload once, traced, on tiny inputs).
 #
 # Usage:  ./scripts/check.sh            (from anywhere; repo root is inferred)
 set -euo pipefail
@@ -48,6 +49,12 @@ done
 echo
 echo "== unified benchmark harness (smoke) =="
 python scripts/bench.py --smoke --output "$(mktemp -t bench_smoke.XXXXXX.json)"
+
+echo
+echo "== benchmark smoke (bench/: every workload once, traced, tiny inputs) =="
+# Fails when a layer function the traced run wraps is renamed or no longer
+# called (an unfired or missing wrapper); pytest.ini's testpaths skip bench/.
+python -m pytest bench -q
 
 echo
 echo "== out-of-core mmap smoke (storage=mmap bit-identical to in-memory) =="

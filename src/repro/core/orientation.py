@@ -23,13 +23,14 @@ vectorised engine) into an explicit :class:`Orientation` and evaluates it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.update import update_sorted, update_stable
 from repro.errors import AlgorithmError
-from repro.graph.csr import CSRAdjacency
+from repro.graph.csr import CSRAdjacency, graph_to_csr
 from repro.graph.graph import Graph
 
 EdgeKey = Tuple[Hashable, Hashable]
@@ -68,7 +69,8 @@ class Orientation:
 
 
 def orientation_from_kept(graph: Graph, kept: Dict[Hashable, Sequence[Hashable]],
-                          values: Optional[Dict[Hashable, float]] = None) -> Orientation:
+                          values: Optional[Dict[Hashable, float]] = None, *,
+                          csr: Optional[CSRAdjacency] = None) -> Orientation:
     """Build an :class:`Orientation` from the per-node auxiliary subsets.
 
     Parameters
@@ -83,6 +85,9 @@ def orientation_from_kept(graph: Graph, kept: Dict[Hashable, Sequence[Hashable]]
         protocol, but which can occur in the A1/E5 ablations): such an edge is
         assigned to the endpoint with the larger surviving number, falling back to a
         deterministic identity-based choice.
+    csr:
+        The caller's CSR view of ``graph`` (a :class:`~repro.session.Session`
+        passes its own); built when omitted.  It changes no result.
 
     Notes
     -----
@@ -90,6 +95,107 @@ def orientation_from_kept(graph: Graph, kept: Dict[Hashable, Sequence[Hashable]]
     the currently *smaller* accumulated in-weight — a deterministic stand-in for the
     paper's "one more round of communication"; either choice preserves the
     approximation guarantee.
+
+    This is the array implementation over the CSR view: the claims of both
+    endpoints of every edge are looked up in one sorted array of kept
+    ``(node, neighbour)`` keys, and single-claim and violation edges get their
+    owners vectorised.  Only the conflict rule walks the edges in Python, in
+    :meth:`Graph.edges` order up to the last conflict, because each resolution
+    depends on the loads before it.  The result equals
+    :func:`orientation_from_kept_reference` (the original per-edge loop, kept
+    as the test oracle) field for field, dict key order included.
+    """
+    if csr is None:
+        csr = graph_to_csr(graph)
+    labels = csr.labels()
+    n = csr.num_nodes
+    # CSR entries with row < col, in row-major order, are graph.edges()'s
+    # non-loop edges in its order.
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(csr.indptr))
+    upper = rows < csr.indices
+    us, vs, ws = rows[upper], csr.indices[upper], csr.weights[upper]
+
+    # Every (node, member) pair of the kept sets as one sorted key array;
+    # labels that are not nodes of the graph claim nothing.  The sentinel
+    # n * n exceeds every edge key, so a lookup position is always in range.
+    index = dict(zip(labels, range(n)))
+    members = np.fromiter(
+        map(index.get, chain.from_iterable(kept.values()), repeat(-1)), dtype=np.int64)
+    claimants = np.repeat(
+        np.fromiter(map(index.get, kept, repeat(-1)), dtype=np.int64, count=len(kept)),
+        np.fromiter(map(len, kept.values()), dtype=np.int64, count=len(kept)))
+    known = (claimants >= 0) & (members >= 0)
+    claims = np.append(np.sort(claimants[known] * n + members[known]), n * n)
+
+    def claimed(keys: np.ndarray) -> np.ndarray:
+        return claims[np.searchsorted(claims, keys)] == keys
+
+    u_claims = claimed(us * n + vs)   # u accepts the edge (v ∈ N_u)
+    v_claims = claimed(vs * n + us)   # v accepts the edge (u ∈ N_v)
+    conflict = u_claims & v_claims
+    neither = ~(u_claims | v_claims)
+    owner = np.where(u_claims, us, vs)
+    ranks = _repr_ranks(labels)
+    if neither.any():
+        if values is not None:
+            node_values = np.fromiter(map(values.get, labels, repeat(0.0)),
+                                      dtype=np.float64, count=n)
+            u_wins = node_values[us] >= node_values[vs]
+        else:
+            u_wins = ranks[us] <= ranks[vs]   # canonical_edge(u, v)[0]
+        owner[neither] = np.where(u_wins, us, vs)[neither]
+
+    conflicts = int(conflict.sum())
+    if conflicts:
+        # The running-in-weight rule, one pass up to the last conflict.
+        stop = int(np.flatnonzero(conflict)[-1]) + 1
+        resolved = np.where(conflict, -1, owner)[:stop].tolist()
+        u_list, v_list, w_list = (a[:stop].tolist() for a in (us, vs, ws))
+        load = [0.0] * n
+        for k, o in enumerate(resolved):
+            if o < 0:
+                u, v = u_list[k], v_list[k]
+                o = resolved[k] = u if load[u] <= load[v] else v
+            load[o] += w_list[k]
+        owner[:stop] = resolved
+
+    # np.bincount accumulates in input order, so every node's load is summed
+    # in edges() order, as the per-edge loop does; loops are added last.
+    in_weight = np.bincount(owner, weights=ws, minlength=n) + csr.loops
+    swap = ranks[us] > ranks[vs]
+    label_array = np.fromiter(labels, dtype=object, count=n)
+    keys = zip(label_array[np.where(swap, vs, us)].tolist(),
+               label_array[np.where(swap, us, vs)].tolist())
+    return Orientation(
+        assignment=dict(zip(keys, label_array[owner].tolist())),
+        in_weight=dict(zip(labels, in_weight.tolist())),
+        conflicts=conflicts, violations=int(neither.sum()),
+        loop_weight={v: 0.0 + w for v, w in graph.self_loops().items()})
+
+
+def _repr_ranks(labels: Sequence[Hashable]) -> np.ndarray:
+    """Dense rank of every label's ``repr`` (equal reprs share a rank).
+
+    ``canonical_edge(u, v)`` puts ``u`` first iff ``ranks[u] <= ranks[v]``.
+    """
+    if all(type(label) is int for label in labels):
+        # Distinct ints have distinct reprs, and for ints the identity order
+        # ("int", repr) is the repr order.
+        return _identity_ranks(labels)
+    reprs = list(map(repr, labels))
+    rank_of = {text: i for i, text in enumerate(sorted(set(reprs)))}
+    return np.fromiter(map(rank_of.__getitem__, reprs), dtype=np.int64,
+                       count=len(reprs))
+
+
+def orientation_from_kept_reference(
+        graph: Graph, kept: Dict[Hashable, Sequence[Hashable]],
+        values: Optional[Dict[Hashable, float]] = None) -> Orientation:
+    """Per-edge reference construction (the original Python loop).
+
+    Walks :meth:`Graph.edges` once with the same rules as
+    :func:`orientation_from_kept`.  Kept only as the ground truth the
+    equivalence tests compare the array implementation against.
     """
     kept_sets = {v: set(neighbors) for v, neighbors in kept.items()}
     in_weight: Dict[Hashable, float] = {v: 0.0 for v in graph.nodes()}

@@ -22,7 +22,10 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from repro.errors import AlgorithmError
+from repro.graph.csr import CSRAdjacency, graph_to_csr
 from repro.graph.graph import Graph
 from repro.utils.numeric import round_down_to_grid
 
@@ -74,13 +77,23 @@ class LambdaGrid:
         return max(1, int(math.floor(span)) + 1)
 
 
-def grid_for_graph(graph: Graph, lam: float) -> LambdaGrid:
+def grid_for_graph(graph: Graph, lam: float,
+                   csr: Optional[CSRAdjacency] = None) -> LambdaGrid:
     """Build the :class:`LambdaGrid` sized to the values ``graph`` can produce.
 
     Surviving numbers always lie between the smallest positive edge weight (or 0)
     and the total graph weight, so ``|Λ|`` is ``O(log_{1+λ}(w(E)/w_min))``.
+
+    The smallest positive weight is read from the CSR arrays (``weights`` and
+    ``loops``); pass the caller's ``csr`` view of ``graph`` to skip building
+    one.  The total weight is the graph's O(1) running ``total_weight``.
     """
-    weights = [w for _, _, w in graph.edges() if w > 0]
-    if not weights:
+    if csr is None:
+        csr = graph_to_csr(graph)
+    weights = np.concatenate((csr.weights, csr.loops))
+    positive = weights[weights > 0]
+    if positive.size == 0:
         return LambdaGrid(lam=lam, value_floor=None, value_ceiling=None)
-    return LambdaGrid(lam=lam, value_floor=min(weights), value_ceiling=max(graph.total_weight, min(weights)))
+    floor = float(positive.min())
+    return LambdaGrid(lam=lam, value_floor=floor,
+                      value_ceiling=max(graph.total_weight, floor))

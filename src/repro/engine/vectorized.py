@@ -40,7 +40,7 @@ class TrajectoryEngine(Engine):
         if csr is None:
             csr = graph_to_csr(graph)
         if grid is None:
-            grid = grid_for_graph(graph, lam)
+            grid = grid_for_graph(graph, lam, csr=csr)
         with obs_trace.span("engine.run", engine=self.name, rounds=rounds,
                             lam=lam, n=csr.num_nodes):
             if isinstance(warm_start, FrontierWarmStart):
@@ -90,7 +90,7 @@ class TrajectoryEngine(Engine):
         from repro.core.surviving import SurvivingNumbers
 
         labels = csr.labels()
-        values = {labels[i]: float(trajectory[rounds, i]) for i in range(csr.num_nodes)}
+        values = dict(zip(labels, trajectory[rounds].tolist()))
         kept = {v: () for v in labels}
         if track_kept:
             from repro.core.orientation import kept_sets_from_trajectory

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Tuple
+from itertools import chain
+from typing import Dict, Hashable, Iterable, Tuple
 
 import numpy as np
 
@@ -90,37 +91,45 @@ def graph_to_csr(graph: Graph) -> CSRAdjacency:
     """Convert ``graph`` to a :class:`CSRAdjacency`, relabelling nodes to ``0..n-1``.
 
     The integer id of a node is its insertion-order index, so the conversion is
-    deterministic; the original labels are retained in ``node_order``.
+    deterministic; the original labels are retained in ``node_order``.  Row
+    ``v`` lists the neighbours of ``v`` in the order of its adjacency dict.
+
+    The conversion is one bulk extraction: the row lengths, neighbour ids and
+    weights are read straight out of the adjacency dicts by ``np.fromiter``
+    over chained iterators, so no Python code runs per node or per entry.
+    When every label equals its position (the common ``0..n-1`` graph) the
+    neighbour labels are the ids themselves; any other labelling goes through
+    a label -> id dict.
     """
-    nodes: List[Hashable] = list(graph.nodes())
-    index: Dict[Hashable, int] = {v: i for i, v in enumerate(nodes)}
+    nodes: Tuple[Hashable, ...] = tuple(graph.nodes())
     n = len(nodes)
-
-    counts = np.zeros(n, dtype=np.int64)
-    for v in nodes:
-        counts[index[v]] = sum(1 for _ in graph.neighbors(v))
+    rows = list(map(graph.neighbor_weights, nodes))
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
+    np.cumsum(np.fromiter(map(len, rows), dtype=np.int64, count=n), out=indptr[1:])
+    total = int(indptr[-1])
 
-    indices = np.zeros(int(indptr[-1]), dtype=np.int64)
-    weights = np.zeros(int(indptr[-1]), dtype=np.float64)
-    cursor = indptr[:-1].copy()
-    for v in nodes:
-        vi = index[v]
-        for u, w in graph.neighbor_weights(v).items():
-            pos = cursor[vi]
-            indices[pos] = index[u]
-            weights[pos] = w
-            cursor[vi] += 1
+    neighbours: Iterable[Hashable] = chain.from_iterable(rows)
+    self_loops = graph.self_loops()
+    loop_nodes: Iterable[Hashable] = self_loops.keys()
+    if nodes != tuple(range(n)):
+        index: Dict[Hashable, int] = {v: i for i, v in enumerate(nodes)}
+        neighbours = map(index.__getitem__, neighbours)
+        loop_nodes = map(index.__getitem__, loop_nodes)
+    indices = np.fromiter(neighbours, dtype=np.int64, count=total)
+    weights = np.fromiter(chain.from_iterable(map(dict.values, rows)),
+                          dtype=np.float64, count=total)
 
     loops = np.zeros(n, dtype=np.float64)
-    for v in nodes:
-        loop_w = graph.self_loop_weight(v)
-        if loop_w:
-            loops[index[v]] = loop_w
+    if self_loops:
+        loop_ids = np.fromiter(loop_nodes, dtype=np.int64, count=len(self_loops))
+        loop_weights = np.fromiter(self_loops.values(), dtype=np.float64,
+                                   count=len(self_loops))
+        # Zero-weight loops (-0.0 included) leave their entry at +0.0.
+        nonzero = loop_weights != 0.0
+        loops[loop_ids[nonzero]] = loop_weights[nonzero]
 
     return CSRAdjacency(indptr=indptr, indices=indices, weights=weights,
-                        loops=loops, node_order=tuple(nodes))
+                        loops=loops, node_order=nodes)
 
 
 #: Version prefix mixed into every fingerprint so a change to the hashed
@@ -150,9 +159,9 @@ def csr_fingerprint(csr: CSRAdjacency) -> str:
     digest.update(_FINGERPRINT_VERSION)
     for array, dtype in ((csr.indptr, np.int64), (csr.indices, np.int64),
                          (csr.weights, np.float64), (csr.loops, np.float64)):
-        digest.update(np.ascontiguousarray(array, dtype=dtype).tobytes())
-    for label in csr.node_order:
-        digest.update(f"{type(label).__name__}:{label!r}\x1f".encode("utf-8"))
+        digest.update(np.ascontiguousarray(array, dtype=dtype))
+    digest.update("".join(f"{type(label).__name__}:{label!r}\x1f"
+                          for label in csr.node_order).encode("utf-8"))
     return digest.hexdigest()
 
 

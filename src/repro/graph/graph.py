@@ -19,6 +19,7 @@ iteration deterministic.  For the vectorised engines the graph can be converted 
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Dict, Hashable, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import GraphError
@@ -222,6 +223,11 @@ class Graph:
             raise GraphError(f"unknown node {v!r}")
         return self._loops.get(v, 0.0)
 
+    def self_loops(self) -> Mapping[Node, float]:
+        """Read-only view of ``{v: self-loop weight}`` for the nodes that carry a
+        self-loop, in the order the loops were first added."""
+        return MappingProxyType(self._loops)
+
     def degrees(self) -> Dict[Node, float]:
         """Weighted degrees of all nodes as a dict."""
         return {v: self.degree(v) for v in self._adj}
@@ -258,12 +264,18 @@ class Graph:
 
     # ----------------------------------------------------------------- copies
     def copy(self) -> "Graph":
-        """Deep copy of the graph (weights copied by value)."""
+        """Deep copy of the graph (weights copied by value).
+
+        The adjacency dicts are copied as they are, so every row keeps its
+        neighbour order and the copy has the original's CSR view and content
+        fingerprint (re-adding edges through :meth:`edges` would reorder rows
+        whose neighbours were not inserted in node order).
+        """
         g = Graph()
-        for v in self._adj:
-            g.add_node(v)
-        for u, v, w in self.edges():
-            g.add_edge(u, v, w)
+        g._adj = {v: dict(nbrs) for v, nbrs in self._adj.items()}
+        g._loops = dict(self._loops)
+        g._num_edges = self._num_edges
+        g._total_weight = self._total_weight
         return g
 
     def is_unit_weighted(self, tol: float = 1e-12) -> bool:

@@ -232,7 +232,7 @@ class OrientationProblem(Problem):
         surv = session.surviving(epsilon=epsilon, gamma=gamma, rounds=rounds,
                                  lam=0.0, tie_break=tie_break, track_kept=True)
         orientation = orientation_from_kept(session.graph, surv.kept,
-                                            values=surv.values)
+                                            values=surv.values, csr=session.csr)
         return OrientationResult(orientation=orientation, values=dict(surv.values),
                                  rounds=surv.rounds, guarantee=surv.guarantee,
                                  surviving=surv)

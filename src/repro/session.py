@@ -241,7 +241,7 @@ class Session:
         hit = self._grids.get(lam)
         if hit is None:
             self.stats.grid_builds += 1
-            hit = self._grids[lam] = grid_for_graph(self.graph, lam)
+            hit = self._grids[lam] = grid_for_graph(self.graph, lam, csr=self.csr)
         return hit
 
     @property

@@ -12,15 +12,18 @@ from repro.core.orientation import (
     check_feasible,
     kept_sets_from_trajectory,
     orientation_from_kept,
+    orientation_from_kept_reference,
     orientation_from_values_greedy,
 )
 from repro.core.surviving import compact_elimination, run_compact_elimination, surviving_numbers_vectorized
+from repro.engine import get_engine
 from repro.errors import AlgorithmError
 from repro.graph.csr import graph_to_csr
 from repro.graph.generators.random_graphs import barabasi_albert, erdos_renyi_gnp
 from repro.graph.generators.structured import complete_graph, cycle_graph, star_graph
 from repro.graph.generators.weights import with_uniform_integer_weights
 from repro.graph.graph import Graph
+from test_engine_equivalence import CORPUS
 
 
 class TestCanonicalEdge:
@@ -73,6 +76,67 @@ class TestOrientationFromKept:
         # But an orientation missing an edge is not.
         del orientation.assignment[canonical_edge(1, 2)]
         assert not check_feasible(g, orientation)
+
+
+def _assert_same_orientation(actual, expected):
+    """Field-for-field equality, dict key order included."""
+    assert list(actual.assignment.items()) == list(expected.assignment.items())
+    assert list(actual.in_weight.items()) == list(expected.in_weight.items())
+    assert actual.conflicts == expected.conflicts
+    assert actual.violations == expected.violations
+    assert list(actual.loop_weight.items()) == list(expected.loop_weight.items())
+
+
+def _float_weighted() -> Graph:
+    """Non-dyadic weights: load sums are exact only in the same order."""
+    import numpy as np
+
+    rng = np.random.default_rng(11)
+    g = Graph(nodes=range(30))
+    for u, v, _ in erdos_renyi_gnp(30, 0.2, seed=12).edges():
+        g.add_edge(u, v, float(rng.random()) + 0.1)
+    g.add_edge(3, 3, 0.3)
+    return g
+
+
+class TestArrayOrientationMatchesReference:
+    """``orientation_from_kept`` (array) against the per-edge reference loop."""
+
+    @pytest.mark.parametrize("tie_break", ["history", "stable", "naive"])
+    @pytest.mark.parametrize("graph, rounds", CORPUS + [
+        pytest.param(_float_weighted(), 3, id="float-weights")])
+    def test_corpus(self, graph, rounds, tie_break):
+        if graph.num_nodes == 0:
+            pytest.skip("no trajectory on the empty graph")
+        surv = get_engine("vectorized").run(graph, rounds, tie_break=tie_break,
+                                            track_kept=True)
+        csr = graph_to_csr(graph)
+        for values in (surv.values, None):
+            expected = orientation_from_kept_reference(graph, surv.kept, values=values)
+            _assert_same_orientation(
+                orientation_from_kept(graph, surv.kept, values=values, csr=csr), expected)
+            _assert_same_orientation(
+                orientation_from_kept(graph, surv.kept, values=values), expected)
+
+    @pytest.mark.parametrize("values", [None, {"b": 2.0, "c": 2.0, 10: 1.0}])
+    def test_violations_conflicts_and_foreign_labels(self, values):
+        g = Graph(edges=[("b", 10, 1.0), (10, 9, 2.0), ("c", "b", 0.5),
+                         (9, "c", 1.0), ("c", "c", 1.5), (9, 9, 0.0), (9, "b", 1.0)])
+        kept = {"b": ("c", 10, "nobody"), "c": ("b",), 9: ("b", "c", 12),
+                "ghost": (10,)}
+        actual = orientation_from_kept(g, kept, values=values)
+        _assert_same_orientation(actual, orientation_from_kept_reference(
+            g, kept, values=values))
+        assert actual.conflicts == 1 and actual.violations == 1
+        assert actual.loop_weight == {"c": 1.5, 9: 0.0}
+
+    def test_no_kept_sets_and_no_edges(self):
+        g = Graph(edges=[(0, 1, 1.0), (2, 2, 1.0)])
+        _assert_same_orientation(orientation_from_kept(g, {}),
+                                 orientation_from_kept_reference(g, {}))
+        for empty, kept in ((Graph(nodes=["x"]), {"x": ()}), (Graph(), {})):
+            _assert_same_orientation(orientation_from_kept(empty, kept),
+                                     orientation_from_kept_reference(empty, kept))
 
 
 class TestInvariantsFromProtocol:

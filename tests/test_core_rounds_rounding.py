@@ -16,7 +16,9 @@ from repro.core.rounds import (
     rounds_for_gamma,
 )
 from repro.errors import AlgorithmError
+from repro.graph.csr import graph_to_csr
 from repro.graph.graph import Graph
+from test_graph_csr import PINNED_GRAPHS
 
 
 class TestRoundBudgets:
@@ -121,3 +123,51 @@ class TestLambdaGrid:
         g = Graph(nodes=[0, 1])
         grid = grid_for_graph(g, 0.5)
         assert grid.grid_size() is None
+
+
+def _walk_grid(graph: Graph, lam: float) -> LambdaGrid:
+    """The Λ-grid as computed by walking ``graph.edges()``."""
+    weights = [w for _, _, w in graph.edges() if w > 0]
+    if not weights:
+        return LambdaGrid(lam=lam)
+    return LambdaGrid(lam=lam, value_floor=min(weights),
+                      value_ceiling=max(graph.total_weight, min(weights)))
+
+
+#: Graphs with no positive weight: the grid has no floor or ceiling.
+NO_POSITIVE_WEIGHT = [
+    pytest.param(lambda: Graph(nodes=[0, 1]), id="isolated"),
+    pytest.param(lambda: Graph(edges=[(0, 1, 0.0), (1, 2, 0.0)]), id="zero-edges"),
+    pytest.param(lambda: Graph(edges=[(0, 0, 0.0), (0, 1, 0.0)]), id="zero-loop"),
+]
+
+#: The pinned CSR graphs, the graphs above and graphs whose lightest positive
+#: weight is a self-loop.
+GRID_GRAPHS = [pytest.param(param.values[0], id=param.id)
+               for param in PINNED_GRAPHS] + NO_POSITIVE_WEIGHT + [
+    pytest.param(lambda: Graph(edges=[(0, 0, 2.0), (1, 1, 0.5)]), id="loops-only"),
+    pytest.param(lambda: Graph(edges=[("x", "x", 3.0), ("x", "y", 0.0),
+                                      ("y", "y", 0.75)]), id="loops-and-zero-edge"),
+    pytest.param(lambda: Graph(edges=[(0, 1, 3.0), (2, 2, 0.125)]),
+                 id="lightest-is-a-loop"),
+]
+
+
+class TestGridFromCSR:
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    @pytest.mark.parametrize("build", GRID_GRAPHS)
+    def test_csr_grid_equals_the_graph_walk(self, build, lam):
+        graph = build()
+        expected = _walk_grid(graph, lam)
+        assert grid_for_graph(graph, lam) == expected
+        assert grid_for_graph(graph, lam, csr=graph_to_csr(graph)) == expected
+
+    @pytest.mark.parametrize("build", NO_POSITIVE_WEIGHT)
+    def test_graphs_without_positive_weight_have_no_floor(self, build):
+        grid = grid_for_graph(build(), 0.5)
+        assert grid.value_floor is None and grid.value_ceiling is None
+
+    def test_loop_only_graph_floor_is_the_lightest_loop(self):
+        grid = grid_for_graph(Graph(edges=[(0, 0, 2.0), (1, 1, 0.5)]), 0.5)
+        assert grid.value_floor == 0.5
+        assert grid.value_ceiling == 2.5

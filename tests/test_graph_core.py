@@ -152,6 +152,20 @@ class TestCopyAndEquality:
         clone.add_edge(0, 1, 1.0)  # accumulates weight
         assert clone != k6
 
+    def test_copy_keeps_row_order_and_fingerprint(self):
+        from repro.graph.csr import graph_fingerprint
+
+        g = Graph(nodes=[0, 1, 2])
+        g.add_edge(2, 1)
+        g.add_edge(2, 0)
+        g.add_edge(1, 1, 2.0)
+        clone = g.copy()
+        assert list(clone.neighbors(2)) == [1, 0]
+        assert graph_fingerprint(clone) == graph_fingerprint(g)
+        assert (clone.num_edges, clone.total_weight) == (g.num_edges, g.total_weight)
+        clone.remove_edge(1, 1)
+        assert g.has_edge(1, 1)
+
     def test_equality_checks_weights(self):
         a = Graph(edges=[(0, 1, 1.0)])
         b = Graph(edges=[(0, 1, 2.0)])

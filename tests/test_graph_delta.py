@@ -102,6 +102,15 @@ class TestApply:
         parent_order = list(parent.nodes())
         assert list(child.nodes())[:len(parent_order)] == parent_order
 
+    def test_empty_delta_child_fingerprints_like_its_parent(self):
+        from repro.graph.csr import graph_fingerprint
+
+        parent = Graph(nodes=[0, 1, 2])
+        parent.add_edge(2, 1)
+        parent.add_edge(2, 0)
+        child = apply_delta(parent, GraphDelta())
+        assert graph_fingerprint(child) == graph_fingerprint(parent)
+
     def test_changed_labels_cover_all_sections(self):
         d = GraphDelta(add_edges=((0, 1, 1.0),), remove_edges=((2, 3),),
                        set_weights=((4, 5, 2.0),), add_nodes=(9,))
@@ -153,6 +162,21 @@ class TestStoreLineage:
         assert store.load_lineage("b" * 64) is None
         assert store.lineage_chain("b" * 64) == []
 
+    def test_store_backed_delta_under_a_tracer(self, tmp_path):
+        from repro.obs import trace as obs_trace
+        from repro.session import Session
+
+        tracer = obs_trace.enable()
+        try:
+            parent = Session(small_graph(), store=tmp_path / "store")
+            child = parent.apply_delta(GraphDelta(add_edges=((0, 2, 1.0),)))
+        finally:
+            obs_trace.disable()
+        spans = [r for r in tracer.spans() if r["name"] == "store.record_lineage"]
+        assert len(spans) == 1
+        assert spans[0]["attrs"]["fingerprint"] == child.chain_fingerprint
+        assert spans[0]["attrs"]["parent_fingerprint"] == parent.chain_fingerprint
+
     def test_lineage_survives_evict_but_not_purge(self, tmp_path):
         store = ArtifactStore(tmp_path / "store")
         child = chain_fingerprint(ROOT_FP, GraphDelta(add_nodes=(1,)))
@@ -172,6 +196,20 @@ class TestSessionApplyDeltaValidation:
             session.apply_delta({"add_edges": []})
         with pytest.raises(AlgorithmError):
             session.apply_delta(GraphDelta(), max_frontier_fraction=1.5)
+
+    def test_empty_delta_child_reuses_the_parent_artifacts(self, tmp_path):
+        from repro.session import Session
+
+        graph = Graph(nodes=[0, 1, 2, 3])
+        for u, v in ((3, 1), (3, 0), (2, 1), (2, 0), (1, 0)):
+            graph.add_edge(u, v)
+        parent = Session(graph, store=tmp_path / "store")
+        expected = parent.coreness(rounds=3).values
+        child = parent.apply_delta(GraphDelta())
+        assert child.fingerprint == parent.fingerprint
+        fresh = Session(child.graph, store=tmp_path / "store")
+        assert fresh.coreness(rounds=3).values == expected
+        assert fresh.stats.disk_hits == 1 and fresh.stats.rounds_executed == 0
 
     def test_child_carries_lineage(self):
         from repro.session import Session

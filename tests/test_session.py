@@ -104,7 +104,8 @@ class TestArtifactCaching:
         lams = []
         real = session_module.grid_for_graph
         monkeypatch.setattr(session_module, "grid_for_graph",
-                            lambda graph, lam: lams.append(lam) or real(graph, lam))
+                            lambda graph, lam, **kwargs: lams.append(lam)
+                            or real(graph, lam, **kwargs))
         session = Session(two_communities)
         session.surviving(rounds=2)
         session.surviving(rounds=4)
