@@ -24,18 +24,14 @@ def test_e8_engine_scaling(benchmark):
 
 def test_e8_vectorized_round_kernel(benchmark):
     """Micro-benchmark of the per-round vectorised kernel itself (pytest-benchmark stats)."""
-    import numpy as np
-
     from repro.core.rounding import LambdaGrid
-    from repro.core.surviving import _vectorized_round
+    from repro.engine.kernels import compact_round
     from repro.graph.csr import graph_to_csr
     from repro.graph.generators.random_graphs import barabasi_albert
 
     graph = barabasi_albert(3000, 4, seed=99)
     csr = graph_to_csr(graph)
-    counts = np.diff(csr.indptr)
-    rows = np.repeat(np.arange(csr.num_nodes), counts)
     current = csr.degrees()
     grid = LambdaGrid(lam=0.0)
 
-    benchmark(lambda: _vectorized_round(csr, current, rows, counts, grid))
+    benchmark(lambda: compact_round(csr, current, grid))

@@ -5,7 +5,10 @@ Launches ``python -m repro serve`` as a real subprocess on an ephemeral
 port backed by a throwaway store, then over a real socket: uploads the
 caveman dataset, runs one job per registered problem, checks ``/metrics``
 accounting (both the JSON document and the Prometheus text exposition),
-and finally SIGTERMs the server.  The drain must exit 0 and may not leave
+checks that the median of 20 ``/health`` round trips stays under
+``MAX_HEALTH_RTT`` seconds (half the ~40 ms delayed-ACK stall a server
+socket with Nagle's algorithm on adds to every response), and finally
+SIGTERMs the server.  The drain must exit 0 and may not leave
 ``*.tmp`` staging files behind in the store (the atomic publish contract:
 readers only ever see complete artifacts).
 
@@ -18,6 +21,7 @@ import os
 import pathlib
 import re
 import signal
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -31,6 +35,7 @@ from repro.serve.client import ServeClient  # noqa: E402
 
 BANNER = re.compile(r"listening on http://([^:]+):(\d+)")
 PROBLEMS = ("coreness", "orientation", "densest")
+MAX_HEALTH_RTT = 0.020
 SAMPLE_LINE = re.compile(
     r'^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? [^ ]+$')
 
@@ -59,6 +64,17 @@ def check_prometheus_exposition(host, port):
     missing = required - names
     assert not missing, f"exposition is missing families: {missing}"
     return len(names)
+
+
+def health_rtt_median(client, samples=20):
+    """Median wall time of ``samples`` keep-alive ``GET /health`` round trips."""
+    client.health()  # connect outside the timed loop
+    times = []
+    for _ in range(samples):
+        start = time.perf_counter()
+        client.health()
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
 
 
 def wait_for_banner(proc, deadline=20.0):
@@ -99,6 +115,9 @@ def main() -> int:
                 assert serve["queue_depth"] == 0, serve
                 assert metrics["store"] is not None, "store not wired in"
                 assert metrics["store"]["files"] >= 1, metrics["store"]
+                rtt = health_rtt_median(client)
+                assert rtt < MAX_HEALTH_RTT, \
+                    f"median /health round trip {rtt * 1e3:.1f} ms"
             families = check_prometheus_exposition(host, port)
             proc.send_signal(signal.SIGTERM)
             returncode = proc.wait(timeout=30)
@@ -121,7 +140,8 @@ def main() -> int:
             print("serve smoke: store is empty after the run", file=sys.stderr)
             return 1
     print(f"serve smoke: {len(PROBLEMS)} problems over the wire, "
-          f"{families} prometheus families parsed, graceful drain, "
+          f"{families} prometheus families parsed, "
+          f"median /health round trip {rtt * 1e3:.2f} ms, graceful drain, "
           "no staging files left behind")
     return 0
 

@@ -19,10 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Hashable, Optional, Tuple
 
+import numpy as np
+
 from repro.distsim.message import Message
 from repro.distsim.node import NodeContext, NodeProtocol, Outgoing
 from repro.distsim.runner import ProtocolRun, run_protocol
 from repro.errors import AlgorithmError
+from repro.graph.csr import CSRAdjacency
 from repro.graph.graph import Graph
 
 #: A leader candidate: (node identity, that node's surviving number).
@@ -40,15 +43,37 @@ def comparable_identity(node: Hashable):
 
     Identities of mixed types are ordered by type name first, then by ``repr``
     — note this is *string* order, so among integer labels ``9 ≻ 10``.  The
-    array path (:func:`repro.engine.densest_kernels.identity_ranks`) bakes this
-    exact order into its int64 ranks; the two must never diverge, or the BFS
-    forests (and hence the reported subsets) drift between engines.
+    array paths (:func:`identity_ranks`) bake this exact order into int64
+    ranks; the two must never diverge, or the BFS forests (and hence the
+    reported subsets) and the kept sets drift between engines.
     """
     return (type(node).__name__, repr(node))
 
 
-#: Backwards-compatible alias of :func:`comparable_identity`.
-_comparable = comparable_identity
+def identity_ranks(csr: CSRAdjacency) -> np.ndarray:
+    """Int64 rank of every node of ``csr`` under :func:`comparable_identity`.
+
+    ``ranks[v] < ranks[u]`` iff ``comparable_identity(label(v)) <
+    comparable_identity(label(u))`` (labels with equal keys keep their id
+    order), realised once so array kernels can compare identities as plain
+    integers.  The kept-set reconstruction, the array orientation and the
+    densest kernels all use it.
+    """
+    labels = csr.labels()
+    n = len(labels)
+    if (set(map(type, labels)) == {int}
+            and -2**63 <= min(labels) and max(labels) < 2**63):
+        # The key is ("int", repr(label)) for every label, i.e. the string
+        # order of the decimal spellings: a C-speed unicode argsort.
+        spelled = np.fromiter(labels, dtype=np.int64, count=n).astype("U")
+        order = np.argsort(spelled, kind="stable")
+    else:
+        keys = list(map(comparable_identity, labels))
+        order = np.fromiter(sorted(range(n), key=keys.__getitem__),
+                            dtype=np.int64, count=n)
+    ranks = np.empty(n, dtype=np.int64)
+    ranks[order] = np.arange(n, dtype=np.int64)
+    return ranks
 
 
 @dataclass(frozen=True)

@@ -32,9 +32,12 @@ parameter of :func:`weak_densest_subsets`:
   as segmented NumPy over the CSR view; ``rounds_per_phase`` then reports the
   *nominal* per-phase budgets and ``messages_total`` is 0.  For integer and
   dyadic edge weights the reported ``subsets`` / ``reported_densities`` /
-  ``node_assignment`` are bit-identical to the faithful path (the
-  cross-engine corpus pins this); arbitrary float weights carry the usual
-  last-ulp caveat of :mod:`repro.engine.kernels`.
+  ``actual_densities`` / ``node_assignment`` are bit-identical to the
+  faithful path (the cross-engine corpus pins this); arbitrary float weights
+  carry the usual last-ulp caveat of :mod:`repro.engine.kernels`.  The
+  faithful path recomputes ``actual_densities`` with
+  :meth:`Graph.subset_density`, the array path from the CSR arrays
+  (:func:`repro.graph.csr.csr_subset_densities`).
 """
 
 from __future__ import annotations
@@ -191,10 +194,14 @@ def _phase1_values_array(surviving: SurvivingNumbers, csr: CSRAdjacency) -> np.n
 def _array_phases(graph: Graph, surviving: SurvivingNumbers, T: int, factor: float,
                   csr: Optional[CSRAdjacency],
                   ) -> Tuple[Dict[Hashable, set], Dict[Hashable, float],
-                             Dict[Hashable, Optional[Hashable]]]:
-    """Phases 2-4 on the CSR kernels of :mod:`repro.engine.densest_kernels`."""
+                             Dict[Hashable, Optional[Hashable]], Dict[Hashable, float]]:
+    """Phases 2-4 on the CSR kernels of :mod:`repro.engine.densest_kernels`.
+
+    Returns ``(subsets, reported, node_assignment, actual)``; the actual
+    densities of all reported subsets come from one pass over the CSR arrays.
+    """
     from repro.engine.densest_kernels import densest_phases
-    from repro.graph.csr import graph_to_csr
+    from repro.graph.csr import csr_subset_densities, graph_to_csr
 
     if csr is None:
         csr = graph_to_csr(graph)
@@ -202,19 +209,25 @@ def _array_phases(graph: Graph, surviving: SurvivingNumbers, T: int, factor: flo
     values = _phase1_values_array(surviving, csr)
     forest, num, _deg, decision = densest_phases(csr, values, T, factor)
 
+    members = np.flatnonzero(decision.sigma)
+    leader_ids = forest.leader[members]
     subsets: Dict[Hashable, set] = {}
     node_assignment: Dict[Hashable, Optional[Hashable]] = {
         label: None for label in labels}
-    for i in np.flatnonzero(decision.sigma):
+    for i, leader_id in zip(members.tolist(), leader_ids.tolist()):
         member = labels[i]
-        leader = labels[forest.leader[i]]
+        leader = labels[leader_id]
         node_assignment[member] = leader
         subsets.setdefault(leader, set()).add(member)
     # Accepted roots are their own leaders, and each accepted tree had at least
     # one member surviving its chosen round — so these keys match ``subsets``.
     reported = {labels[root]: float(decision.density[root])
                 for root in np.flatnonzero(decision.t_star >= 0)}
-    return subsets, reported, node_assignment
+    densities = csr_subset_densities(
+        csr, np.where(decision.sigma, forest.leader, -1), csr.num_nodes)
+    actual = {labels[leader_id]: float(densities[leader_id])
+              for leader_id in dict.fromkeys(leader_ids.tolist())}
+    return subsets, reported, node_assignment, actual
 
 
 def weak_densest_subsets(graph: Graph, *, epsilon: Optional[float] = None,
@@ -306,7 +319,7 @@ def weak_densest_subsets(graph: Graph, *, epsilon: Optional[float] = None,
 
     if use_array:
         with obs_trace.span("densest.phases", engine="array", T=T, n=n):
-            subsets, reported, node_assignment = _array_phases(
+            subsets, reported, node_assignment, actual = _array_phases(
                 graph, surviving, T, factor, csr)
         rounds_per_phase = {
             "phase1_surviving": T,
@@ -333,9 +346,8 @@ def weak_densest_subsets(graph: Graph, *, epsilon: Optional[float] = None,
         }
         messages_total = sum(run.stats.total_messages
                              for run in (run1, run2, run3, run4) if run is not None)
-
-    actual = {leader: graph.subset_density(members)
-              for leader, members in subsets.items() if members}
+        actual = {leader: graph.subset_density(members)
+                  for leader, members in subsets.items() if members}
 
     return WeakDensestResult(
         subsets={k: frozenset(v) for k, v in subsets.items()},

@@ -28,6 +28,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.bfs import identity_ranks
 from repro.core.update import update_sorted, update_stable
 from repro.errors import AlgorithmError
 from repro.graph.csr import CSRAdjacency, graph_to_csr
@@ -135,7 +136,7 @@ def orientation_from_kept(graph: Graph, kept: Dict[Hashable, Sequence[Hashable]]
     conflict = u_claims & v_claims
     neither = ~(u_claims | v_claims)
     owner = np.where(u_claims, us, vs)
-    ranks = _repr_ranks(labels)
+    ranks = _repr_ranks(csr)
     if neither.any():
         if values is not None:
             node_values = np.fromiter(map(values.get, labels, repeat(0.0)),
@@ -173,15 +174,16 @@ def orientation_from_kept(graph: Graph, kept: Dict[Hashable, Sequence[Hashable]]
         loop_weight={v: 0.0 + w for v, w in graph.self_loops().items()})
 
 
-def _repr_ranks(labels: Sequence[Hashable]) -> np.ndarray:
-    """Dense rank of every label's ``repr`` (equal reprs share a rank).
+def _repr_ranks(csr: CSRAdjacency) -> np.ndarray:
+    """Dense rank of every node label's ``repr`` (equal reprs share a rank).
 
     ``canonical_edge(u, v)`` puts ``u`` first iff ``ranks[u] <= ranks[v]``.
     """
-    if all(type(label) is int for label in labels):
+    labels = csr.labels()
+    if set(map(type, labels)) == {int}:
         # Distinct ints have distinct reprs, and for ints the identity order
         # ("int", repr) is the repr order.
-        return _identity_ranks(labels)
+        return identity_ranks(csr)
     reprs = list(map(repr, labels))
     rank_of = {text: i for i, text in enumerate(sorted(set(reprs)))}
     return np.fromiter(map(rank_of.__getitem__, reprs), dtype=np.int64,
@@ -239,33 +241,6 @@ def _validate_trajectory(csr: CSRAdjacency, trajectory: np.ndarray) -> int:
     if total_rounds < 1:
         raise AlgorithmError("the trajectory must contain at least one executed round")
     return total_rounds
-
-
-def _identity_ranks(labels: Sequence[Hashable]) -> np.ndarray:
-    """Rank of every node under the deterministic identity order of Update.
-
-    :func:`repro.core.update.update_sorted` breaks final ties by
-    ``(type name, repr)`` of the label; the rank array lets the vectorised
-    reconstruction feed that order to ``np.lexsort`` as a plain int key.
-    """
-    from repro.core.update import _comparable_id
-
-    n = len(labels)
-    if all(type(label) is int and 0 <= label and label.bit_length() <= 63
-           for label in labels):
-        # Fast path for the ubiquitous 0..n-1 integer labels (int64-sized, so
-        # the asarray below cannot overflow): the identity key is
-        # ("int", repr(label)), i.e. plain lexicographic order of the
-        # decimal strings — computable with a C-speed unicode argsort.
-        order_arr = np.argsort(np.asarray(labels, dtype=np.int64).astype("U"),
-                               kind="stable")
-    else:
-        order_arr = np.asarray(
-            sorted(range(n), key=lambda i: _comparable_id(labels[i])),
-            dtype=np.int64)
-    ranks = np.empty(n, dtype=np.int64)
-    ranks[order_arr] = np.arange(n, dtype=np.int64)
-    return ranks
 
 
 def kept_sets_from_trajectory(csr: CSRAdjacency, trajectory: np.ndarray, *,
@@ -344,7 +319,7 @@ def kept_sets_from_trajectory(csr: CSRAdjacency, trajectory: np.ndarray, *,
     if tie_break != "stable":
         # Identity rank as the least significant key makes the node order
         # strict; "stable" leaves ties to the per-entry adjacency position.
-        node_keys.insert(0, -_identity_ranks(labels))
+        node_keys.insert(0, -identity_ranks(csr))
     node_perm = np.lexsort(node_keys)  # nodes in descending comparison order
     node_rank = np.empty(n, dtype=np.int64)
     if tie_break == "stable":

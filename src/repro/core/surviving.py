@@ -195,18 +195,6 @@ def run_compact_elimination(graph: Graph, rounds: int, *, lam: float = 0.0,
     return result, run
 
 
-def _vectorized_round(csr: CSRAdjacency, current: np.ndarray, rows: np.ndarray,
-                      counts: np.ndarray, grid: LambdaGrid) -> np.ndarray:
-    """One synchronous round of Algorithm 2 for every node at once.
-
-    Backwards-compatible wrapper over the shared kernel
-    :func:`repro.engine.kernels.compact_round_range`; ``rows`` and ``counts`` are
-    accepted (and ignored) for callers that precomputed them against the old
-    monolithic implementation.
-    """
-    return compact_round(csr, current, grid)
-
-
 def surviving_numbers_vectorized(csr: CSRAdjacency, rounds: int, *,
                                  lam: float = 0.0) -> np.ndarray:
     """Vectorised Algorithm 2: the full trajectory of surviving numbers.

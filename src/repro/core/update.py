@@ -36,6 +36,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
+from repro.core.bfs import comparable_identity
 from repro.errors import AlgorithmError
 
 #: One neighbour entry: (neighbour id, neighbour's current surviving number, edge weight).
@@ -129,7 +130,7 @@ def update_sorted(entries: Sequence[Entry], *,
             hist = tuple(reversed(tuple(histories[node])))
         else:
             hist = ()
-        return (b, hist, _comparable_id(node))
+        return (b, hist, comparable_identity(node))
 
     ordered = sorted(entries, key=sort_key)
     return _scan(ordered, self_loop)
@@ -200,11 +201,6 @@ def update_counting(degrees: Sequence[float], *, self_loop: float = 0.0) -> floa
         if suffix >= k:
             return float(k)
     return 0.0
-
-
-def _comparable_id(node: Hashable):
-    """Make heterogeneous node identifiers comparable for deterministic tie-breaking."""
-    return (type(node).__name__, repr(node))
 
 
 def update_value_only(entries: Sequence[Entry], *, self_loop: float = 0.0) -> float:

@@ -31,10 +31,10 @@ cross-engine corpus pins the two paths bit-identical on ``subsets``,
 
 * **The total order ⪰.**  The faithful protocol compares node identities with
   :func:`repro.core.bfs.comparable_identity` (type name, then ``repr``), *not*
-  natural order — so among integer labels ``9 ≻ 10``.  :func:`identity_ranks`
-  bakes exactly that order into one int64 rank per node, and every leader /
-  sender tie-break below maximises ``(b, rank)`` pairs, which is the faithful
-  ``leader_key`` verbatim.
+  natural order — so among integer labels ``9 ≻ 10``.
+  :func:`~repro.core.bfs.identity_ranks` bakes exactly that order into one
+  int64 rank per node, and every leader / sender tie-break below maximises
+  ``(b, rank)`` pairs, which is the faithful ``leader_key`` verbatim.
 * **The sender tie-break.**  When several neighbours announce the same best
   leader, the faithful loop keeps the sender that is maximal under
   ``comparable_identity``; a lexicographic ``(leader value, leader rank,
@@ -61,27 +61,10 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.core.bfs import identity_ranks
 from repro.engine.kernels import ShardPlan, restricted_threshold_round_range
 from repro.errors import AlgorithmError
 from repro.graph.csr import CSRAdjacency
-
-
-def identity_ranks(csr: CSRAdjacency) -> np.ndarray:
-    """Int64 rank of every node under the paper's identity order.
-
-    ``ranks[v] < ranks[u]`` iff ``comparable_identity(label(v)) <
-    comparable_identity(label(u))`` — the exact total order the faithful
-    protocols use for every tie-break, realised once so the round kernels can
-    compare identities as plain integers.
-    """
-    from repro.core.bfs import comparable_identity
-
-    n = csr.num_nodes
-    labels = csr.labels()
-    order = sorted(range(n), key=lambda i: comparable_identity(labels[i]))
-    ranks = np.empty(n, dtype=np.int64)
-    ranks[np.asarray(order, dtype=np.int64)] = np.arange(n, dtype=np.int64)
-    return ranks
 
 
 @dataclass(frozen=True)

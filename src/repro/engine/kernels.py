@@ -80,10 +80,21 @@ def shard_plan(num_nodes: int, num_shards: int) -> Tuple[Tuple[int, int], ...]:
 
 
 def round_values(grid: LambdaGrid, values: np.ndarray) -> np.ndarray:
-    """Λ-round every entry of ``values`` down onto the grid (identity when exact)."""
+    """Λ-round every entry of ``values`` down onto the grid (identity when exact).
+
+    Each *distinct* value goes once through the scalar
+    :meth:`LambdaGrid.round_down` and the results are scattered back, so the
+    output is byte-identical to rounding entry by entry while the Python calls
+    scale with the handful of distinct surviving numbers a round produces, not
+    with ``n``.  (A vectorised ``log``/``power`` formula could disagree with
+    :func:`~repro.utils.numeric.next_power_below` at grid boundaries.)
+    """
     if grid.is_exact:
         return values
-    return np.array([grid.round_down(x) for x in values], dtype=np.float64)
+    levels, inverse = np.unique(values, return_inverse=True)
+    rounded = np.fromiter(map(grid.round_down, levels.tolist()),
+                          dtype=np.float64, count=len(levels))
+    return rounded[inverse]
 
 
 def compact_round_range(csr: CSRAdjacency, current: np.ndarray, lo: int, hi: int,
@@ -91,21 +102,37 @@ def compact_round_range(csr: CSRAdjacency, current: np.ndarray, lo: int, hi: int
     """One round of Algorithm 2 for the nodes ``lo..hi-1`` of a CSR view.
 
     Implements the ``max_k min(S_k, b_(k))`` characterisation of Algorithm 3 (see
-    :func:`repro.core.update.update_value_only`) with a single lexsort over the
-    range's CSR slice.  ``current`` is the *full* surviving-number vector (a
-    node's update reads all of its neighbours, which may live in other shards);
-    the return value holds the new surviving numbers for the range only,
-    Λ-rounded when the grid is not exact.
+    :func:`repro.core.update.update_value_only`) with a single stable int64
+    argsort over the range's CSR slice.  ``current`` is the *full*
+    surviving-number vector (a node's update reads all of its neighbours, which
+    may live in other shards); the return value holds the new surviving numbers
+    for the range only, Λ-rounded when the grid is not exact.
+
+    The sort key of an entry is ``row * L + (L - 1 - rank)``, where ``rank`` is
+    the dense rank of the neighbour's value among ``L`` distinct values: rows
+    ascend, values descend within a row, and equal values keep their adjacency
+    order because the sort is stable.  That is the permutation of
+    ``np.lexsort((-vals, rows))``, so the prefix sums below, and every float
+    result, do not depend on how the ranks were computed.  The ranks come
+    from whichever array is smaller: the whole ``current`` vector when the
+    range holds at least ``len(current)`` entries, else the range's gathered
+    values (a frontier round over a few rows must not pay ``O(n)``).
     """
     start, stop = int(csr.indptr[lo]), int(csr.indptr[hi])
     local_n = hi - lo
     loops = csr.loops[lo:hi]
     counts = np.diff(csr.indptr[lo:hi + 1])
-    rows = np.repeat(np.arange(local_n), counts)
-    vals = current[csr.indices[start:stop]]
-    # Sort each row's entries by descending neighbour value.  ``lexsort`` sorts by
-    # the last key first, so (−vals, rows) yields: primary = row, secondary = −val.
-    order = np.lexsort((-vals, rows))
+    nbr = csr.indices[start:stop]
+    vals = current[nbr]
+    if stop - start >= len(current):
+        levels, rank = np.unique(current, return_inverse=True)
+        rank = rank[nbr]
+    else:
+        levels, rank = np.unique(vals, return_inverse=True)
+    num_levels = len(levels)
+    key = np.repeat(np.arange(local_n, dtype=np.int64) * num_levels, counts)
+    key += num_levels - 1 - rank
+    order = np.argsort(key, kind="stable")
     sorted_vals = vals[order]
     sorted_w = csr.weights[start:stop][order]
     # Prefix sums of weights *within* each row, offset by the node's self-loop.
@@ -316,7 +343,7 @@ class FrontierWarmStart:
 def _gathered_sub_csr(csr: CSRAdjacency, ids: np.ndarray):
     """A CSR view of just the rows ``ids``, indices still in full node space.
 
-    Per-row adjacency order is preserved, so the lexsort tie resolution
+    Per-row adjacency order is preserved, so the stable tie resolution
     inside :func:`compact_round_range` is identical to a full-range call —
     the gathered rows run through the *same shared kernel* as every other
     engine path.

@@ -178,15 +178,39 @@ def graph_fingerprint(graph: Graph) -> str:
 def csr_subset_density(csr: CSRAdjacency, mask: np.ndarray) -> float:
     """Density of the node subset selected by the boolean ``mask``.
 
-    Vectorised counterpart of :meth:`Graph.subset_density`, used by the vectorised
-    engines and the analysis code.
+    Vectorised counterpart of :meth:`Graph.subset_density`: the one-group case
+    of :func:`csr_subset_densities`.
     """
     if mask.dtype != np.bool_ or mask.shape != (csr.num_nodes,):
         raise GraphError("mask must be a boolean array of shape (num_nodes,)")
-    size = int(mask.sum())
-    if size == 0:
+    if not mask.any():
         raise GraphError("density of the empty subset is undefined")
-    rows = np.repeat(np.arange(csr.num_nodes), np.diff(csr.indptr))
-    internal = mask[rows] & mask[csr.indices]
-    weight = float(csr.weights[internal].sum()) / 2.0 + float(csr.loops[mask].sum())
-    return weight / size
+    return float(csr_subset_densities(csr, np.where(mask, 0, -1), 1)[0])
+
+
+def csr_subset_densities(csr: CSRAdjacency, group: np.ndarray,
+                         num_groups: int) -> np.ndarray:
+    """Densities of disjoint node subsets in one pass over the CSR arrays.
+
+    ``group[v]`` is the subset id (``0..num_groups-1``) of node ``v``, or
+    ``-1`` for a node in no subset.  Returns a float64 array of
+    ``w(E(S)) / |S|`` per subset id, ``nan`` for an empty id.  Each subset's
+    internal weight is summed with ``np.bincount`` as
+    ``(Σ internal adjacency entries) / 2 + Σ loops``, which is
+    :meth:`Graph.subset_weight`'s formula, so integer and dyadic weights give
+    bit-identical densities; other float weights may differ in the last ulp
+    (the summation order differs).
+    """
+    group = np.asarray(group, dtype=np.int64)
+    if group.shape != (csr.num_nodes,):
+        raise GraphError("group must be an int array of shape (num_nodes,)")
+    rows = np.repeat(group, np.diff(csr.indptr))
+    internal = (rows >= 0) & (rows == group[csr.indices])
+    edge_weight = np.bincount(rows[internal], weights=csr.weights[internal],
+                              minlength=num_groups)
+    members = group >= 0
+    loop_weight = np.bincount(group[members], weights=csr.loops[members],
+                              minlength=num_groups)
+    size = np.bincount(group[members], minlength=num_groups)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return (edge_weight / 2.0 + loop_weight) / size

@@ -786,6 +786,10 @@ class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = f"repro-serve/{__version__}"
     timeout = 60          #: a stalled peer cannot pin a handler thread forever
+    #: TCP_NODELAY: the headers and the body go out as two ``send()`` calls,
+    #: and with Nagle's algorithm on the body waits for the client's delayed
+    #: ACK, which adds ~40 ms to every response.
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------ plumbing
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature

@@ -182,6 +182,23 @@ class TestIdentityRanks:
         # The repr-string order: 9 outranks 10 among integer labels.
         assert ranks[labels.index(9)] > ranks[labels.index(10)]
 
+    @pytest.mark.parametrize("labels", [
+        list(range(1001)),                      # "1000" < "101"
+        list(range(1001))[::-1],
+        [-1, -10, -9, -100, 0, 5, 50, -5, 2**63 - 1, -2**63],
+        [True, False],
+        [2**63, 2**64 + 5, 7, 10**20, -2**63 - 1, 2**63 - 1],
+        [10, 9, "10", "9", 2.5, -0.5, (0, 1), (0, "1"), None, False, -3,
+         frozenset({1}), "a\nb", b"x"],
+    ], ids=["0..1000", "1000..0", "negative", "bools", "beyond-int64",
+            "mixed-types"])
+    def test_ranks_match_sorted_comparable_identity(self, labels):
+        csr = graph_to_csr(Graph(nodes=labels))
+        ranks = identity_ranks(csr)
+        assert sorted(ranks.tolist()) == list(range(len(labels)))
+        by_rank = [csr.labels()[i] for i in np.argsort(ranks)]
+        assert by_rank == sorted(csr.labels(), key=comparable_identity)
+
     def test_tree_anchors_pointer_doubling(self):
         # 0 <- 1 <- 2 <- 3 chain plus an orphan (4) with a child above it (5).
         parent = np.array([0, 0, 1, 2, -1, 4], dtype=np.int64)

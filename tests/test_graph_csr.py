@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from repro.errors import GraphError
-from repro.graph.csr import csr_subset_density, graph_fingerprint, graph_to_csr
+from repro.graph.csr import (
+    csr_subset_densities,
+    csr_subset_density,
+    graph_fingerprint,
+    graph_to_csr,
+)
 from repro.graph.graph import Graph
 
 
@@ -167,3 +172,27 @@ class TestCSRSubsetDensity:
         csr = graph_to_csr(k6)
         with pytest.raises(GraphError):
             csr_subset_density(csr, np.zeros(6, dtype=bool))
+
+
+class TestCSRSubsetDensities:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_groups_match_graph_subset_density_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        g = Graph(nodes=range(30))
+        for u in range(30):
+            for v in range(u, 30):
+                if rng.random() < 0.2:
+                    g.add_edge(u, v, float(rng.integers(1, 9)) / 4.0)
+        group = rng.integers(-1, 5, size=30)
+        csr = graph_to_csr(g)
+        densities = csr_subset_densities(csr, group, 7)
+        for gid in range(7):
+            members = [v for v in range(30) if group[v] == gid]
+            if members:
+                assert densities[gid] == g.subset_density(members)
+            else:
+                assert np.isnan(densities[gid])
+
+    def test_rejects_wrong_group_shape(self, k6):
+        with pytest.raises(GraphError):
+            csr_subset_densities(graph_to_csr(k6), np.zeros(3, dtype=np.int64), 1)

@@ -10,7 +10,9 @@ persistent store.  Timing tests gate on events, never sleeps.
 from __future__ import annotations
 
 import json
+import statistics
 import threading
+import time
 
 import pytest
 
@@ -327,6 +329,19 @@ class TestMetricsDocument:
 
     def test_health(self, client):
         assert client.health()["status"] == "ok"
+
+
+class TestRoundTripLatency:
+    def test_health_round_trip_has_no_delayed_ack_stall(self, client):
+        # With Nagle's algorithm on the server socket, a response's body
+        # waited for the client's delayed ACK: ~40 ms per round trip.
+        client.health()  # connect outside the timed loop
+        samples = []
+        for _ in range(20):
+            start = time.perf_counter()
+            client.health()
+            samples.append(time.perf_counter() - start)
+        assert statistics.median(samples) < 0.020
 
 
 class TestConcurrentWireEquivalence:
