@@ -57,8 +57,13 @@ def identity_ranks(csr: CSRAdjacency) -> np.ndarray:
     comparable_identity(label(u))`` (labels with equal keys keep their id
     order), realised once so array kernels can compare identities as plain
     integers.  The kept-set reconstruction, the array orientation and the
-    densest kernels all use it.
+    densest kernels all use it; it is computed at most once per view
+    (:meth:`~repro.graph.csr.CSRAdjacency.cached`) and returned read-only.
     """
+    return csr.cached("identity_ranks", _identity_ranks)
+
+
+def _identity_ranks(csr: CSRAdjacency) -> np.ndarray:
     labels = csr.labels()
     n = len(labels)
     if (set(map(type, labels)) == {int}

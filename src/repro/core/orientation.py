@@ -17,11 +17,15 @@ endpoints — are resolved with one extra conceptual round, as the paper notes; 
 resolution preserves the guarantee because dropping load only helps.
 
 This module turns the ``N_v`` sets (or a surviving-number trajectory from the
-vectorised engine) into an explicit :class:`Orientation` and evaluates it.
+vectorised engine) into an explicit :class:`Orientation` and evaluates it.  The
+sets themselves live on the integer ids of a CSR view as :class:`KeptSets`,
+from the trajectory to the orientation; label tuples are built only when a
+caller reads them.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
@@ -40,6 +44,102 @@ EdgeKey = Tuple[Hashable, Hashable]
 def canonical_edge(u: Hashable, v: Hashable) -> EdgeKey:
     """A canonical (order-independent) key for the undirected edge ``{u, v}``."""
     return (u, v) if repr(u) <= repr(v) else (v, u)
+
+
+class KeptSets(Mapping):
+    """The auxiliary subsets ``N_v`` of every node, as a CSR of node ids.
+
+    A read-only mapping from node label to the tuple ``N_v`` over three
+    read-only int64 arrays on the integer ids of a CSR view:
+
+    * ``indptr`` — row pointers, ``n + 1`` entries: the members of node
+      ``v`` are ``members[indptr[v]:indptr[v + 1]]``;
+    * ``members`` — member node ids, each row in tuple order (ascending
+      surviving number, the stop entry last);
+    * ``entries`` — each member's CSR entry id in its claimant's row of
+      ``view``, or ``None`` when the sets were not built on a view.
+
+    The label dict is built once, on first access (one ``tolist()`` and one
+    slice per row); iterating the labels or reading ``len`` does not build
+    it.  Two threads that build it at once produce equal dicts, so there is
+    no lock.  :func:`orientation_from_kept` reads ``entries`` directly and
+    never builds the tuples.
+    """
+
+    def __init__(self, labels: Sequence[Hashable], indptr: np.ndarray,
+                 members: np.ndarray, entries: Optional[np.ndarray] = None, *,
+                 view: Optional[CSRAdjacency] = None) -> None:
+        self.labels: Tuple[Hashable, ...] = tuple(labels)
+        self.indptr = _read_only(indptr)
+        self.members = _read_only(members)
+        self.entries = None if entries is None else _read_only(entries)
+        self.view = view   #: the CSR view ``entries`` index (identity only)
+        self._tuples: Optional[Dict[Hashable, Tuple[Hashable, ...]]] = None
+
+    @classmethod
+    def empty(cls, labels: Sequence[Hashable], *,
+              view: Optional[CSRAdjacency] = None) -> "KeptSets":
+        """Every ``N_v`` empty: the kept sets of a run that did not track them."""
+        zeros = np.zeros(len(labels) + 1, dtype=np.int64)
+        return cls(labels, zeros, zeros[:0], zeros[:0], view=view)
+
+    @classmethod
+    def from_mapping(cls, kept: Mapping, labels: Sequence[Hashable]) -> "KeptSets":
+        """``kept`` (label -> members) on the ids of ``labels``, without entries.
+
+        Keys and members that are not in ``labels`` are dropped; each row
+        keeps the mapping's member order.
+        """
+        n = len(labels)
+        index = dict(zip(labels, range(n)))
+        lengths = np.fromiter(map(len, kept.values()), dtype=np.int64,
+                              count=len(kept))
+        claimants = np.repeat(
+            np.fromiter(map(index.get, kept, repeat(-1)), dtype=np.int64,
+                        count=len(kept)), lengths)
+        members = np.fromiter(
+            map(index.get, chain.from_iterable(kept.values()), repeat(-1)),
+            dtype=np.int64, count=int(lengths.sum()))
+        known = (claimants >= 0) & (members >= 0)
+        by_claimant = np.argsort(claimants[known], kind="stable")
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(claimants[known], minlength=n), out=indptr[1:])
+        return cls(labels, indptr, members[known][by_claimant])
+
+    def _by_label(self) -> Dict[Hashable, Tuple[Hashable, ...]]:
+        tuples = self._tuples
+        if tuples is None:
+            labels = self.labels
+            flat = tuple(map(labels.__getitem__, self.members.tolist()))
+            bounds = self.indptr.tolist()
+            tuples = dict(zip(labels, map(flat.__getitem__,
+                                          map(slice, bounds, bounds[1:]))))
+            self._tuples = tuples
+        return tuples
+
+    def __getitem__(self, label: Hashable) -> Tuple[Hashable, ...]:
+        return self._by_label()[label]
+
+    def __iter__(self):
+        return iter(self.labels)
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def values(self):
+        return self._by_label().values()
+
+    def items(self):
+        return self._by_label().items()
+
+    def __repr__(self) -> str:
+        return f"KeptSets({self._by_label()!r})"
+
+
+def _read_only(array) -> np.ndarray:
+    array = np.asarray(array, dtype=np.int64)
+    array.flags.writeable = False
+    return array
 
 
 @dataclass
@@ -69,7 +169,7 @@ class Orientation:
         return self.assignment[canonical_edge(u, v)]
 
 
-def orientation_from_kept(graph: Graph, kept: Dict[Hashable, Sequence[Hashable]],
+def orientation_from_kept(graph: Graph, kept: Mapping[Hashable, Sequence[Hashable]],
                           values: Optional[Dict[Hashable, float]] = None, *,
                           csr: Optional[CSRAdjacency] = None) -> Orientation:
     """Build an :class:`Orientation` from the per-node auxiliary subsets.
@@ -79,7 +179,8 @@ def orientation_from_kept(graph: Graph, kept: Dict[Hashable, Sequence[Hashable]]
     graph:
         The input graph.
     kept:
-        ``N_v`` per node, as produced by Algorithm 2 with ``Λ = R``.
+        ``N_v`` per node, as produced by Algorithm 2 with ``Λ = R``: a
+        :class:`KeptSets` or any mapping from node label to members.
     values:
         Optional surviving numbers; used only to resolve pathological edges claimed
         by *neither* endpoint (which Lemma III.11 rules out for the faithful
@@ -97,17 +198,28 @@ def orientation_from_kept(graph: Graph, kept: Dict[Hashable, Sequence[Hashable]]
     paper's "one more round of communication"; either choice preserves the
     approximation guarantee.
 
-    This is the array implementation over the CSR view: the claims of both
-    endpoints of every edge are looked up in one sorted array of kept
-    ``(node, neighbour)`` keys, and single-claim and violation edges get their
-    owners vectorised.  Only the conflict rule walks the edges in Python, in
-    :meth:`Graph.edges` order up to the last conflict, because each resolution
-    depends on the loads before it.  The result equals
-    :func:`orientation_from_kept_reference` (the original per-edge loop, kept
-    as the test oracle) field for field, dict key order included.
+    This is the array implementation over the CSR view.  ``kept`` is taken
+    as a :class:`KeptSets` on ``csr``; anything else (a plain mapping, a
+    store reload, a :class:`KeptSets` of another view) is converted once, at
+    the boundary, by mapping labels to ids and binary-searching the claims
+    among the view's entries.  The claims are then two gathers: ``kept.entries``
+    marks the claimed entries, and an edge's entry and its reverse
+    (:meth:`~repro.graph.csr.CSRAdjacency.twin`) say whether each endpoint
+    claims it.  Single-claim and violation edges get their owners vectorised.
+
+    Only the conflict rule walks edges in Python, in :meth:`Graph.edges`
+    order up to the last conflict, because each resolution compares the
+    running loads of its two endpoints.  Those loads are the only ones read,
+    so the pass walks just the conflict edges and the edges owned by an
+    endpoint of some conflict; every other owner is already fixed.  All
+    owners then go to one ``np.bincount``, which sums every node's load in
+    edge order, so the result equals :func:`orientation_from_kept_reference`
+    (the original per-edge loop, kept as the test oracle) field for field,
+    dict key order included, for every weight.
     """
     if csr is None:
         csr = graph_to_csr(graph)
+    kept = _kept_on_view(csr, kept)
     labels = csr.labels()
     n = csr.num_nodes
     # CSR entries with row < col, in row-major order, are graph.edges()'s
@@ -116,23 +228,10 @@ def orientation_from_kept(graph: Graph, kept: Dict[Hashable, Sequence[Hashable]]
     upper = rows < csr.indices
     us, vs, ws = rows[upper], csr.indices[upper], csr.weights[upper]
 
-    # Every (node, member) pair of the kept sets as one sorted key array;
-    # labels that are not nodes of the graph claim nothing.  The sentinel
-    # n * n exceeds every edge key, so a lookup position is always in range.
-    index = dict(zip(labels, range(n)))
-    members = np.fromiter(
-        map(index.get, chain.from_iterable(kept.values()), repeat(-1)), dtype=np.int64)
-    claimants = np.repeat(
-        np.fromiter(map(index.get, kept, repeat(-1)), dtype=np.int64, count=len(kept)),
-        np.fromiter(map(len, kept.values()), dtype=np.int64, count=len(kept)))
-    known = (claimants >= 0) & (members >= 0)
-    claims = np.append(np.sort(claimants[known] * n + members[known]), n * n)
-
-    def claimed(keys: np.ndarray) -> np.ndarray:
-        return claims[np.searchsorted(claims, keys)] == keys
-
-    u_claims = claimed(us * n + vs)   # u accepts the edge (v ∈ N_u)
-    v_claims = claimed(vs * n + us)   # v accepts the edge (u ∈ N_v)
+    claimed = np.zeros(len(csr.indices), dtype=bool)
+    claimed[kept.entries] = True
+    u_claims = claimed[upper]               # u accepts the edge (v ∈ N_u)
+    v_claims = claimed[csr.twin()[upper]]   # v accepts the edge (u ∈ N_v)
     conflict = u_claims & v_claims
     neither = ~(u_claims | v_claims)
     owner = np.where(u_claims, us, vs)
@@ -148,17 +247,23 @@ def orientation_from_kept(graph: Graph, kept: Dict[Hashable, Sequence[Hashable]]
 
     conflicts = int(conflict.sum())
     if conflicts:
-        # The running-in-weight rule, one pass up to the last conflict.
+        # The running-in-weight rule, one pass up to the last conflict over
+        # the edges whose owner is an endpoint of some conflict edge (the
+        # conflict edges included: their provisional owner u is one).
+        contested = np.zeros(n, dtype=bool)
+        contested[us[conflict]] = True
+        contested[vs[conflict]] = True
         stop = int(np.flatnonzero(conflict)[-1]) + 1
-        resolved = np.where(conflict, -1, owner)[:stop].tolist()
-        u_list, v_list, w_list = (a[:stop].tolist() for a in (us, vs, ws))
+        walk = np.flatnonzero(contested[owner[:stop]])
+        resolved = np.where(conflict[walk], -1, owner[walk]).tolist()
+        u_list, v_list, w_list = (a[walk].tolist() for a in (us, vs, ws))
         load = [0.0] * n
         for k, o in enumerate(resolved):
             if o < 0:
                 u, v = u_list[k], v_list[k]
                 o = resolved[k] = u if load[u] <= load[v] else v
             load[o] += w_list[k]
-        owner[:stop] = resolved
+        owner[walk] = resolved
 
     # np.bincount accumulates in input order, so every node's load is summed
     # in edges() order, as the per-edge loop does; loops are added last.
@@ -174,11 +279,43 @@ def orientation_from_kept(graph: Graph, kept: Dict[Hashable, Sequence[Hashable]]
         loop_weight={v: 0.0 + w for v, w in graph.self_loops().items()})
 
 
+def _kept_on_view(csr: CSRAdjacency, kept: Mapping) -> KeptSets:
+    """``kept`` as a :class:`KeptSets` whose ``entries`` index ``csr``.
+
+    The one boundary conversion of :func:`orientation_from_kept`: a
+    :class:`KeptSets` built on ``csr`` passes through; any other mapping has
+    its labels mapped to ids (labels that are not nodes claim nothing) and
+    every ``(claimant, member)`` pair binary-searched among the view's
+    ``row * n + column`` entry keys (pairs that are not edges claim nothing).
+    """
+    if isinstance(kept, KeptSets) and kept.view is csr and kept.entries is not None:
+        return kept
+    n = csr.num_nodes
+    by_id = KeptSets.from_mapping(kept, csr.labels())
+    # The sentinel n * n exceeds every key, so a lookup is always in range.
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(csr.indptr))
+    by_key = csr.sorted_entries()
+    sorted_keys = np.append((rows * n + csr.indices)[by_key], n * n)
+    claimants = np.repeat(np.arange(n, dtype=np.int64), np.diff(by_id.indptr))
+    wanted = claimants * n + by_id.members
+    at = np.searchsorted(sorted_keys, wanted)
+    edge = sorted_keys[at] == wanted
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(claimants[edge], minlength=n), out=indptr[1:])
+    return KeptSets(by_id.labels, indptr, by_id.members[edge],
+                    by_key[at[edge]], view=csr)
+
+
 def _repr_ranks(csr: CSRAdjacency) -> np.ndarray:
     """Dense rank of every node label's ``repr`` (equal reprs share a rank).
 
     ``canonical_edge(u, v)`` puts ``u`` first iff ``ranks[u] <= ranks[v]``.
+    Memoised per view.
     """
+    return csr.cached("repr_ranks", _ranks_by_repr)
+
+
+def _ranks_by_repr(csr: CSRAdjacency) -> np.ndarray:
     labels = csr.labels()
     if set(map(type, labels)) == {int}:
         # Distinct ints have distinct reprs, and for ints the identity order
@@ -244,8 +381,7 @@ def _validate_trajectory(csr: CSRAdjacency, trajectory: np.ndarray) -> int:
 
 
 def kept_sets_from_trajectory(csr: CSRAdjacency, trajectory: np.ndarray, *,
-                              tie_break: str = "history",
-                              ) -> Dict[Hashable, Tuple[Hashable, ...]]:
+                              tie_break: str = "history") -> KeptSets:
     """Recover the final-round auxiliary subsets from a surviving-number trajectory.
 
     The vectorised engine only tracks surviving numbers; since ``N_v`` is a pure
@@ -254,13 +390,17 @@ def kept_sets_from_trajectory(csr: CSRAdjacency, trajectory: np.ndarray, *,
     to what the faithful protocol maintains — this equivalence is asserted by the
     test-suite.
 
-    This is the batched NumPy implementation (one ``np.lexsort`` + segmented
-    prefix scan over every node's final-round Update at once); the per-node
-    Python loop it replaced survives as
-    :func:`kept_sets_from_trajectory_reference`, which the equivalence tests
-    compare against.  The two are bit-identical whenever the intermediate
-    weight sums are exactly representable (integer / dyadic weights — the same
-    caveat as :mod:`repro.engine.kernels`).
+    This is the batched NumPy implementation over every node's final-round
+    Update at once: a ``np.lexsort`` over the ``n`` nodes ranks them, one
+    stable argsort over the adjacency entries orders every row, a segmented
+    prefix scan finds each row's stop, and one scatter writes the kept
+    entries into a :class:`KeptSets` on ``csr`` (no per-node Python code;
+    the label tuples are built only if read).  The per-node Python loop it
+    replaced survives as :func:`kept_sets_from_trajectory_reference`, which
+    the equivalence tests compare against.  The two are bit-identical
+    whenever the intermediate weight sums are exactly representable
+    (integer / dyadic weights — the same caveat as
+    :mod:`repro.engine.kernels`).
 
     All three tie-break rules reduce to one lexicographic sort.  Ascending,
     Algorithm 3 orders a node's neighbours by ``(b_u, history, final tie)``
@@ -285,13 +425,10 @@ def kept_sets_from_trajectory(csr: CSRAdjacency, trajectory: np.ndarray, *,
         raise AlgorithmError(f"unknown tie_break rule {tie_break!r}; "
                              f"expected one of ('history', 'stable', 'naive')")
     n = csr.num_nodes
-    labels = csr.labels()
-    if n == 0:
-        return {}
     counts = np.diff(csr.indptr)
     total_entries = int(csr.indptr[-1])
     if total_entries == 0:
-        return {label: () for label in labels}
+        return KeptSets.empty(csr.labels(), view=csr)
     nbr = csr.indices
     final_received = trajectory[total_rounds - 1]
     vals = final_received[nbr]
@@ -357,37 +494,33 @@ def kept_sets_from_trajectory(csr: CSRAdjacency, trajectory: np.ndarray, *,
     next_vals = np.empty(total_entries, dtype=np.float64)
     next_vals[:-1] = sorted_vals[1:]
     next_vals[(csr.indptr[1:] - 1)[nonempty]] = -np.inf  # row ends (incl. the last)
-    stop_candidates = np.where(acc > next_vals,
-                               np.arange(total_entries, dtype=np.int64), total_entries)
+    positions = np.arange(total_entries, dtype=np.int64)
+    stop_candidates = np.where(acc > next_vals, positions, total_entries)
     # Every non-empty row stops (its last position compares against -inf), so
     # the segmented minimum is always a valid flat index.
     first_stop = np.minimum.reduceat(stop_candidates, starts_ne)
     stop_index = np.full(n, -1, dtype=np.int64)
     stop_index[nonempty] = first_stop
 
-    # Assemble the kept tuples in the reference order: the entries strictly
-    # above the stop, listed by ascending surviving number, then the stop
-    # entry last when its prefix sum fits under its own value.
-    sorted_labels = list(map(labels.__getitem__, nbr[order].tolist()))
-    # Reversing the flat list once turns every per-row "reversed slice" into a
-    # plain slice: flat positions start..stop-1 (descending value) map to
-    # reversed positions M-stop..M-start-1 (ascending value).
-    reversed_labels = sorted_labels[::-1]
-    stop_kept = (acc <= sorted_vals).tolist()
-    starts_list = row_starts.tolist()
-    stops_list = stop_index.tolist()
-    kept: Dict[Hashable, Tuple[Hashable, ...]] = {}
-    for v, label in enumerate(labels):
-        stop = stops_list[v]
-        if stop < 0:
-            kept[label] = ()
-            continue
-        entry = tuple(reversed_labels[total_entries - stop:
-                                      total_entries - starts_list[v]])
-        if stop_kept[stop]:
-            entry += (sorted_labels[stop],)
-        kept[label] = entry
-    return kept
+    # Scatter N_v into a CSR of ids, each row in the reference order: the
+    # entries strictly before the stop, listed by ascending surviving number,
+    # then the stop entry last when its prefix sum fits under its own value.
+    # A sorted position pos < stop goes to slot stop - 1 - pos of its row,
+    # the stop to slot stop - start.
+    entry_stop = stop_index[rows]
+    kept_positions = np.flatnonzero(
+        (positions < entry_stop)
+        | ((positions == entry_stop) & (acc <= sorted_vals)))
+    kept_rows = rows[kept_positions]
+    kept_stop = entry_stop[kept_positions]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(kept_rows, minlength=n), out=indptr[1:])
+    slots = indptr[kept_rows] + np.where(kept_positions < kept_stop,
+                                         kept_stop - 1 - kept_positions,
+                                         kept_stop - row_starts[kept_rows])
+    entries = np.empty(len(kept_positions), dtype=np.int64)
+    entries[slots] = order[kept_positions]
+    return KeptSets(csr.labels(), indptr, nbr[entries], entries, view=csr)
 
 
 def kept_sets_from_trajectory_reference(

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -73,9 +73,12 @@ class CompactEliminationProtocol(NodeProtocol):
         self.grid = grid
         self.tie_break = tie_break
         self.track_kept = track_kept
-        # Algorithm 2, line 1: b_v ← +∞, N_v ← N(v).
+        # Algorithm 2, line 1: b_v ← +∞, N_v ← N(v).  Without tracking there
+        # is no N_v to maintain, and the node reports it empty, as the array
+        # engines do.
         self.value: float = math.inf
-        self.kept: Tuple[Hashable, ...] = tuple(context.neighbor_weights)
+        self.kept: Tuple[Hashable, ...] = (
+            tuple(context.neighbor_weights) if track_kept else ())
         #: fixed neighbour order for the "stable" rule (insertion order of the graph).
         self.neighbor_order: Tuple[Hashable, ...] = tuple(context.neighbor_weights)
         #: past surviving numbers received from each neighbour (oldest first).
@@ -126,7 +129,11 @@ class SurvivingNumbers:
     """Result of running the compact elimination procedure for ``T`` rounds."""
 
     values: Dict[Hashable, float]                   #: ``b_v`` per node
-    kept: Dict[Hashable, Tuple[Hashable, ...]]      #: ``N_v`` per node (may be empty)
+    #: ``N_v`` per node, read-only; every set is empty when untracked.  The
+    #: trajectory engines return a :class:`~repro.core.orientation.KeptSets`
+    #: whose per-node tuples are built on the first read; the faithful
+    #: engine returns a plain dict.
+    kept: Mapping[Hashable, Tuple[Hashable, ...]]
     rounds: int                                     #: number of executed rounds ``T``
     grid: LambdaGrid                                #: the Λ grid used
     num_nodes: int                                  #: ``n`` (for the guarantee)

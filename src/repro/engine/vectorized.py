@@ -85,17 +85,19 @@ class TrajectoryEngine(Engine):
         The single assembly path for trajectory-backed results: the engines
         call it after computing rounds, and :class:`repro.session.Session`
         calls it when a request is served entirely from a cached trajectory —
-        keeping both field-for-field identical by construction.
+        keeping both field-for-field identical by construction.  The kept
+        sets are a :class:`~repro.core.orientation.KeptSets` on ``csr``
+        (empty when ``track_kept`` is off).
         """
+        from repro.core.orientation import KeptSets, kept_sets_from_trajectory
         from repro.core.surviving import SurvivingNumbers
 
         labels = csr.labels()
         values = dict(zip(labels, trajectory[rounds].tolist()))
-        kept = {v: () for v in labels}
         if track_kept:
-            from repro.core.orientation import kept_sets_from_trajectory
-
             kept = kept_sets_from_trajectory(csr, trajectory, tie_break=tie_break)
+        else:
+            kept = KeptSets.empty(labels, view=csr)
         return SurvivingNumbers(values=values, kept=kept, rounds=rounds, grid=grid,
                                 num_nodes=csr.num_nodes, trajectory=trajectory,
                                 node_order=labels)

@@ -12,14 +12,20 @@ The CSR view stores, for a graph relabelled to ``0..n-1``:
 * ``loops``   — per-node total self-loop weight;
 * ``degrees`` — per-node weighted degree (loops counted once), precomputed because
   every protocol starts from it.
+
+Arrays that are pure functions of a view — the entry order
+:meth:`CSRAdjacency.sorted_entries`, the reverse-entry permutation
+:meth:`CSRAdjacency.twin`, the identity ranks of
+:func:`repro.core.bfs.identity_ranks` — are computed at most once per view
+through :meth:`CSRAdjacency.cached` and handed out read-only.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
-from typing import Dict, Hashable, Iterable, Tuple
+from typing import Callable, Dict, Hashable, Iterable, Tuple
 
 import numpy as np
 
@@ -36,6 +42,8 @@ class CSRAdjacency:
     weights: np.ndarray     #: float64, aligned with ``indices``
     loops: np.ndarray       #: float64, shape (n,), self-loop weight per node
     node_order: Tuple[Hashable, ...]  #: original node label for each integer id
+    _memo: Dict[str, np.ndarray] = field(default_factory=dict, init=False,
+                                         repr=False, compare=False)
 
     # --------------------------------------------------------------- properties
     @property
@@ -71,6 +79,35 @@ class CSRAdjacency:
         """Original node labels indexed by integer id."""
         return self.node_order
 
+    def cached(self, name: str,
+               compute: Callable[["CSRAdjacency"], np.ndarray]) -> np.ndarray:
+        """``compute(self)``, computed at most once per view and read-only.
+
+        For arrays that are pure functions of the (immutable) view.  Two
+        threads that miss at once both compute and store equal arrays, so no
+        lock is needed.
+        """
+        array = self._memo.get(name)
+        if array is None:
+            array = compute(self)
+            array.flags.writeable = False
+            self._memo[name] = array
+        return array
+
+    def sorted_entries(self) -> np.ndarray:
+        """Entry ids in ``(row, column)`` order: the permutation that sorts
+        the entry keys ``row * n + column``.  Memoised per view."""
+        return self.cached("sorted_entries", _entries_by_key)
+
+    def twin(self) -> np.ndarray:
+        """The reverse-entry permutation: ``twin[e]`` is the entry of the same
+        edge in the other endpoint's row.
+
+        Entry ``e`` of row ``r`` with column ``c`` has its twin in row ``c``
+        with column ``r``, so ``twin[twin[e]] == e``.  Memoised per view.
+        """
+        return self.cached("twin", _reverse_entries)
+
     def to_graph(self) -> Graph:
         """Rebuild a :class:`Graph` (with original labels) from the CSR arrays."""
         g = Graph(nodes=self.node_order)
@@ -85,6 +122,29 @@ class CSRAdjacency:
             if self.loops[u] > 0.0:
                 g.add_edge(lu, lu, float(self.loops[u]))
         return g
+
+
+def _entries_by_key(csr: CSRAdjacency) -> np.ndarray:
+    """:meth:`CSRAdjacency.sorted_entries`: one argsort over the entry keys."""
+    n = csr.num_nodes
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(csr.indptr))
+    return np.argsort(rows * n + csr.indices)
+
+
+def _reverse_entries(csr: CSRAdjacency) -> np.ndarray:
+    """:meth:`CSRAdjacency.twin`: the entries sorted by ``(column, row)``
+    against :meth:`CSRAdjacency.sorted_entries`.
+
+    Sorted by ``(row, column)`` and by ``(column, row)``, the entries line up
+    position by position with their reverses (the adjacency is symmetric and
+    holds no parallel entries, so every key is distinct).
+    """
+    n = csr.num_nodes
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(csr.indptr))
+    by_column = np.argsort(csr.indices * n + rows)
+    twin = np.empty_like(by_column)
+    twin[by_column] = csr.sorted_entries()
+    return twin
 
 
 def graph_to_csr(graph: Graph) -> CSRAdjacency:

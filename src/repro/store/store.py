@@ -62,6 +62,7 @@ from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.orientation import KeptSets
 from repro.core.rounding import LambdaGrid
 from repro.core.surviving import SurvivingNumbers
 from repro.errors import StoreError
@@ -286,17 +287,14 @@ class ArtifactStore:
         trajectory — trajectory engines persist the (smaller, composable)
         trajectory instead and reassemble results from it.
         """
-        index = {label: i for i, label in enumerate(labels)}
-        if len(index) != len(result.values):
+        labels = tuple(labels)
+        distinct = len(set(labels))
+        if distinct != len(result.values):
             raise StoreError(
-                f"labels ({len(index)}) do not cover the result ({len(result.values)})")
+                f"labels ({distinct}) do not cover the result ({len(result.values)})")
         values = np.array([result.values[label] for label in labels], dtype=np.float64)
-        kept_ids: List[int] = []
-        kept_indptr = np.zeros(len(labels) + 1, dtype=np.int64)
-        for i, label in enumerate(labels):
-            members = result.kept.get(label, ())
-            kept_ids.extend(index[member] for member in members)
-            kept_indptr[i + 1] = len(kept_ids)
+        # Kept sets that were not tracked are stored empty.
+        kept = KeptSets.from_mapping(result.kept if track_kept else {}, labels)
         meta = {"schema": SCHEMA_VERSION, "kind": "result",
                 "fingerprint": fingerprint, "lam": canonical_lam(lam),
                 "rounds": int(result.rounds), "n": len(labels),
@@ -308,8 +306,8 @@ class ArtifactStore:
                             lam=meta["lam"], rounds=meta["rounds"]):
             self._write_npz(path, meta, {
                 "values": values,
-                "kept_indices": np.asarray(kept_ids, dtype=np.int64),
-                "kept_indptr": kept_indptr,
+                "kept_indices": kept.members,
+                "kept_indptr": kept.indptr,
             })
             self._write_graph_meta(fingerprint, len(labels), labels)
         return path
@@ -323,8 +321,11 @@ class ArtifactStore:
         ``labels`` and ``grid`` come from the caller's live graph — the
         fingerprint guarantees they match what was stored, so the file only
         carries arrays.  The reloaded result is value- and kept-identical to
-        the stored one; the simulator's per-round ``message_stats`` are not
-        persisted (``stats_summary`` is).
+        the stored one, its kept sets a
+        :class:`~repro.core.orientation.KeptSets` over the stored arrays;
+        the simulator's per-round ``message_stats`` are not persisted
+        (``stats_summary`` is).  Untracked kept sets load empty, whatever
+        the file holds (older files stored ``N(v)`` there).
         """
         path = self._result_path(fingerprint, rounds=rounds, lam=lam,
                                  tie_break=tie_break, track_kept=track_kept)
@@ -345,14 +346,17 @@ class ArtifactStore:
             kept_indptr = archive["kept_indptr"]
             n = len(labels)
             if (values_array.shape != (n,) or kept_indptr.shape != (n + 1,)
+                    or kept_indptr[0] != 0
                     or kept_indptr[-1] != kept_indices.shape[0]
+                    or (np.diff(kept_indptr) < 0).any()
                     or (kept_indices.size and not (
                         0 <= kept_indices.min() and kept_indices.max() < n))):
                 return None
             values = {label: float(values_array[i]) for i, label in enumerate(labels)}
-            kept = {label: tuple(labels[j] for j in
-                                 kept_indices[kept_indptr[i]:kept_indptr[i + 1]])
-                    for i, label in enumerate(labels)}
+            if track_kept:
+                kept = KeptSets(labels, kept_indptr, kept_indices)
+            else:
+                kept = KeptSets.empty(labels)
             return SurvivingNumbers(values=values, kept=kept, rounds=int(rounds),
                                     grid=grid, num_nodes=n,
                                     stats_summary=str(meta.get("stats_summary", "")))

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.analysis.invariants import check_orientation_invariants
 from repro.baselines.exact_orientation import exact_orientation_unweighted, lp_lower_bound
 from repro.core.api import approximate_orientation
 from repro.core.orientation import (
+    KeptSets,
     canonical_edge,
     check_feasible,
     kept_sets_from_trajectory,
@@ -89,8 +91,6 @@ def _assert_same_orientation(actual, expected):
 
 def _float_weighted() -> Graph:
     """Non-dyadic weights: load sums are exact only in the same order."""
-    import numpy as np
-
     rng = np.random.default_rng(11)
     g = Graph(nodes=range(30))
     for u, v, _ in erdos_renyi_gnp(30, 0.2, seed=12).edges():
@@ -99,8 +99,53 @@ def _float_weighted() -> Graph:
     return g
 
 
+#: Non-dyadic edge weights: sums of these depend on their order.
+WEIGHTS = {
+    "thirds": lambda rng: float(rng.integers(1, 10)) / 3.0,
+    "tenth": lambda rng: 0.1,
+    "uniform": lambda rng: float(rng.random()) + 0.05,
+}
+
+
+def _random_labelled(seed: int, weights: str, labels: str) -> Graph:
+    """A seeded G(n, p) with shuffled int or string labels, inserted in a
+    shuffled order, with non-dyadic weights and one self-loop."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(12, 48))
+    base = erdos_renyi_gnp(n, float(rng.uniform(0.08, 0.3)), seed=seed)
+    names = rng.permutation(10 * n)[:n].tolist()
+    if labels == "str":
+        names = [f"v{name}" for name in names]
+    g = Graph(nodes=[names[i] for i in rng.permutation(n)])
+    for u, v, _ in base.edges():
+        g.add_edge(names[u], names[v], WEIGHTS[weights](rng))
+    loop = names[int(rng.integers(n))]
+    g.add_edge(loop, loop, WEIGHTS[weights](rng))
+    return g
+
+
 class TestArrayOrientationMatchesReference:
     """``orientation_from_kept`` (array) against the per-edge reference loop."""
+
+    @pytest.mark.parametrize("tie_break", ["history", "stable", "naive"])
+    @pytest.mark.parametrize("labels", ["int", "str"])
+    @pytest.mark.parametrize("weights", sorted(WEIGHTS))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_graphs(self, seed, weights, labels, tie_break):
+        """Conflicts, loads and owners under order-sensitive float sums, via
+        the KeptSets and via the plain-mapping boundary."""
+        graph = _random_labelled(seed, weights, labels)
+        rounds = 2 + seed % 3
+        csr = graph_to_csr(graph)
+        surv = get_engine("vectorized").run(graph, rounds, tie_break=tie_break,
+                                            track_kept=True, csr=csr)
+        assert isinstance(surv.kept, KeptSets)
+        plain = dict(surv.kept)
+        for values in (surv.values, None):
+            expected = orientation_from_kept_reference(graph, plain, values=values)
+            for kept in (surv.kept, plain):
+                _assert_same_orientation(orientation_from_kept(
+                    graph, kept, values=values, csr=csr), expected)
 
     @pytest.mark.parametrize("tie_break", ["history", "stable", "naive"])
     @pytest.mark.parametrize("graph, rounds", CORPUS + [
@@ -137,6 +182,90 @@ class TestArrayOrientationMatchesReference:
         for empty, kept in ((Graph(nodes=["x"]), {"x": ()}), (Graph(), {})):
             _assert_same_orientation(orientation_from_kept(empty, kept),
                                      orientation_from_kept_reference(empty, kept))
+
+
+class TestKeptSets:
+    """The id-level ``N_v``: arrays on the CSR view, tuples on demand."""
+
+    @pytest.mark.parametrize("tie_break", ["history", "stable", "naive"])
+    def test_arrays_index_the_view(self, ba_weighted, tie_break):
+        csr = graph_to_csr(ba_weighted)
+        trajectory = surviving_numbers_vectorized(csr, 4)
+        kept = kept_sets_from_trajectory(csr, trajectory, tie_break=tie_break)
+        assert kept.view is csr
+        claimants = np.repeat(np.arange(csr.num_nodes), np.diff(kept.indptr))
+        assert np.array_equal(csr.indices[kept.entries], kept.members)
+        assert np.all((csr.indptr[claimants] <= kept.entries)
+                      & (kept.entries < csr.indptr[claimants + 1]))
+        for array in (kept.indptr, kept.members, kept.entries):
+            with pytest.raises(ValueError):
+                array[0] = 0
+        orientation_from_kept(ba_weighted, kept, csr=csr)
+        labels = csr.labels()
+        assert list(kept) == list(labels) and len(kept) == len(labels)
+        assert kept._tuples is None   # built only when a tuple is read
+        assert list(kept.items()) == [
+            (label, tuple(labels[j] for j in
+                          kept.members[kept.indptr[i]:kept.indptr[i + 1]]))
+            for i, label in enumerate(labels)]
+
+    def test_empty_and_from_mapping(self):
+        empty = KeptSets.empty(("a", "b"))
+        assert empty == {"a": (), "b": ()} and empty["b"] == ()
+        by_id = KeptSets.from_mapping({"b": ("a", "ghost"), "nobody": ("a",),
+                                       "a": ("b",)}, ("a", "b"))
+        assert by_id.indptr.tolist() == [0, 1, 2]
+        assert by_id.members.tolist() == [1, 0]
+        assert by_id.entries is None
+        assert dict(by_id) == {"a": ("b",), "b": ("a",)}
+
+    def test_concurrent_first_reads_agree(self, ba_weighted):
+        """Threads racing on a fresh view's memo and on the lazy tuple dict
+        all get the same answer (no lock: a lost update is an equal value)."""
+        import sys
+        import threading
+
+        csr = graph_to_csr(ba_weighted)
+        surv = get_engine("vectorized").run(ba_weighted, 4, track_kept=True,
+                                            csr=csr)
+        expected = orientation_from_kept_reference(ba_weighted, dict(surv.kept))
+        # An identical view with nothing memoised yet.
+        view = graph_to_csr(ba_weighted)
+        fresh = KeptSets(surv.kept.labels, surv.kept.indptr, surv.kept.members,
+                         surv.kept.entries, view=view)
+        start = threading.Barrier(8)
+        results = []
+
+        def read():
+            start.wait(timeout=10)
+            results.append((dict(fresh), orientation_from_kept(
+                ba_weighted, fresh, csr=view)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == 8
+        for tuples, orientation in results:
+            assert tuples == dict(surv.kept)
+            _assert_same_orientation(orientation, expected)
+
+    def test_kept_sets_of_another_view_are_converted(self, ba_weighted):
+        surv = get_engine("vectorized").run(ba_weighted, 4, track_kept=True)
+        other = graph_to_csr(ba_weighted.copy())
+        assert surv.kept.view is not other
+        _assert_same_orientation(
+            orientation_from_kept(ba_weighted, surv.kept, values=surv.values,
+                                  csr=other),
+            orientation_from_kept_reference(ba_weighted, surv.kept,
+                                            values=surv.values))
 
 
 class TestInvariantsFromProtocol:

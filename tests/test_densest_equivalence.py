@@ -199,6 +199,19 @@ class TestIdentityRanks:
         by_rank = [csr.labels()[i] for i in np.argsort(ranks)]
         assert by_rank == sorted(csr.labels(), key=comparable_identity)
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_random_int64_labels(self, seed):
+        rng = np.random.default_rng(seed)
+        uniform = rng.integers(-2**63, 2**63 - 1, size=3000, endpoint=True)
+        # Few distinct digit strings at every length: long shared prefixes.
+        heavy = (rng.integers(-30, 30, size=3000)
+                 * 10 ** rng.integers(0, 18, size=3000))
+        labels = list(dict.fromkeys(uniform.tolist() + heavy.tolist()
+                                    + [2**63 - 1, -2**63, 0]))
+        csr = graph_to_csr(Graph(nodes=labels))
+        by_rank = [csr.labels()[i] for i in np.argsort(identity_ranks(csr))]
+        assert by_rank == sorted(csr.labels(), key=comparable_identity)
+
     def test_tree_anchors_pointer_doubling(self):
         # 0 <- 1 <- 2 <- 3 chain plus an orphan (4) with a child above it (5).
         parent = np.array([0, 0, 1, 2, -1, 4], dtype=np.int64)

@@ -211,6 +211,28 @@ class TestCrossEngineEquivalence:
         assert sharded.values == vec.values
         assert sharded.kept == vec.kept
 
+    def test_untracked_kept_sets_are_empty_on_every_engine(self, tmp_path):
+        """Regression: with tracking off the faithful engine reported the
+        initial N_v = N(v), and a store-backed session reloaded it."""
+        from repro.session import Session
+        from repro.store import ArtifactStore
+
+        graph = barabasi_albert(30, 2, seed=1)
+        vec = get_engine("vectorized").run(graph, 4, track_kept=False)
+        sharded = get_engine("sharded:4").run(graph, 4, track_kept=False)
+        faithful = get_engine("faithful").run(graph, 4, track_kept=False)
+        store = ArtifactStore(tmp_path / "store")
+        Session(graph, engine="faithful", store=store).surviving(
+            rounds=4, track_kept=False)
+        restarted = Session(graph, engine="faithful", store=store)
+        reloaded = restarted.surviving(rounds=4, track_kept=False)
+        assert restarted.stats.disk_hits == 1
+        empty = {v: () for v in graph.nodes()}
+        assert vec.kept == empty
+        assert sharded.kept == empty
+        assert faithful.kept == empty
+        assert reloaded.kept == empty
+
     def test_empty_graph_array_engines_agree(self):
         empty = Graph()
         vec = get_engine("vectorized").run(empty, 2)

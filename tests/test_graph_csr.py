@@ -5,13 +5,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import bfs
+from repro.core.bfs import identity_ranks
 from repro.errors import GraphError
+from repro.graph import csr as csr_module
 from repro.graph.csr import (
     csr_subset_densities,
     csr_subset_density,
     graph_fingerprint,
     graph_to_csr,
 )
+from repro.graph.generators.random_graphs import erdos_renyi_gnp
 from repro.graph.graph import Graph
 
 
@@ -148,6 +152,55 @@ class TestBulkExtraction:
         assert csr.indices.tolist() == [1, 0, 2, 1]
         assert csr.loops.tolist() == [0.0, 0.0, 4.0]
         assert csr.to_graph() == g
+
+
+def _isolated_and_loops() -> Graph:
+    g = _out_of_order_ints()
+    g.add_node(11)
+    g.add_edge(11, 11, 1.0)   # an isolated node with only a loop
+    g.add_edge(3, 3, 0.5)
+    return g
+
+
+class TestReverseEntries:
+    @pytest.mark.parametrize("build", [
+        _int_labels, _out_of_order_ints, _strings_edge_readded,
+        _isolated_and_loops, lambda: Graph(nodes=range(3)), Graph,
+        lambda: erdos_renyi_gnp(300, 0.05, seed=3)])
+    def test_twin_is_the_reverse_entry(self, build):
+        csr = graph_to_csr(build())
+        twin = csr.twin()
+        rows = np.repeat(np.arange(csr.num_nodes), np.diff(csr.indptr))
+        entries = np.arange(csr.num_directed_entries)
+        keys = (rows * csr.num_nodes + csr.indices)[csr.sorted_entries()]
+        assert np.all(np.diff(keys) > 0)
+        assert np.array_equal(np.sort(csr.sorted_entries()), entries)
+        assert np.array_equal(twin[twin], entries)
+        assert np.array_equal(rows[twin], csr.indices)
+        assert np.array_equal(csr.indices[twin], rows)
+        assert np.array_equal(csr.weights[twin], csr.weights)
+
+
+class TestPerViewMemo:
+    @pytest.mark.parametrize("read, module, name", [
+        (lambda view: view.sorted_entries(), csr_module, "_entries_by_key"),
+        (lambda view: view.twin(), csr_module, "_reverse_entries"),
+        (identity_ranks, bfs, "_identity_ranks")])
+    def test_computed_once_per_view_and_read_only(self, monkeypatch, read,
+                                                  module, name):
+        compute = getattr(module, name)
+        calls = []
+        monkeypatch.setattr(module, name,
+                            lambda view: calls.append(view) or compute(view))
+        view = graph_to_csr(_strings_edge_readded())
+        first = read(view)
+        assert read(view) is first
+        assert len(calls) == 1 and calls[0] is view
+        with pytest.raises(ValueError):
+            first[0] = first[-1]
+        other = graph_to_csr(_strings_edge_readded())
+        assert np.array_equal(read(other), first)
+        assert len(calls) == 2 and calls[1] is other
 
 
 class TestCSRSubsetDensity:

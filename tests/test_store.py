@@ -186,6 +186,29 @@ class TestResultArtifacts:
         assert loaded.guarantee == result.guarantee
         assert loaded.stats_summary == result.stats_summary
 
+    def test_untracked_kept_sets_are_stored_and_loaded_empty(
+            self, store, two_communities, csr, fingerprint):
+        result = self._result(two_communities)   # tracked: non-empty N_v
+        path = store.save_result(fingerprint, result, lam=0.0,
+                                 tie_break="history", track_kept=False,
+                                 labels=csr.labels())
+        with np.load(path) as archive:
+            assert archive["kept_indices"].size == 0
+            assert not archive["kept_indptr"].any()
+        # Older files stored the initial N_v = N(v) under the untracked key.
+        meta = {"schema": SCHEMA_VERSION, "kind": "result",
+                "fingerprint": fingerprint, "lam": 0.0, "rounds": 4,
+                "n": csr.num_nodes, "tie_break": "history",
+                "track_kept": False, "stats_summary": ""}
+        store._write_npz(path, meta, {
+            "values": np.array([result.values[v] for v in csr.labels()]),
+            "kept_indices": csr.indices, "kept_indptr": csr.indptr})
+        loaded = store.load_result(fingerprint, rounds=4, lam=0.0,
+                                   tie_break="history", track_kept=False,
+                                   labels=csr.labels(), grid=result.grid)
+        assert loaded.values == result.values
+        assert loaded.kept == {v: () for v in csr.labels()}
+
     def test_request_key_fields_address_distinct_artifacts(
             self, store, two_communities, csr, fingerprint):
         result = self._result(two_communities)
