@@ -1,21 +1,19 @@
 #!/usr/bin/env bash
 # CI / pre-merge check: tier-1 tests, smoke runs of every example, the
-# unified benchmark harness (engines x parallel modes, kept-set
-# reconstruction, cold/warm sessions, store restart, out-of-core mmap —
-# scripts/bench.py), the out-of-core mmap smoke (small graph forced through
-# storage=mmap, bit-identical to in-memory), the mmap-trajectory smoke
-# (trajectory spilled to the append-only .traj buffer, bit-identical and
-# prefix-resumable), the warm-session throughput
-# benchmark (>= 2x over cold per-call on repeated mixed requests), the
-# persistent-store smoke (second run served from disk, bit-identical),
-# the `repro cache` CLI smoke, the HTTP serve smoke (`repro serve` as a
-# subprocess on an ephemeral port: jobs over a real socket, /metrics in both
-# JSON and Prometheus exposition, graceful SIGTERM drain with no staging
-# files left in the store), the densest fast-path smoke (phases 2-4 on the
-# CSR kernels, bit-identical to the faithful 4-phase simulator pipeline),
-# the observability smoke (a traced solve exported to Chrome trace
-# format plus a non-empty `repro trace summarize` per-span table), and the
-# bench/ smoke (each BENCHMARK.json workload once, traced, on tiny inputs).
+# out-of-core mmap smoke (small graph forced through storage=mmap,
+# bit-identical to in-memory), the mmap-trajectory smoke (trajectory spilled
+# to the append-only .traj buffer, bit-identical and prefix-resumable), the
+# warm-session throughput benchmark (>= 2x over cold per-call on repeated
+# mixed requests), the persistent-store smoke (second run served from disk,
+# bit-identical), the `repro cache` CLI smoke, the HTTP serve smoke (`repro
+# serve` as a subprocess on an ephemeral port: jobs over a real socket,
+# /metrics in both JSON and Prometheus exposition, graceful SIGTERM drain
+# with no staging files left in the store), the densest fast-path smoke
+# (phases 2-4 on the CSR kernels, bit-identical to the faithful 4-phase
+# simulator pipeline), the observability smoke (a traced solve exported to
+# Chrome trace format plus a non-empty `repro trace summarize` per-span
+# table), and the bench/ smoke (each BENCHMARK.json workload once, traced, on
+# tiny inputs).
 #
 # Usage:  ./scripts/check.sh            (from anywhere; repo root is inferred)
 set -euo pipefail
@@ -45,10 +43,6 @@ for example in examples/*.py; do
     echo "-- $example"
     REPRO_SMOKE=1 python "$example" > /dev/null
 done
-
-echo
-echo "== unified benchmark harness (smoke) =="
-python scripts/bench.py --smoke --output "$(mktemp -t bench_smoke.XXXXXX.json)"
 
 echo
 echo "== benchmark smoke (bench/: every workload once, traced, tiny inputs) =="

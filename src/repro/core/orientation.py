@@ -532,8 +532,8 @@ def kept_sets_from_trajectory_reference(
     :func:`~repro.core.update.update_sorted` / ``update_stable`` code paths.
     Kept only as the ground truth the equivalence tests compare
     :func:`kept_sets_from_trajectory` against — the batched implementation is
-    the production path (measured 5-20x faster depending on graph size and
-    tie-break mode; see ``scripts/bench.py`` / ``BENCH_PR3.json``).
+    the production path (``tests/test_engine_bench.py`` checks that it beats
+    this loop under every tie-break mode).
     """
     total_rounds = _validate_trajectory(csr, trajectory)
     labels = csr.labels()

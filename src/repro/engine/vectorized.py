@@ -7,8 +7,6 @@ subclasses it with a different round executor).
 
 from __future__ import annotations
 
-import inspect
-
 import numpy as np
 
 from repro.engine.base import Engine
@@ -57,25 +55,10 @@ class TrajectoryEngine(Engine):
                                          tie_break=tie_break,
                                          track_kept=track_kept)
                 warm_start = None
-            if warm_start is not None and self._trajectory_accepts_prefix():
-                trajectory = self.trajectory(csr, rounds, lam=lam,
-                                             prefix=warm_start)
-            else:
-                # Subclasses written against the original hint-free
-                # trajectory() signature keep working: they just recompute
-                # every round.
-                trajectory = self.trajectory(csr, rounds, lam=lam)
+            trajectory = self.trajectory(csr, rounds, lam=lam,
+                                         prefix=warm_start)
             return self.assemble(csr, trajectory, rounds, grid,
                                  tie_break=tie_break, track_kept=track_kept)
-
-    def _trajectory_accepts_prefix(self) -> bool:
-        cached = getattr(self, "_prefix_support", None)
-        if cached is None:
-            params = inspect.signature(self.trajectory).parameters
-            cached = "prefix" in params or any(
-                p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values())
-            self._prefix_support = cached
-        return cached
 
     @staticmethod
     def assemble(csr, trajectory, rounds, grid, *, tie_break="history",

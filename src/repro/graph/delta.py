@@ -26,6 +26,7 @@ fingerprint fully determines the child graph's content fingerprint.
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Sequence, Set, Tuple
@@ -69,10 +70,14 @@ def _canonical_edges(entries: Iterable[Sequence], *, weighted: bool,
                              f"got {entry!r}")
         u, v = _normalise_pair(entry[0], entry[1])
         if weighted:
-            w = float(entry[2])
-            if w < 0:
-                raise GraphError(f"{section} weights must be non-negative, "
-                                 f"got {w!r} for ({u!r}, {v!r})")
+            try:
+                w = float(entry[2])
+            except (TypeError, ValueError):
+                raise GraphError(f"{section} weights must be numbers, got "
+                                 f"{entry[2]!r} for {entry[:2]!r}") from None
+            if not 0.0 <= w < math.inf:   # also false for NaN
+                raise GraphError(f"{section} weights must be finite and "
+                                 f"non-negative, got {w!r} for ({u!r}, {v!r})")
             canonical.append((u, v, w))
         else:
             canonical.append((u, v))
@@ -167,6 +172,13 @@ class GraphDelta:
         if unknown:
             raise GraphError(f"unknown delta fields: {sorted(unknown)}")
 
+        def section(name):
+            entries = doc.get(name, ())
+            if not isinstance(entries, (list, tuple)):
+                raise GraphError(f"delta field {name!r} must be an array, "
+                                 f"got {entries!r}")
+            return entries
+
         def check_labels(entries, arity):
             for entry in entries:
                 if not isinstance(entry, (list, tuple)) or len(entry) != arity:
@@ -178,15 +190,15 @@ class GraphDelta:
                                          f"got {label!r}")
             return entries
 
-        for label in doc.get("add_nodes", ()):
+        for label in section("add_nodes"):
             if not isinstance(label, (str, int, float, bool)):
                 raise GraphError(f"wire labels must be JSON scalars, "
                                  f"got {label!r}")
         return cls(
-            add_edges=check_labels(doc.get("add_edges", ()), 3),
-            remove_edges=check_labels(doc.get("remove_edges", ()), 2),
-            set_weights=check_labels(doc.get("set_weights", ()), 3),
-            add_nodes=tuple(doc.get("add_nodes", ())),
+            add_edges=check_labels(section("add_edges"), 3),
+            remove_edges=check_labels(section("remove_edges"), 2),
+            set_weights=check_labels(section("set_weights"), 3),
+            add_nodes=tuple(section("add_nodes")),
         )
 
 

@@ -3,7 +3,7 @@
 This is the central data structure of the reproduction.  It mirrors the paper's
 Section II terminology:
 
-* edges are 2-subsets ``{u, v}`` of the node set, carrying a non-negative weight;
+* edges are 2-subsets ``{u, v}`` of the node set, carrying a finite non-negative weight;
 * **self-loops** (singleton edges ``{v}``) are first-class citizens because quotient
   graphs (Definition II.2) turn edges leaving a removed block into self-loops;
 * the *weighted degree* of ``v`` is the sum of the weights of the edges containing
@@ -19,6 +19,7 @@ iteration deterministic.  For the vectorised engines the graph can be converted 
 
 from __future__ import annotations
 
+import math
 from types import MappingProxyType
 from typing import Dict, Hashable, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
@@ -107,8 +108,9 @@ class Graph:
         weights, matching the quotient-graph semantics of Definition II.2.
         """
         w = float(weight)
-        if w < 0:
-            raise GraphError(f"edge weights must be non-negative, got {w!r} for ({u!r}, {v!r})")
+        if not 0.0 <= w < math.inf:   # also false for NaN
+            raise GraphError(f"edge weights must be finite and non-negative, "
+                             f"got {w!r} for ({u!r}, {v!r})")
         self.add_node(u)
         self.add_node(v)
         if u == v:

@@ -75,7 +75,12 @@ def parse_edge_list(text: str, *, default_weight: float = 1.0) -> Graph:
             graph.add_edge(_parse_label(u), _parse_label(v), default_weight)
         elif len(parts) == 3:
             u, v, w = parts
-            graph.add_edge(_parse_label(u), _parse_label(v), float(w))
+            try:
+                weight = float(w)
+            except ValueError:
+                raise GraphError(f"non-numeric weight in edge-list line: "
+                                 f"{raw!r}") from None
+            graph.add_edge(_parse_label(u), _parse_label(v), weight)
         else:
             raise GraphError(f"malformed edge-list line: {raw!r}")
     return graph
@@ -104,9 +109,14 @@ def from_dict(payload: dict) -> Graph:
     """Inverse of :func:`to_dict` (node labels come back as strings or ints)."""
     if payload.get("format") != "repro-graph-v1":
         raise GraphError(f"unsupported graph payload format: {payload.get('format')!r}")
-    graph = Graph(nodes=(_parse_label(v) for v in payload["nodes"]))
-    for u, v, w in payload["edges"]:
-        graph.add_edge(_parse_label(u), _parse_label(v), float(w))
+    try:
+        graph = Graph(nodes=(_parse_label(v) for v in payload["nodes"]))
+        for u, v, w in payload["edges"]:
+            graph.add_edge(_parse_label(u), _parse_label(v), float(w))
+    except KeyError as exc:
+        raise GraphError(f"graph payload is missing its {exc} field") from exc
+    except (TypeError, ValueError) as exc:   # wrong shape or weight type
+        raise GraphError(f"malformed graph payload: {exc}") from exc
     return graph
 
 

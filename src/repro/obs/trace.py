@@ -250,10 +250,9 @@ class Span:
 class _Timed:
     """Always-measuring context manager; records a span only when enabled.
 
-    This is the drop-in replacement for the deprecated
-    ``repro.utils.timers.Timer``: the elapsed wall time is available as
-    ``.seconds`` whether or not tracing is on, so experiment scripts can
-    keep reporting durations while traced runs additionally get a span.
+    The elapsed wall time is available as ``.seconds`` whether or not
+    tracing is on, so experiment scripts can keep reporting durations while
+    traced runs additionally get a span.
     """
 
     __slots__ = ("name", "attrs", "seconds", "_start_perf", "_start_unix")

@@ -110,9 +110,20 @@ from repro.store import ArtifactStore
 #: (longer waits re-poll; an unbounded wait would stall graceful drain).
 MAX_WAIT_SECONDS = 30.0
 
-#: BatchJob fields a wire submission may set (everything else is 400).
-_JOB_FIELDS = ("problem", "name", "epsilon", "gamma", "rounds", "lam",
-               "tie_break", "track_kept")
+#: BatchJob fields a wire submission may set (everything else is 400), with
+#: the JSON type each must carry.  A bool is never a number here, and the
+#: budget fields take null for "not given".
+_NUMBER = (int, float)
+_JOB_FIELDS = {
+    "problem": ("a string", (str,)),
+    "name": ("a string", (str,)),
+    "epsilon": ("a number", _NUMBER + (type(None),)),
+    "gamma": ("a number", _NUMBER + (type(None),)),
+    "rounds": ("an integer", (int, type(None))),
+    "lam": ("a number", _NUMBER),
+    "tie_break": ("a string", (str,)),
+    "track_kept": ("a boolean", (bool,)),
+}
 
 #: HTTP status per error class; resolved along the exception's MRO so
 #: subclasses inherit their parent's mapping unless they claim their own.
@@ -468,14 +479,13 @@ class ReproHTTPServer(ThreadingHTTPServer):
             raise WireFormatError(
                 f"unknown job field(s) {', '.join(map(repr, unknown))}; "
                 f"allowed: {', '.join(_JOB_FIELDS)}")
-        fields = dict(payload)
-        problem = fields.pop("problem", "coreness")
-        if not isinstance(problem, str):
-            raise WireFormatError("problem must be a registered problem name")
-        try:
-            return BatchJob(graph=graph, problem=problem, **fields)
-        except TypeError as exc:
-            raise WireFormatError(f"bad job request: {exc}") from exc
+        for key, value in payload.items():
+            expected, types = _JOB_FIELDS[key]
+            if not isinstance(value, types) or (
+                    isinstance(value, bool) and bool not in types):
+                raise WireFormatError(f"job field {key!r} must be {expected}, "
+                                      f"got {value!r}")
+        return BatchJob(graph=graph, **payload)
 
     def submit_job(self, fingerprint: str, payload: dict, *,
                    tenant: str = "default") -> dict:
@@ -615,9 +625,14 @@ class ReproHTTPServer(ThreadingHTTPServer):
             raise WireFormatError("batch needs a non-empty 'requests' list")
         record_graph = self.graph_record(fingerprint)
         self._charge_tenant(tenant, tokens=float(len(payloads)))
-        self._jobs_submitted_by_tenant.inc(float(len(payloads)), tenant=tenant)
         jobs = [self._build_job(record_graph.graph, payload)
                 for payload in payloads]
+        for job in jobs:
+            # The queue's own submit-time validation, run on every request
+            # before the stream's 200 goes out: a bad one answers 4xx and no
+            # job of the batch is submitted.
+            self.queue._job_key(job)
+        self._jobs_submitted_by_tenant.inc(float(len(payloads)), tenant=tenant)
 
         def documents():
             pending: List[_JobRecord] = []

@@ -39,7 +39,6 @@ tests and ``scripts/bench_session.py`` observe.
 
 from __future__ import annotations
 
-import inspect
 import os
 import time
 from collections import OrderedDict
@@ -53,6 +52,8 @@ from repro.core.rounding import LambdaGrid, grid_for_graph
 from repro.core.rounds import resolve_round_budget
 from repro.core.surviving import TIE_BREAK_RULES, SurvivingNumbers
 from repro.engine.base import Engine, EngineLike, get_engine
+from repro.engine.kernels import FrontierWarmStart
+from repro.engine.vectorized import TrajectoryEngine
 from repro.errors import AlgorithmError
 from repro.graph.csr import CSRAdjacency, csr_fingerprint, graph_to_csr
 from repro.graph.delta import (GraphDelta, apply_delta as apply_graph_delta,
@@ -196,18 +197,7 @@ class Session:
         self._chain_fingerprint: Optional[str] = None
         self._max_frontier_fraction: float = 0.25
         self._frontier_seed: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self._array_engine = callable(getattr(self.engine, "trajectory", None))
-        # Hints (csr / grid / warm_start) go to any engine whose run()
-        # signature declares them — the documented contract — but csr/grid are
-        # only *built* for engines that consume them (Engine.consumes_artifacts;
-        # the faithful simulator opts out, so it costs nothing).
-        run_params = inspect.signature(self.engine.run).parameters
-        var_kw = any(p.kind is inspect.Parameter.VAR_KEYWORD
-                     for p in run_params.values())
-        self._run_hints = {hint for hint in ("csr", "grid", "warm_start")
-                           if var_kw or hint in run_params}
-        if not getattr(self.engine, "consumes_artifacts", True):
-            self._run_hints -= {"csr", "grid"}
+        self._array_engine = isinstance(self.engine, TrajectoryEngine)
 
     @property
     def default_lam(self) -> float:
@@ -220,9 +210,11 @@ class Session:
     def supports_trajectories(self) -> bool:
         """Whether the engine produces per-round trajectories.
 
-        The single capability probe: used internally to decide artifact/hint
-        passing, and by analysis helpers to decide whether a session can serve
-        a trajectory at all (the faithful simulator cannot).
+        The single capability check (the engine is a
+        :class:`~repro.engine.vectorized.TrajectoryEngine`): used internally
+        to decide stored-trajectory reuse and the frontier warm start, and by
+        analysis helpers to decide whether a session can serve a trajectory
+        at all (the faithful simulator cannot).
         """
         return self._array_engine
 
@@ -375,11 +367,8 @@ class Session:
         :class:`~repro.engine.vectorized.TrajectoryEngine` (they all share
         the frontier branch in ``run``); anything else solves cold.
         """
-        from repro.engine.kernels import FrontierWarmStart
-        from repro.engine.vectorized import TrajectoryEngine
-
         parent = self._parent
-        if parent is None or not isinstance(self.engine, TrajectoryEngine) \
+        if parent is None or not self._array_engine \
                 or not parent.supports_trajectories:
             return None
         ptraj = parent._trajectories.get(lam)
@@ -482,31 +471,23 @@ class Session:
                     if loaded is not None:
                         self._cache_put(self._results, key, loaded)
                         return loaded
-                # The warm-start hint only goes to engines that will actually
-                # consume it (and `warm` only counts as reuse then); engines
-                # written against hint-free signatures keep working unchanged,
-                # with every round honestly counted as executed.
-                warm = prefix if "warm_start" in self._run_hints \
-                    and self._engine_takes_prefix() else None
-                run_kwargs = {}
-                if "csr" in self._run_hints:
-                    run_kwargs["csr"] = self.csr
-                if "grid" in self._run_hints:
-                    run_kwargs["grid"] = self.grid(lam)
-                if warm is not None:
-                    run_kwargs["warm_start"] = warm
-                elif self._parent is not None and self._array_engine \
-                        and "warm_start" in self._run_hints:
-                    # Delta-derived session with no own trajectory yet: hand
-                    # the engine a frontier warm start against the parent's
-                    # trajectory.  The engine falls back to a cold run by
-                    # itself when the frontier widens past the policy bound.
-                    frontier = self._frontier_warm_start(lam, T)
-                    if frontier is not None:
-                        run_kwargs["warm_start"] = frontier
+                # The documented Engine.run hints: csr/grid are only built
+                # for engines that consume them (the faithful simulator opts
+                # out), and every engine gets the cached prefix as its warm
+                # start.  A delta-derived session with no trajectory of its
+                # own yet hands over a frontier warm start against the
+                # parent's trajectory instead; the engine falls back to a
+                # cold run by itself when the frontier widens past the
+                # policy bound.
+                artifacts = ({"csr": self.csr, "grid": self.grid(lam)}
+                             if self.engine.consumes_artifacts else {})
+                warm = warm_start = prefix
+                if prefix is None:
+                    warm_start = frontier = self._frontier_warm_start(lam, T)
                 result = self.engine.run(self.graph, T, lam=lam,
                                          tie_break=tie_break,
-                                         track_kept=track_kept, **run_kwargs)
+                                         track_kept=track_kept,
+                                         warm_start=warm_start, **artifacts)
             self._account(T, warm, result, frontier=frontier)
             if result.trajectory is not None and (
                     prefix is None or result.trajectory.shape[0] > prefix.shape[0]):
@@ -633,18 +614,6 @@ class Session:
                                    labels=self.csr.labels())
             self.stats.disk_writes += 1
 
-    def _engine_takes_prefix(self) -> bool:
-        """Whether the engine can exploit a warm-start prefix.
-
-        An engine whose ``run()`` declares ``warm_start`` is assumed to honour
-        the documented contract; trajectory engines additionally expose
-        ``_trajectory_accepts_prefix`` so that subclasses written against the
-        hint-free ``trajectory()`` signature are not handed (and not credited
-        for) a prefix they would recompute anyway.
-        """
-        probe = getattr(self.engine, "_trajectory_accepts_prefix", None)
-        return True if probe is None else bool(probe())
-
     def _sliced_result(self, T: int, lam: float, prefix: np.ndarray, *,
                        tie_break: str, track_kept: bool) -> SurvivingNumbers:
         """A ``SurvivingNumbers`` read straight off the cached trajectory.
@@ -652,19 +621,17 @@ class Session:
         Delegates to the engines' shared assembly so slice-served results stay
         field-for-field identical to engine-produced ones by construction.
         """
-        from repro.engine.vectorized import TrajectoryEngine
-
         return TrajectoryEngine.assemble(self.csr, prefix[:T + 1], T,
                                          self.grid(lam), tie_break=tie_break,
                                          track_kept=track_kept)
 
     def _account(self, T: int, warm: Optional[np.ndarray],
                  result: SurvivingNumbers, *, frontier=None) -> None:
-        # ``warm`` is the cached trajectory that was actually consumed (served
-        # as a slice or handed to a prefix-capable engine) — None whenever the
-        # engine ran every round itself, including engines that cannot take
-        # the hint.  ``frontier`` is the FrontierWarmStart of an incremental
-        # attempt; it records whether the engine used it or fell back cold.
+        # ``warm`` is the cached trajectory that was consumed (served as a
+        # slice or handed to the engine as its warm start) — None whenever
+        # the engine ran every round itself.  ``frontier`` is the
+        # FrontierWarmStart of an incremental attempt; it records whether
+        # the engine used it or fell back cold.
         if frontier is not None:
             if frontier.used:
                 self.stats.incremental_runs += 1

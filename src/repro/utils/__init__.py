@@ -1,4 +1,4 @@
-"""Small shared utilities: numeric grids, orderings, RNG handling and timers."""
+"""Small shared utilities: numeric grids, orderings and RNG handling."""
 
 from repro.utils.numeric import (
     POS_INFINITY,
@@ -10,7 +10,6 @@ from repro.utils.numeric import (
 )
 from repro.utils.ordering import lexicographic_history_key, total_order_key
 from repro.utils.rng import ensure_rng
-from repro.utils.timers import Timer
 
 __all__ = [
     "POS_INFINITY",
@@ -22,5 +21,4 @@ __all__ = [
     "lexicographic_history_key",
     "total_order_key",
     "ensure_rng",
-    "Timer",
 ]

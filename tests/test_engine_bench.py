@@ -1,9 +1,10 @@
-"""Timing comparisons between the array engines (excluded from tier-1).
+"""Timing comparisons of the array fast paths (excluded from tier-1).
 
-Run with ``python -m pytest -m bench`` (see pytest.ini).  The acceptance bar —
-sharded within 2x of vectorized on a 100k-node graph — is checked by
-``scripts/bench_engines.py``; this in-suite variant uses a smaller graph so it
-stays runnable anywhere.
+Run with ``python -m pytest -m bench`` (see pytest.ini).  Each test pins that
+a fast path beats its slower twin on graphs small enough to run anywhere:
+the sharded engine against vectorized, the batched kept-set reconstruction
+against the per-node reference loop, and the array densest pipeline against
+the faithful simulator.
 """
 
 from __future__ import annotations
@@ -13,7 +14,13 @@ import time
 import pytest
 
 from repro.engine import get_engine
-from repro.graph.generators.random_graphs import barabasi_albert
+from repro.graph.generators.random_graphs import barabasi_albert, erdos_renyi_gnp
+
+
+def _small_graphs():
+    """A 2,000-node BA and ER graph, the sizes the fast-path checks run on."""
+    return [barabasi_albert(2_000, 3, seed=99),
+            erdos_renyi_gnp(2_000, 6.0 / 2_000, seed=100)]
 
 
 def _best_of(fn, repeats=3):
@@ -51,3 +58,36 @@ def test_batch_runner_amortises_csr_conversion():
     runner.run_job(BatchJob(graph=graph, rounds=4))
     warm = time.perf_counter() - start
     assert warm <= cold  # second job reuses the cached CSR view
+
+
+@pytest.mark.bench
+@pytest.mark.parametrize("tie_break", ["history", "stable", "naive"])
+def test_batched_kept_sets_beat_the_reference_loop(tie_break):
+    from repro.core.orientation import (kept_sets_from_trajectory,
+                                        kept_sets_from_trajectory_reference)
+    from repro.engine.kernels import compact_trajectory
+    from repro.graph.csr import graph_to_csr
+
+    for graph in _small_graphs():
+        csr = graph_to_csr(graph)
+        trajectory = compact_trajectory(csr, 10)
+        reference = _best_of(lambda: kept_sets_from_trajectory_reference(
+            csr, trajectory, tie_break=tie_break))
+        batched = _best_of(lambda: kept_sets_from_trajectory(
+            csr, trajectory, tie_break=tie_break))
+        assert batched < reference, \
+            f"batched {batched:.4f}s vs reference {reference:.4f}s"
+
+
+@pytest.mark.bench
+def test_array_densest_beats_the_faithful_pipeline():
+    from repro.core.densest import weak_densest_subsets
+
+    for graph in _small_graphs():
+        start = time.perf_counter()
+        weak_densest_subsets(graph, rounds=3)
+        faithful = time.perf_counter() - start
+        array = _best_of(lambda: weak_densest_subsets(graph, rounds=3,
+                                                      engine="array"))
+        assert array < faithful, \
+            f"array {array:.4f}s vs faithful {faithful:.4f}s"

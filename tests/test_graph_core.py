@@ -60,9 +60,10 @@ class TestEdgeOperations:
         assert g.num_edges == 1
         assert g.edge_weight(0, 1) == pytest.approx(3.0)
 
-    def test_negative_weight_rejected(self):
+    @pytest.mark.parametrize("weight", [-1.0, float("nan"), float("inf")])
+    def test_negative_weight_rejected(self, weight):
         with pytest.raises(GraphError):
-            Graph(edges=[(0, 1, -1.0)])
+            Graph(edges=[(0, 1, weight)])
 
     def test_bad_edge_tuple_rejected(self):
         with pytest.raises(GraphError):

@@ -39,9 +39,10 @@ class TestCanonicalisation:
         with pytest.raises(GraphError, match="duplicate"):
             GraphDelta(add_nodes=(7, 7))
 
-    def test_negative_weights_rejected(self):
+    @pytest.mark.parametrize("weight", [-2.0, float("nan"), float("inf")])
+    def test_negative_weights_rejected(self, weight):
         with pytest.raises(GraphError, match="non-negative"):
-            GraphDelta(set_weights=((0, 1, -2.0),))
+            GraphDelta(set_weights=((0, 1, weight),))
 
     def test_arity_enforced(self):
         with pytest.raises(GraphError, match="fields"):

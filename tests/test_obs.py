@@ -13,6 +13,7 @@ import io
 import json
 import os
 import re
+import time
 import urllib.request
 
 import pytest
@@ -63,6 +64,17 @@ class TestDisabledMode:
         with obs_trace.timed("block", tag="t") as timing:
             sum(range(1000))
         assert timing.seconds is not None and timing.seconds >= 0.0
+
+    @pytest.mark.bench
+    def test_disabled_span_costs_under_ten_microseconds(self):
+        # What every instrumented call site pays per request when tracing is
+        # off: the gate that keeps an untraced run's overhead negligible.
+        calls = 100_000
+        start = time.perf_counter()
+        for _ in range(calls):
+            with obs_trace.span("noop.probe"):
+                pass
+        assert (time.perf_counter() - start) / calls < 1e-5
 
 
 # -------------------------------------------------------------- bit-identity

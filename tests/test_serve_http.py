@@ -9,6 +9,7 @@ persistent store.  Timing tests gate on events, never sleeps.
 
 from __future__ import annotations
 
+import http.client
 import json
 import statistics
 import threading
@@ -192,6 +193,44 @@ class TestJobLifecycle:
         assert {doc["job"] for doc in client.jobs()} == ids
 
 
+class TestMalformedWireInput:
+    """Malformed bodies answer 400 with a typed code: never 500, never coerced."""
+
+    @pytest.mark.parametrize("method,route,body,code", [
+        ("PUT", "/graphs", {"format": "repro-graph-v1"}, "graph"),
+        ("PUT", "/graphs", {"format": "repro-graph-v1", "nodes": [1, 2],
+                            "edges": [[1]]}, "graph"),
+        ("PUT", "/graphs", {"edge_list": "1 2 x\n"}, "graph"),
+        ("PUT", "/graphs", {"edge_list": "1 2 nan\n2 3 1\n"}, "graph"),
+        ("PUT", "/graphs", {"edge_list": "1 2 inf\n"}, "graph"),
+        ("POST", "deltas", {"delta": {"add_edges": [["a", "b", "w"]]}},
+         "graph"),
+        ("POST", "deltas", {"delta": {"add_nodes": 5}}, "graph"),
+        ("POST", "jobs", {"rounds": "abc"}, "bad-request"),
+        ("POST", "jobs", {"epsilon": "x"}, "bad-request"),
+        ("POST", "jobs", {"rounds": 3, "lam": "x"}, "bad-request"),
+        ("POST", "jobs", {"rounds": 3, "name": ["a"]}, "bad-request"),
+        ("POST", "jobs", {"rounds": 3.5}, "bad-request"),
+        ("POST", "jobs", {"rounds": True}, "bad-request"),
+        ("POST", "jobs", {"rounds": 3, "track_kept": "x"}, "bad-request"),
+    ])
+    def test_answers_400_with_a_typed_code(self, server, client, method,
+                                           route, body, code):
+        fp = client.upload_dataset("caveman")
+        path = route if route.startswith("/") else f"/graphs/{fp}/{route}"
+        conn = http.client.HTTPConnection(server.host, server.port, timeout=30)
+        try:
+            conn.request(method, path, body=json.dumps(body),
+                         headers={"Content-Type": "application/json"})
+            response = conn.getresponse()
+            status, document = response.status, json.loads(response.read())
+        finally:
+            conn.close()
+        assert status == 400, document
+        assert document["error"]["code"] == code
+        assert client.jobs() == []
+
+
 class TestInFlightDedupOverTheWire:
     def test_identical_inflight_submissions_share_one_job_id(
             self, server, client, gated_problem):
@@ -309,6 +348,13 @@ class TestBatchStreaming:
         fp = client.upload_dataset("caveman")
         with pytest.raises(WireFormatError):
             list(client.batch(fp, []))
+
+    def test_bad_request_fails_the_batch_before_any_job_is_submitted(
+            self, client):
+        fp = client.upload_dataset("caveman")
+        with pytest.raises(AlgorithmError, match="rounds"):
+            list(client.batch(fp, [{"rounds": 3}, {"rounds": -1}]))
+        assert client.jobs() == []
 
 
 class TestMetricsDocument:

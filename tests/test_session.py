@@ -342,34 +342,6 @@ class TestPrefixReuse:
         assert np.array_equal(resumed.trajectory, cold.trajectory)
         assert warm.stats.prefix_resumes == 1
 
-    def test_trajectory_subclass_with_hint_free_signature_still_works(
-            self, two_communities):
-        # A TrajectoryEngine subclass written against the original
-        # trajectory(csr, rounds, *, lam) signature must keep working even
-        # when the session offers a warm-start prefix (it just recomputes).
-        from repro.engine.kernels import compact_trajectory
-        from repro.engine.vectorized import TrajectoryEngine
-
-        class OldStyle(TrajectoryEngine):
-            name = "old-style"
-
-            def trajectory(self, csr, rounds, *, lam=0.0):
-                return compact_trajectory(csr, rounds, lam=lam)
-
-        session = Session(two_communities, engine=OldStyle())
-        session.surviving(rounds=3)
-        grown = session.surviving(rounds=7)   # prefix exists but is not forwarded
-        cold = Session(two_communities).surviving(rounds=7)
-        assert grown.values == cold.values
-        assert np.array_equal(grown.trajectory, cold.trajectory)
-        # stats stay honest: the engine recomputed every round, no reuse claimed
-        assert session.stats.prefix_resumes == 0
-        assert session.stats.rounds_reused == 0
-        assert session.stats.rounds_executed == 10
-        # ...while shrinking budgets are still served (and counted) as slices
-        session.surviving(rounds=2)
-        assert session.stats.trajectory_slices == 1
-
     def test_configured_problem_instances_do_not_share_cache_entries(self, k6):
         from repro.problems import DensestProblem
 
@@ -389,36 +361,6 @@ class TestPrefixReuse:
         assert low[1] == 1 and high[1] == 100   # no cross-instance cache hit
         one = Scaled(7)
         assert session.solve(one, rounds=2) is session.solve(one, rounds=2)
-
-    def test_engine_with_hint_free_run_signature_still_works(self, two_communities):
-        # Third-party engines registered against the original run() signature
-        # (no csr/grid/warm_start hints) must keep working through a Session,
-        # including after a trajectory has been cached — even when they expose
-        # a trajectory() method (duck-typed trajectory capability) without the
-        # prefix-support probe.
-        from repro.engine import get_engine
-        from repro.engine.base import Engine
-        from repro.engine.kernels import compact_trajectory
-
-        class LegacyEngine(Engine):
-            name = "legacy"
-
-            def trajectory(self, csr, rounds, *, lam=0.0):
-                return compact_trajectory(csr, rounds, lam=lam)
-
-            def run(self, graph, rounds, *, lam=0.0, tie_break="history",
-                    track_kept=True, csr=None, grid=None):
-                return get_engine("vectorized").run(graph, rounds, lam=lam,
-                                                    tie_break=tie_break,
-                                                    track_kept=track_kept)
-
-        session = Session(two_communities, engine=LegacyEngine())
-        first = session.surviving(rounds=3)
-        grown = session.surviving(rounds=6)   # prefix exists, hint not passed
-        cold = Session(two_communities).surviving(rounds=6)
-        assert first.values == Session(two_communities).surviving(rounds=3).values
-        assert grown.values == cold.values
-        assert np.array_equal(grown.trajectory, cold.trajectory)
 
     def test_direct_engine_subclass_receives_the_documented_hints(
             self, two_communities):

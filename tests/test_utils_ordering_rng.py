@@ -1,4 +1,4 @@
-"""Tests for repro.utils.ordering, repro.utils.rng and repro.utils.timers."""
+"""Tests for repro.utils.ordering and repro.utils.rng."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pytest
 
 from repro.utils.ordering import argmax_total_order, lexicographic_history_key, total_order_key
 from repro.utils.rng import ensure_rng, spawn_rng
-from repro.utils.timers import Timer
 
 
 class TestOrderingKeys:
@@ -55,43 +54,3 @@ class TestRng:
         assert child is not parent
         assert list(child.integers(0, 100, 5)) != list(ensure_rng(5).integers(0, 100, 5))
 
-
-class TestTimer:
-    @staticmethod
-    def _timer() -> Timer:
-        with pytest.warns(DeprecationWarning, match="repro.obs"):
-            return Timer()
-
-    def test_constructing_warns_deprecated(self):
-        with pytest.warns(DeprecationWarning, match=r"repro\.obs\.timed"):
-            Timer()
-
-    def test_measure_accumulates(self):
-        timer = self._timer()
-        with timer.measure("x"):
-            sum(range(100))
-        with timer.measure("x"):
-            sum(range(100))
-        assert timer.count("x") == 2
-        assert timer.total("x") >= 0.0
-
-    def test_measure_accumulates_on_exception(self):
-        timer = self._timer()
-        with pytest.raises(RuntimeError):
-            with timer.measure("boom"):
-                raise RuntimeError("boom")
-        assert timer.count("boom") == 1
-
-    def test_unknown_name_reports_zero(self):
-        timer = self._timer()
-        assert timer.total("missing") == 0.0
-        assert timer.count("missing") == 0
-
-    def test_summary_lists_all_timers(self):
-        timer = self._timer()
-        with timer.measure("a"):
-            pass
-        with timer.measure("b"):
-            pass
-        summary = timer.summary()
-        assert "a:" in summary and "b:" in summary
