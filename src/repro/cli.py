@@ -6,7 +6,7 @@ dataset) without writing Python::
     python -m repro coreness --dataset collab-small --epsilon 0.5 --top 10
     python -m repro coreness --input graph.edges --rounds 8 --output values.tsv
     python -m repro coreness --dataset social-ba --epsilon 0.5 --engine sharded:4
-    python -m repro coreness --dataset social-ba --epsilon 0.5 --engine sharded --parallel process --workers 4
+    python -m repro coreness --dataset social-ba --epsilon 0.5 --engine sharded --workers 4
     python -m repro coreness --dataset social-ba --epsilon 0.5 --engine sharded --storage mmap
     python -m repro orientation --dataset caveman --weighted --epsilon 0.5
     python -m repro densest --input graph.edges --epsilon 1.0
@@ -85,11 +85,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--engine", default="vectorized", metavar="SPEC",
                          help="execution engine spec, e.g. 'vectorized', 'faithful', "
                               "'sharded:4' (see the 'engines' subcommand)")
-        sub.add_argument("--parallel", choices=("thread", "process"), default=None,
-                         help="shard parallel mode for the sharded engine "
-                              "(process breaks the GIL via shared memory)")
         sub.add_argument("--workers", type=int, default=None, metavar="N",
-                         help="pool size for --parallel (default: the CPU count)")
+                         help="run the sharded engine's shards on N threads "
+                              "(default: in sequence)")
         sub.add_argument("--storage", choices=("memory", "mmap", "auto"),
                          default=None,
                          help="where the sharded engine keeps the CSR arrays: "
@@ -267,13 +265,12 @@ def _load_graph(args: argparse.Namespace) -> Graph:
 def _resolve_engine(args: argparse.Namespace):
     """The engine instance for an engine-taking command.
 
-    ``--parallel`` / ``--workers`` are forwarded as engine options, so they
-    compose with any spec (``--engine sharded:8 --parallel process``); engines
-    that do not take them fail with the registry's invalid-option error.
+    ``--workers`` / ``--storage`` / ``--trajectory-storage`` are forwarded as
+    engine options, so they compose with any spec (``--engine sharded:8
+    --workers 2``); engines that do not take them fail with the registry's
+    invalid-option error.
     """
     options = {}
-    if args.parallel is not None:
-        options["parallel"] = args.parallel
     if args.workers is not None:
         options["max_workers"] = args.workers
     if getattr(args, "storage", None) is not None:
@@ -302,9 +299,9 @@ def _command_datasets(out) -> int:
 def _command_engines(out) -> int:
     rows = [[name, get_engine(name).describe()] for name in available_engines()]
     print(format_table(["name", "description"], rows), file=out)
-    print("# specs may carry options, e.g. 'sharded:4', 'sharded:shards=4,max_workers=2',\n"
-          "# 'sharded:workers=4,parallel=process' or 'sharded:storage=mmap' (out-of-core;\n"
-          "# also: --parallel/--workers/--storage flags)",
+    print("# specs may carry options, e.g. 'sharded:4', 'sharded:shards=4,workers=2'\n"
+          "# (shards on 2 threads) or 'sharded:storage=mmap' (out-of-core;\n"
+          "# also: --workers/--storage flags)",
           file=out)
     return 0
 

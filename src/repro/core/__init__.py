@@ -33,7 +33,6 @@ from repro.core.orientation import (
     canonical_edge,
     check_feasible,
     kept_sets_from_trajectory,
-    kept_sets_from_trajectory_reference,
     orientation_from_kept,
     orientation_from_values_greedy,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "canonical_edge",
     "check_feasible",
     "kept_sets_from_trajectory",
-    "kept_sets_from_trajectory_reference",
     "orientation_from_kept",
     "orientation_from_values_greedy",
     "LambdaGrid",

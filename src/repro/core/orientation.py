@@ -33,7 +33,6 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.bfs import identity_ranks
-from repro.core.update import update_sorted, update_stable
 from repro.errors import AlgorithmError
 from repro.graph.csr import CSRAdjacency, graph_to_csr
 from repro.graph.graph import Graph
@@ -213,9 +212,9 @@ def orientation_from_kept(graph: Graph, kept: Mapping[Hashable, Sequence[Hashabl
     so the pass walks just the conflict edges and the edges owned by an
     endpoint of some conflict; every other owner is already fixed.  All
     owners then go to one ``np.bincount``, which sums every node's load in
-    edge order, so the result equals :func:`orientation_from_kept_reference`
-    (the original per-edge loop, kept as the test oracle) field for field,
-    dict key order included, for every weight.
+    edge order, so the result equals the original per-edge loop (kept as
+    the test oracle in ``tests/oracles.py``) field for field, dict key order
+    included, for every weight.
     """
     if csr is None:
         csr = graph_to_csr(graph)
@@ -327,59 +326,6 @@ def _ranks_by_repr(csr: CSRAdjacency) -> np.ndarray:
                        count=len(reprs))
 
 
-def orientation_from_kept_reference(
-        graph: Graph, kept: Dict[Hashable, Sequence[Hashable]],
-        values: Optional[Dict[Hashable, float]] = None) -> Orientation:
-    """Per-edge reference construction (the original Python loop).
-
-    Walks :meth:`Graph.edges` once with the same rules as
-    :func:`orientation_from_kept`.  Kept only as the ground truth the
-    equivalence tests compare the array implementation against.
-    """
-    kept_sets = {v: set(neighbors) for v, neighbors in kept.items()}
-    in_weight: Dict[Hashable, float] = {v: 0.0 for v in graph.nodes()}
-    loop_weight: Dict[Hashable, float] = {}
-    assignment: Dict[EdgeKey, Hashable] = {}
-    conflicts = 0
-    violations = 0
-
-    for u, v, w in graph.edges():
-        if u == v:
-            loop_weight[u] = loop_weight.get(u, 0.0) + w
-            in_weight[u] += w
-            continue
-        u_claims = v in kept_sets.get(u, ())   # u accepts the edge (v ∈ N_u)
-        v_claims = u in kept_sets.get(v, ())   # v accepts the edge (u ∈ N_v)
-        if u_claims and v_claims:
-            conflicts += 1
-            owner = u if in_weight[u] <= in_weight[v] else v
-        elif u_claims:
-            owner = u
-        elif v_claims:
-            owner = v
-        else:
-            violations += 1
-            if values is not None:
-                owner = u if values.get(u, 0.0) >= values.get(v, 0.0) else v
-            else:
-                owner = canonical_edge(u, v)[0]
-        assignment[canonical_edge(u, v)] = owner
-        in_weight[owner] += w
-
-    return Orientation(assignment=assignment, in_weight=in_weight, conflicts=conflicts,
-                       violations=violations, loop_weight=loop_weight)
-
-
-def _validate_trajectory(csr: CSRAdjacency, trajectory: np.ndarray) -> int:
-    """Shared validation of the two reconstruction paths; returns ``T``."""
-    if trajectory.ndim != 2 or trajectory.shape[1] != csr.num_nodes:
-        raise AlgorithmError("trajectory shape does not match the CSR view")
-    total_rounds = trajectory.shape[0] - 1
-    if total_rounds < 1:
-        raise AlgorithmError("the trajectory must contain at least one executed round")
-    return total_rounds
-
-
 def kept_sets_from_trajectory(csr: CSRAdjacency, trajectory: np.ndarray, *,
                               tie_break: str = "history") -> KeptSets:
     """Recover the final-round auxiliary subsets from a surviving-number trajectory.
@@ -396,8 +342,8 @@ def kept_sets_from_trajectory(csr: CSRAdjacency, trajectory: np.ndarray, *,
     prefix scan finds each row's stop, and one scatter writes the kept
     entries into a :class:`KeptSets` on ``csr`` (no per-node Python code;
     the label tuples are built only if read).  The per-node Python loop it
-    replaced survives as :func:`kept_sets_from_trajectory_reference`, which
-    the equivalence tests compare against.  The two are bit-identical
+    replaced survives as the test oracle in ``tests/oracles.py``, which the
+    equivalence tests compare against.  The two are bit-identical
     whenever the intermediate weight sums are exactly representable
     (integer / dyadic weights — the same caveat as
     :mod:`repro.engine.kernels`).
@@ -420,7 +366,11 @@ def kept_sets_from_trajectory(csr: CSRAdjacency, trajectory: np.ndarray, *,
     tie_break:
         ``"history"`` (paper's rule), ``"stable"`` or ``"naive"``.
     """
-    total_rounds = _validate_trajectory(csr, trajectory)
+    if trajectory.ndim != 2 or trajectory.shape[1] != csr.num_nodes:
+        raise AlgorithmError("trajectory shape does not match the CSR view")
+    total_rounds = trajectory.shape[0] - 1
+    if total_rounds < 1:
+        raise AlgorithmError("the trajectory must contain at least one executed round")
     if tie_break not in ("history", "stable", "naive"):
         raise AlgorithmError(f"unknown tie_break rule {tie_break!r}; "
                              f"expected one of ('history', 'stable', 'naive')")
@@ -521,52 +471,6 @@ def kept_sets_from_trajectory(csr: CSRAdjacency, trajectory: np.ndarray, *,
     entries = np.empty(len(kept_positions), dtype=np.int64)
     entries[slots] = order[kept_positions]
     return KeptSets(csr.labels(), indptr, nbr[entries], entries, view=csr)
-
-
-def kept_sets_from_trajectory_reference(
-        csr: CSRAdjacency, trajectory: np.ndarray, *,
-        tie_break: str = "history") -> Dict[Hashable, Tuple[Hashable, ...]]:
-    """Per-node reference reconstruction (the original Python loop).
-
-    Replays the final Update locally per node through the scalar
-    :func:`~repro.core.update.update_sorted` / ``update_stable`` code paths.
-    Kept only as the ground truth the equivalence tests compare
-    :func:`kept_sets_from_trajectory` against — the batched implementation is
-    the production path (``tests/test_engine_bench.py`` checks that it beats
-    this loop under every tie-break mode).
-    """
-    total_rounds = _validate_trajectory(csr, trajectory)
-    labels = csr.labels()
-    kept: Dict[Hashable, Tuple[Hashable, ...]] = {}
-    for v in range(csr.num_nodes):
-        nbrs = csr.neighbors(v)
-        weights = csr.neighbor_weights(v)
-        label_v = labels[v]
-        if len(nbrs) == 0:
-            kept[label_v] = ()
-            continue
-        entries = [(labels[int(u)], float(trajectory[total_rounds - 1, int(u)]), float(w))
-                   for u, w in zip(nbrs, weights)]
-        if tie_break == "stable":
-            # Reconstruct the neighbour ordering the protocol would have evolved:
-            # start from the adjacency order and stable-sort it by the values the
-            # node received in every earlier round (see CompactEliminationProtocol).
-            order = [int(u) for u in nbrs]
-            for past_round in range(1, total_rounds):
-                received = trajectory[past_round - 1]
-                position = {u: i for i, u in enumerate(order)}
-                order.sort(key=lambda u: (float(received[u]), position[u]))
-            result = update_stable(entries, [labels[u] for u in order],
-                                   self_loop=float(csr.loops[v]))
-        else:
-            histories = None
-            if tie_break == "history":
-                histories = {labels[int(u)]: trajectory[:total_rounds - 1, int(u)].tolist()
-                             for u in nbrs}
-            result = update_sorted(entries, histories=histories,
-                                   self_loop=float(csr.loops[v]))
-        kept[label_v] = result.kept
-    return kept
 
 
 def orientation_from_values_greedy(graph: Graph, values: Dict[Hashable, float]) -> Orientation:

@@ -15,22 +15,20 @@ name          implementation
               (alias ``numpy``)
 ``sharded``   the same kernels executed shard-by-shard over contiguous node
               ranges, bounding peak memory to one shard's frontier arrays;
-              optionally fanned out over a thread pool
-              (``parallel=thread``) or — breaking the GIL ceiling — over a
-              shared-memory process pool (``parallel=process``); with
-              ``storage=mmap`` the CSR arrays stream from memory-mapped
-              files on disk (out-of-core; see :mod:`repro.graph.mmap_csr`),
-              and with ``trajectory_storage=mmap`` (alias ``traj=mmap``) the
-              output trajectory is appended to an on-disk ``.traj`` buffer
-              (see :mod:`repro.store.traj`)
+              with ``workers=N`` each round's shards run on an ``N``-thread
+              pool; with ``storage=mmap`` the CSR arrays stream from
+              memory-mapped files on disk (out-of-core; see
+              :mod:`repro.graph.mmap_csr`), and with
+              ``trajectory_storage=mmap`` (alias ``traj=mmap``) the output
+              trajectory is appended to an on-disk ``.traj`` buffer (see
+              :mod:`repro.store.traj`)
 ============  ===============================================================
 
 Engines are resolved by name through :func:`get_engine`, which also accepts an
 *engine spec* carrying inline options, e.g. ``"sharded:4"`` (4 shards),
-``"sharded:shards=4,workers=2"``, ``"sharded:workers=4,parallel=process"`` or
-``"sharded:storage=mmap"``.  Third-party backends can hook in with
-:func:`register_engine`; the registry is the extension point for every future
-execution backend (multiprocessing, GPU, out-of-core...).
+``"sharded:shards=4,workers=2"`` or ``"sharded:storage=mmap"``.  Third-party
+backends can hook in with :func:`register_engine`; the registry is the
+extension point for every other execution backend.
 """
 
 from __future__ import annotations

@@ -24,8 +24,8 @@ collapsed Algorithm 2:
 Equivalence contract
 --------------------
 The faithful simulator (:mod:`repro.core.bfs` / ``local_elimination`` /
-``aggregation``) stays the reference ground truth, mirroring
-:func:`repro.core.orientation.kept_sets_from_trajectory_reference`; the
+``aggregation``) stays the reference ground truth, as the per-node kept-set
+loop in ``tests/oracles.py`` does for the batched kept sets; the
 cross-engine corpus pins the two paths bit-identical on ``subsets``,
 ``reported_densities`` and ``node_assignment``.  Three details make that hold:
 

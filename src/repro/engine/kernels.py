@@ -163,10 +163,7 @@ def init_trajectory(num_nodes: int, rounds: int,
 
     Returns ``(trajectory, start)``: row 0 is the initial ``+inf`` state, rows
     ``1..start`` are copied verbatim from ``prefix`` (clamped to ``rounds``),
-    and the round loop should resume at ``start + 1``.  Shared by every
-    trajectory executor (:func:`compact_trajectory` and the process-parallel
-    path in :mod:`repro.engine.shm`) so prefix semantics cannot drift between
-    them.
+    and the round loop should resume at ``start + 1``.
 
     When ``out`` is an :class:`~repro.store.traj.AppendTrajectory`, no RAM
     array is allocated: the first element of the return value is ``out``

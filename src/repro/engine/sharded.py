@@ -8,19 +8,14 @@ while peak memory for the frontier arrays (gathered neighbour values, sort
 permutation, prefix sums — the ``O(m)`` part) is bounded by the largest shard
 instead of the whole graph.
 
-Three execution modes, selected by ``parallel``:
+``max_workers`` selects how the shards of a round run:
 
-* ``None`` (default) — shards of a round run sequentially, which caps peak
-  frontier memory at a single shard;
-* ``"thread"`` — shards are dispatched onto a
+* ``None`` (default) — in sequence, which caps peak frontier memory at a
+  single shard;
+* ``N`` — on the engine's reusable ``N``-thread
   ``concurrent.futures.ThreadPoolExecutor`` (NumPy releases the GIL in the
   sort and reduction kernels, so threads give partial parallelism without
-  pickling the CSR arrays) — the GIL still serialises the Python-level parts;
-* ``"process"`` — the CSR arrays and the per-round value vector live in
-  ``multiprocessing.shared_memory`` blocks and shard ranges are dispatched
-  onto a reusable ``ProcessPoolExecutor`` (workers re-attach by name, zero
-  pickling of graph data; see :mod:`repro.engine.shm`), which breaks the GIL
-  ceiling entirely.
+  copying the CSR arrays); the GIL still serialises the Python-level parts.
 
 Orthogonally, ``storage`` selects where the CSR arrays *live* during the run:
 
@@ -33,10 +28,7 @@ Orthogonally, ``storage`` selects where the CSR arrays *live* during the run:
   artifact store's per-fingerprint layout, written atomically and revalidated
   by content fingerprint) and the round kernels execute over read-only
   ``np.memmap`` views, so resident memory stays O(n + shard frontier) while
-  the O(m) arrays page in from disk on demand.  In ``parallel="process"``
-  mode the workers map the *same files by path* instead of attaching CSR
-  shared-memory blocks — only the two double-buffered value vectors stay in
-  shared memory.
+  the O(m) arrays page in from disk on demand.
 
 A third axis, ``trajectory_storage``, selects where the *output* — the
 ``(T+1) × n`` elimination trajectory, the single largest allocation at scale —
@@ -53,20 +45,16 @@ lives during the run:
   rows already on disk are their own warm start: a fresh engine pointed at
   the same directory resumes after the last published round, which is also
   what makes a crash-interrupted run recoverable (at most the un-published
-  round is lost, never a readable prefix).  In ``parallel="process"`` mode
-  the workers map the same ``rows.bin`` by path and write their shard's
-  row-slice directly — the full-trajectory never round-trips through the
-  parent.
+  round is lost, never a readable prefix).
 
 All modes produce bit-identical trajectories: the kernels run the same float64
-operations in the same order whether their operands are in RAM, shared memory
-or a mapped file (the cross-engine equivalence suite pins this down to the
-float64 representation).
+operations in the same order whether their operands are in RAM or a mapped
+file (the cross-engine equivalence suite pins this down to the float64
+representation).
 """
 
 from __future__ import annotations
 
-import os
 import tempfile
 import weakref
 from collections import OrderedDict
@@ -82,9 +70,6 @@ from repro.obs import trace as obs_trace
 
 #: Target number of nodes per shard when ``num_shards`` is not given.
 DEFAULT_SHARD_NODES = 16384
-
-#: Accepted values of the ``parallel`` option (``None`` = sequential shards).
-PARALLEL_MODES = (None, "thread", "process")
 
 #: Accepted values of the ``storage`` option (``None`` = auto: spill to a
 #: bound directory only when the edge arrays exceed the threshold).
@@ -114,15 +99,12 @@ class ShardedEngine(TrajectoryEngine):
     num_shards:
         Number of contiguous node-range shards (clamped to ``n``).  ``None``
         sizes shards automatically to about :data:`DEFAULT_SHARD_NODES` nodes —
-        except in a parallel mode, where at least ``max_workers`` shards are
-        planned so every worker has a range to own.
+        and to at least ``max_workers`` shards, so every thread has a range
+        to own.
     max_workers:
-        Pool size for the parallel modes.  ``None`` defaults to the machine's
-        CPU count when ``parallel`` is set; setting it without ``parallel``
-        keeps the historical behaviour of a thread pool of that size.
-    parallel:
-        ``None`` (sequential, the memory-bounded default), ``"thread"`` or
-        ``"process"`` — see the module docstring.
+        Size of the thread pool that runs each round's shards; ``None`` (the
+        memory-bounded default) runs them in sequence — see the module
+        docstring.
     storage:
         ``None`` (auto-spill when a directory is bound and the graph is big),
         ``"memory"`` (never spill) or ``"mmap"`` (always run over mapped
@@ -148,23 +130,19 @@ class ShardedEngine(TrajectoryEngine):
 
     def __init__(self, num_shards: Optional[int] = None,
                  max_workers: Optional[int] = None,
-                 parallel: Optional[str] = None,
                  storage: Optional[str] = None,
                  storage_dir=None,
                  spill_bytes: Optional[int] = None,
-                 trajectory_storage: Optional[str] = None) -> None:
+                 trajectory_storage: Optional[str] = None,
+                 **unknown) -> None:
+        if unknown:
+            raise AlgorithmError(
+                f"invalid options {sorted(unknown)} for engine 'sharded'; "
+                f"shards run in sequence, or on max_workers=N threads")
         if num_shards is not None and num_shards < 1:
             raise AlgorithmError(f"num_shards must be >= 1, got {num_shards}")
         if max_workers is not None and max_workers < 1:
             raise AlgorithmError(f"max_workers must be >= 1, got {max_workers}")
-        if isinstance(parallel, str):
-            parallel = parallel.strip().lower() or None
-            if parallel == "none":
-                parallel = None
-        if parallel not in PARALLEL_MODES:
-            raise AlgorithmError(
-                f"unknown parallel mode {parallel!r}; expected one of "
-                f"{', '.join(repr(m) for m in PARALLEL_MODES)}")
         if isinstance(storage, str):
             storage = storage.strip().lower() or None
             if storage in ("none", "auto"):
@@ -183,11 +161,8 @@ class ShardedEngine(TrajectoryEngine):
                 f"expected one of 'memory', 'mmap' or 'auto'")
         if spill_bytes is not None and spill_bytes < 0:
             raise AlgorithmError(f"spill_bytes must be >= 0, got {spill_bytes}")
-        if parallel is None and max_workers is not None:
-            parallel = "thread"  # historical spelling: workers implied threads
         self.num_shards = num_shards
         self.max_workers = max_workers
-        self.parallel = parallel
         self.storage = storage
         self.trajectory_storage = trajectory_storage
         self.storage_dir = Path(storage_dir) if storage_dir is not None else None
@@ -321,28 +296,19 @@ class ShardedEngine(TrajectoryEngine):
         return hit
 
     # ---------------------------------------------------------------- execution
-    def effective_workers(self) -> int:
-        """The pool size a parallel mode will actually use."""
-        if self.parallel is None:
-            return 1
-        if self.max_workers is not None:
-            return self.max_workers
-        return max(1, os.cpu_count() or 1)
-
     def plan_for(self, num_nodes: int):
         """The shard plan (contiguous ``[lo, hi)`` ranges) used for ``num_nodes``."""
         if self.num_shards is not None:
             shards = self.num_shards
         else:
-            shards = max(1, -(-num_nodes // DEFAULT_SHARD_NODES))
-            if self.parallel is not None:
-                # Auto-sizing must not starve the pool: plan at least one
-                # range per worker (still clamped to n inside shard_plan).
-                shards = max(shards, self.effective_workers())
+            # Auto-sizing must not starve the pool: plan at least one range
+            # per thread (still clamped to n inside shard_plan).
+            shards = max(-(-num_nodes // DEFAULT_SHARD_NODES),
+                         self.max_workers or 1)
         return shard_plan(num_nodes, shards)
 
     def _ensure_thread_pool(self):
-        """The engine's reusable thread pool (created on first parallel run).
+        """The engine's reusable thread pool (created on first threaded run).
 
         One pool per engine instance, shut down by :meth:`close` — and, as a
         backstop, by a ``weakref.finalize`` when the engine is collected — so
@@ -353,7 +319,7 @@ class ShardedEngine(TrajectoryEngine):
         if pool is None:
             from concurrent.futures import ThreadPoolExecutor
 
-            pool = ThreadPoolExecutor(max_workers=self.effective_workers(),
+            pool = ThreadPoolExecutor(max_workers=self.max_workers,
                                       thread_name_prefix="repro-sharded")
             self._thread_pool = pool
             self._pool_finalizer = weakref.finalize(
@@ -371,31 +337,20 @@ class ShardedEngine(TrajectoryEngine):
 
     def trajectory(self, csr, rounds, *, lam=0.0, prefix=None) -> np.ndarray:
         plan = self.plan_for(csr.num_nodes)
-        view, csr_files = csr, None
-        if self._uses_mmap(csr):
-            view = self._mapped_view(csr)
-            csr_files = view.file_specs()
+        shard_map = None
+        if self.max_workers is not None and len(plan) > 1:
+            shard_map = self._ensure_thread_pool().map
+        view = self._mapped_view(csr) if self._uses_mmap(csr) else csr
         sink = self._trajectory_sink(view, rounds, lam)
         try:
             with obs_trace.span(
                     "engine.trajectory", shards=len(plan),
-                    parallel=self.parallel or "sequential",
-                    storage="mmap" if csr_files is not None else "memory",
+                    workers=self.max_workers or 1,
+                    storage="mmap" if view is not csr else "memory",
                     trajectory="mmap" if sink is not None else "memory"):
-                if self.parallel is not None and len(plan) > 1:
-                    if self.parallel == "process":
-                        from repro.engine.shm import process_trajectory
-
-                        return process_trajectory(
-                            view, rounds, lam=lam, plan=plan,
-                            max_workers=self.effective_workers(),
-                            prefix=prefix, csr_files=csr_files, traj_out=sink)
-                    pool = self._ensure_thread_pool()
-                    return compact_trajectory(view, rounds, lam=lam, plan=plan,
-                                              shard_map=pool.map, prefix=prefix,
-                                              out=sink)
                 return compact_trajectory(view, rounds, lam=lam, plan=plan,
-                                          prefix=prefix, out=sink)
+                                          shard_map=shard_map, prefix=prefix,
+                                          out=sink)
         finally:
             if sink is not None:
                 sink.close()
@@ -403,10 +358,8 @@ class ShardedEngine(TrajectoryEngine):
     def describe(self) -> str:
         shards = self.num_shards if self.num_shards is not None \
             else f"auto(~{DEFAULT_SHARD_NODES} nodes)"
-        if self.parallel is None:
-            workers = "sequential"
-        else:
-            workers = f"{self.parallel}x{self.effective_workers()}"
+        workers = "sequential" if self.max_workers is None \
+            else f"{self.max_workers} threads"
         storage = self.storage or (
             "auto" if self.storage_dir is not None else "memory")
         trajectory = self.trajectory_storage or (

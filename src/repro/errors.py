@@ -151,6 +151,16 @@ class WireFormatError(ServeError):
     code = "bad-request"
 
 
+class PayloadTooLargeError(WireFormatError):
+    """Raised when a request declares a body larger than the server accepts.
+
+    The HTTP front-end maps it to ``413 Content Too Large`` and closes the
+    connection, because the unread body cannot be skipped safely.
+    """
+
+    code = "payload-too-large"
+
+
 def _wire_classes() -> Dict[str, Type[ReproError]]:
     """``code -> class`` for every :class:`ReproError` subclass (plus the base).
 

@@ -33,8 +33,8 @@ Guarantees:
 * **bit-identical execution** — the mapped arrays carry the same dtypes and
   byte order as the in-memory view, so the per-round kernels
   (:mod:`repro.engine.kernels`) produce bit-identical trajectories whether
-  their operands live in RAM, shared memory or a mapped file (the cross-engine
-  equivalence suite pins this).
+  their operands live in RAM or a mapped file (the cross-engine equivalence
+  suite pins this).
 
 Concurrent mappers of one fingerprint are safe: writers only ever publish
 complete files under the same content address, and readers that raced a
@@ -47,7 +47,7 @@ import json
 import os
 import threading
 from pathlib import Path
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -124,17 +124,6 @@ class MappedCSR:
     def num_directed_entries(self) -> int:
         """Number of stored (directed) adjacency entries."""
         return len(self.indices)
-
-    def file_specs(self) -> Dict[str, Tuple[str, str, tuple]]:
-        """``{array: (path, dtype, shape)}`` for re-opening in another process.
-
-        The process-pool workers of :mod:`repro.engine.shm` receive this
-        instead of shared-memory block names: each worker maps the same files
-        by path, so the CSR never occupies more than one page-cache copy.
-        """
-        return {key: (str(self.directory / f"{key}.bin"), dtype,
-                      tuple(getattr(self, key).shape))
-                for key, dtype in CSR_ARRAYS}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<MappedCSR n={self.num_nodes} "
@@ -247,26 +236,17 @@ def open_mapped_csr(root, fingerprint: str) -> MappedCSR:
                          f"under {directory}")
     arrays = {}
     for key, dtype in CSR_ARRAYS:
-        spec = meta["arrays"][key]
-        shape = tuple(spec["shape"])
-        arrays[key] = open_array_file(directory / f"{key}.bin", dtype, shape)
+        shape = tuple(meta["arrays"][key]["shape"])
+        path = directory / f"{key}.bin"
+        if 0 in shape:  # the OS rejects zero-byte mappings
+            arrays[key] = np.empty(shape, dtype=np.dtype(dtype))
+            continue
+        try:
+            arrays[key] = np.memmap(path, dtype=np.dtype(dtype), mode="r",
+                                    shape=shape)
+        except (OSError, ValueError) as exc:
+            raise StoreError(f"cannot map {path}: {exc}") from exc
     return MappedCSR(**arrays, fingerprint=fingerprint, directory=directory)
-
-
-def open_array_file(path, dtype: str, shape: tuple) -> np.ndarray:
-    """Read-only ``np.memmap`` over one raw array file (shared worker path).
-
-    Zero-length arrays are returned as ordinary empty arrays — the OS rejects
-    zero-byte mappings.  Used both by :func:`open_mapped_csr` and by the
-    process-pool workers of :mod:`repro.engine.shm`, which re-open the same
-    files from a :meth:`MappedCSR.file_specs` spec.
-    """
-    if int(np.prod(shape, dtype=np.int64)) == 0:
-        return np.empty(shape, dtype=np.dtype(dtype))
-    try:
-        return np.memmap(path, dtype=np.dtype(dtype), mode="r", shape=shape)
-    except (OSError, ValueError) as exc:
-        raise StoreError(f"cannot map {path}: {exc}") from exc
 
 
 def mmap_csr(csr: CSRAdjacency, root, *, fingerprint: str = None) -> MappedCSR:

@@ -5,15 +5,15 @@ Two halves, both disabled-by-default and dependency-free:
 * **Tracing** (:mod:`repro.obs.trace`) — hierarchical wall-clock spans
   (``obs.span("session.solve", lam=0.0)``) recorded into a bounded in-memory
   ring and, optionally, a JSONL file.  Span context propagates across the
-  serving worker pool and into ``sharded:parallel=process`` workers (the
-  context rides the existing task payloads; workers return child-span records
-  tagged with their shard ranges).  A recorded JSONL trace renders to Chrome
+  serving worker pool and into the sharded engine's shard threads (their
+  spans carry the shard ranges).  A recorded JSONL trace renders to Chrome
   trace-event format (``repro trace export --chrome``) so a solve opens in
   Perfetto, and aggregates to a per-span-name latency table
   (``repro trace summarize``).  When tracing is disabled — the default —
   ``span()`` returns a shared no-op object; the hot paths pay one module
-  attribute read per span site (the ``obs_overhead`` bench scenario pins the
-  end-to-end cost).
+  attribute read per span site (``tests/test_obs.py`` bounds that cost, and
+  a traced ``bench/`` run reports the end-to-end cost of enabling tracing as
+  ``obs.trace_overhead``).
 
 * **Metrics** (:mod:`repro.obs.metrics`) — a :class:`MetricsRegistry` of
   counters, gauges and fixed-bucket histograms (notably per-problem solve
@@ -39,7 +39,6 @@ from repro.obs.trace import (
     enable,
     enabled,
     read_jsonl,
-    remote_span_record,
     span,
     summarize,
     timed,
@@ -68,7 +67,6 @@ __all__ = [
     "enable",
     "enabled",
     "read_jsonl",
-    "remote_span_record",
     "span",
     "summarize",
     "timed",

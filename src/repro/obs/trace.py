@@ -23,10 +23,7 @@ Span records are plain JSON-safe dicts::
 
 Parenting is implicit through a per-thread span stack; spans recorded from
 worker threads pass the submitting thread's :class:`SpanContext` explicitly
-(``obs_trace.span(..., parent=ctx)``), and ``sharded:parallel=process``
-workers — which cannot reach the parent's tracer at all — build record dicts
-with :func:`remote_span_record` and ship them back in the task result for the
-parent to :meth:`Tracer.ingest`.
+(``obs_trace.span(..., parent=ctx)``).
 
 ``read_jsonl`` / ``chrome_trace`` / ``summarize`` turn a recorded JSONL file
 into a Perfetto-openable Chrome trace-event document or a per-span-name
@@ -41,7 +38,7 @@ import os
 import threading
 import time
 from collections import deque
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.errors import WireFormatError
 
@@ -57,7 +54,6 @@ __all__ = [
     "enable",
     "enabled",
     "read_jsonl",
-    "remote_span_record",
     "span",
     "summarize",
     "timed",
@@ -68,7 +64,7 @@ _IDS = itertools.count(1)
 
 def _new_id() -> str:
     # ``itertools.count.__next__`` is atomic under the GIL; the pid prefix
-    # keeps ids unique across ``parallel=process`` workers.
+    # keeps ids unique across processes that append to one JSONL file.
     return f"{os.getpid():x}-{next(_IDS):x}"
 
 
@@ -96,18 +92,6 @@ class SpanContext:
     def __init__(self, trace_id: str, span_id: str):
         self.trace_id = trace_id
         self.span_id = span_id
-
-    def to_wire(self) -> Tuple[str, str]:
-        return (self.trace_id, self.span_id)
-
-    @classmethod
-    def from_wire(cls, wire: Optional[Sequence[str]]) -> Optional["SpanContext"]:
-        if wire is None:
-            return None
-        if isinstance(wire, SpanContext):
-            return wire
-        trace_id, span_id = wire
-        return cls(str(trace_id), str(span_id))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"SpanContext(trace={self.trace_id!r}, span={self.span_id!r})"
@@ -339,8 +323,6 @@ class Tracer:
                     parent: Optional[SpanContext] = None,
                     attrs: Optional[Dict[str, Any]] = None) -> SpanContext:
         """Record an explicitly-timed span (for loops that avoid allocation)."""
-        parent = SpanContext.from_wire(parent) if not (
-            parent is None or isinstance(parent, SpanContext)) else parent
         trace_id = parent.trace_id if parent is not None else _new_id()
         span_id = _new_id()
         self._record({
@@ -355,11 +337,6 @@ class Tracer:
             "attrs": _clean_attrs(attrs),
         })
         return SpanContext(trace_id, span_id)
-
-    def ingest(self, record: Dict[str, Any]) -> None:
-        """Adopt a record produced elsewhere (e.g. a process worker)."""
-        if isinstance(record, dict) and "name" in record:
-            self._record(dict(record))
 
     def spans(self) -> List[Dict[str, Any]]:
         with self._lock:
@@ -432,8 +409,6 @@ def span(name: str, parent: Optional[SpanContext] = None, **attrs):
     tracer = _TRACER
     if tracer is None or getattr(_LOCAL, "suppressed", 0) > 0:
         return NOOP_SPAN
-    if parent is not None and not isinstance(parent, SpanContext):
-        parent = SpanContext.from_wire(parent)
     if parent is None and not _stack() and not tracer.sample_root():
         return SUPPRESSED_SPAN
     return Span(tracer, name, parent, attrs)
@@ -445,30 +420,6 @@ def current_context() -> Optional[SpanContext]:
     if stack:
         return stack[-1].context
     return None
-
-
-def remote_span_record(name: str, wire: Optional[Sequence[str]], *,
-                       start_unix: float, duration: float,
-                       attrs: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
-    """Build a span record in a worker that has no tracer of its own.
-
-    ``wire`` is the parent's ``SpanContext.to_wire()`` tuple as shipped in
-    the task payload (empty strings mean "no parent").  The caller returns
-    the dict to the coordinating process, which :meth:`Tracer.ingest`\\ s it.
-    """
-    trace_id = str(wire[0]) if wire and wire[0] else _new_id()
-    parent_id = str(wire[1]) if wire and len(wire) > 1 and wire[1] else None
-    return {
-        "name": str(name),
-        "trace": trace_id,
-        "span": _new_id(),
-        "parent": parent_id,
-        "ts": float(start_unix),
-        "dur": max(0.0, float(duration)),
-        "pid": os.getpid(),
-        "tid": threading.get_ident(),
-        "attrs": _clean_attrs(attrs),
-    }
 
 
 # --------------------------------------------------------------------------

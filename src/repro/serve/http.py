@@ -55,6 +55,12 @@ Two client-visible 429 conditions, both structured
   ``max_pending`` executions are in flight the server answers ``429`` with
   code ``queue-full`` instead of stalling the socket.
 
+Request bodies are read to exactly their ``Content-Length``.  A declared
+length above :data:`MAX_BODY_BYTES` answers ``413`` with code
+``payload-too-large`` and closes the connection; a body that ends early,
+or a length that is not a non-negative integer, answers ``400``
+(``bad-request``).  None of these registers a graph or submits a job.
+
 Lifecycle
 ---------
 :meth:`ReproHTTPServer.start` serves on a background thread;
@@ -82,6 +88,7 @@ from repro.engine.batch import BatchJob, BatchResult
 from repro.errors import (
     AlgorithmError,
     GraphError,
+    PayloadTooLargeError,
     QuotaExceededError,
     ReproError,
     ServeError,
@@ -110,6 +117,11 @@ from repro.store import ArtifactStore
 #: (longer waits re-poll; an unbounded wait would stall graceful drain).
 MAX_WAIT_SECONDS = 30.0
 
+#: Largest request body the server reads (256 MiB).  A larger declared
+#: ``Content-Length`` answers 413 before a byte of the body is read; a
+#: 200k-node Barabási–Albert upload is about 17 MB of JSON.
+MAX_BODY_BYTES = 256 * 1024 * 1024
+
 #: BatchJob fields a wire submission may set (everything else is 400), with
 #: the JSON type each must carry.  A bool is never a number here, and the
 #: budget fields take null for "not given".
@@ -128,6 +140,7 @@ _JOB_FIELDS = {
 #: HTTP status per error class; resolved along the exception's MRO so
 #: subclasses inherit their parent's mapping unless they claim their own.
 _STATUS_BY_ERROR = {
+    PayloadTooLargeError: 413,
     QuotaExceededError: 429,
     # QueueFullError maps through ServeError's MRO entry below? No — it needs
     # 429, not 503, so it gets its own row.
@@ -837,16 +850,40 @@ class _Handler(BaseHTTPRequestHandler):
         headers: Tuple[Tuple[str, str], ...] = ()
         if isinstance(exc, QuotaExceededError):
             headers = (("Retry-After", f"{max(0.0, exc.retry_after):.3f}"),)
+        elif isinstance(exc, PayloadTooLargeError):
+            # The unread body would be parsed as the next request.
+            headers = (("Connection", "close"),)
         self._send_json(_status_for(exc), {"error": exc.to_dict()}, headers)
 
-    def _read_json(self) -> dict:
+    def _read_body(self) -> bytes:
+        """The request body: exactly ``Content-Length`` bytes, or an error.
+
+        A declared length above :data:`MAX_BODY_BYTES` raises
+        :class:`~repro.errors.PayloadTooLargeError` before anything is read;
+        a body that ends before its declared length, or a length that is not
+        a non-negative integer, raises :class:`~repro.errors.WireFormatError`,
+        so a truncated upload is never parsed.
+        """
         try:
             length = int(self.headers.get("Content-Length", "0"))
         except ValueError:
+            length = -1
+        if length < 0:
             raise WireFormatError("bad Content-Length header")
-        if length <= 0:
+        if length > MAX_BODY_BYTES:
+            raise PayloadTooLargeError(
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit")
+        raw = self.rfile.read(length) if length > 0 else b""
+        if len(raw) < length:
+            raise WireFormatError(f"request body ended after {len(raw)} of "
+                                  f"{length} bytes")
+        return raw
+
+    def _read_json(self) -> dict:
+        raw = self._read_body()
+        if not raw:
             raise WireFormatError("request needs a JSON body")
-        raw = self.rfile.read(length)
         try:
             payload = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -946,12 +983,7 @@ class _Handler(BaseHTTPRequestHandler):
             content_type = (self.headers.get("Content-Type") or
                             "application/json").split(";")[0].strip()
             if content_type == "text/plain":
-                try:
-                    length = int(self.headers.get("Content-Length", "0"))
-                except ValueError:
-                    raise WireFormatError("bad Content-Length header")
-                text = self.rfile.read(max(0, length)).decode("utf-8",
-                                                              errors="replace")
+                text = self._read_body().decode("utf-8", errors="replace")
                 graph, source = parse_edge_list(text), "edge-list"
             else:
                 payload = self._read_json()

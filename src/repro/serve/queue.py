@@ -29,7 +29,8 @@ Three serving behaviours, shared by both:
 * **session safety** — sessions are single-threaded by design (their caches
   are plain dicts), so execution is serialised per graph; concurrency comes
   from distinct graphs, from in-flight dedup, and from the engines themselves
-  (NumPy kernels release the GIL; ``sharded:parallel=process`` sidesteps it).
+  (NumPy kernels release the GIL, and ``sharded:workers=N`` runs each round's
+  shards on ``N`` threads).
 
 Results are **bit-identical to sequential execution**: per-graph serialisation
 means every job sees the same cache state transitions as some sequential order,

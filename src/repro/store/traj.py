@@ -27,9 +27,8 @@ Append protocol (the crash-safety contract):
   the new round count with an atomic ``header.json`` replace — so a reader
   never observes a round the file does not fully hold;
 * readers clamp to ``min(header.rounds, file_rows - 1)``: a torn tail (a
-  crash mid-append, an interrupted truncate, a pre-sized-but-unwritten region
-  left by a killed process run) costs at most the unpublished rounds, never a
-  wrong or unreadable prefix;
+  crash mid-append, an interrupted truncate) costs at most the unpublished
+  rounds, never a wrong or unreadable prefix;
 * a crash between the row write and the header replace therefore loses at
   most the last un-published round.  (The protocol is crash-consistent
   against process crashes — the OS page cache holds flushed data; power-loss
@@ -260,11 +259,9 @@ class AppendTrajectory:
     def publish(self, rounds: int) -> None:
         """Atomically publish ``rounds`` as the completed round count.
 
-        Rows through ``rounds`` must already be on disk (written by this
-        handle, or — in the process-parallel mode — by workers mapping
-        :meth:`rows_spec` slices).  The rows are flushed *before* the header
-        replace, so a reader that sees the new header can read every row it
-        advertises.
+        Rows through ``rounds`` must already be on disk, written by this
+        handle.  The rows are flushed *before* the header replace, so a
+        reader that sees the new header can read every row it advertises.
         """
         # publish() runs once per round on the spilled hot path, so the span
         # is explicitly gated: disabled tracing pays one None-check.
@@ -334,25 +331,6 @@ class AppendTrajectory:
             self._write_rows(lo, np.broadcast_to(row, (k, self.num_nodes)))
             lo += k
         self.publish(rounds)
-
-    # ------------------------------------------------------- process-pool hooks
-    def presize(self, rounds: int) -> None:
-        """Grow ``rows.bin`` to hold ``rounds + 1`` rows (unpublished tail).
-
-        The process-parallel mode pre-sizes the file so every worker can map
-        the full ``(rounds+1, n)`` region and write its shard's row-slices in
-        place.  The tail stays *unpublished* until the parent's per-round
-        :meth:`publish`, so a crash mid-run leaves the previous header (and
-        its fully-written prefix) in charge.
-        """
-        need = (int(rounds) + 1) * self._rowbytes
-        self._file.flush()
-        if os.fstat(self._file.fileno()).st_size < need:
-            os.ftruncate(self._file.fileno(), need)
-
-    def rows_spec(self, rounds: int) -> tuple:
-        """``(path, rows, n)`` for workers to re-map ``rows.bin`` by path."""
-        return (str(self.directory / ROWS_NAME), int(rounds) + 1, self.num_nodes)
 
     # ---------------------------------------------------------------- lifecycle
     def close(self) -> None:

@@ -42,13 +42,26 @@ class TestEngineFlag:
         assert code == 2
 
     def test_storage_mmap_flag_runs_out_of_core(self, k6_file):
-        baseline, mapped = io.StringIO(), io.StringIO()
+        baseline, mapped, threaded = io.StringIO(), io.StringIO(), io.StringIO()
         assert main(["coreness", "--input", str(k6_file), "--rounds", "3",
                      "--engine", "sharded:2", "--top", "3"], out=baseline) == 0
         assert main(["coreness", "--input", str(k6_file), "--rounds", "3",
                      "--engine", "sharded:2", "--storage", "mmap",
                      "--top", "3"], out=mapped) == 0
+        assert main(["coreness", "--input", str(k6_file), "--rounds", "3",
+                     "--engine", "sharded:2", "--storage", "mmap",
+                     "--workers", "2", "--top", "3"], out=threaded) == 0
         assert mapped.getvalue() == baseline.getvalue()
+        assert threaded.getvalue() == baseline.getvalue()
+
+    def test_parallel_flag_is_rejected(self, k6_file, capsys):
+        # Threads are selected by --workers alone; there is no mode flag.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["coreness", "--input", str(k6_file), "--rounds", "2",
+                  "--engine", "sharded:2", "--workers", "2",
+                  "--parallel", "thread"], out=io.StringIO())
+        assert excinfo.value.code == 2
+        assert "--parallel" in capsys.readouterr().err
 
     def test_storage_flag_rejected_for_non_sharded_engines(self, k6_file):
         code = main(["coreness", "--input", str(k6_file), "--rounds", "2",

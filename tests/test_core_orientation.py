@@ -14,7 +14,6 @@ from repro.core.orientation import (
     check_feasible,
     kept_sets_from_trajectory,
     orientation_from_kept,
-    orientation_from_kept_reference,
     orientation_from_values_greedy,
 )
 from repro.core.surviving import compact_elimination, run_compact_elimination, surviving_numbers_vectorized
@@ -25,6 +24,7 @@ from repro.graph.generators.random_graphs import barabasi_albert, erdos_renyi_gn
 from repro.graph.generators.structured import complete_graph, cycle_graph, star_graph
 from repro.graph.generators.weights import with_uniform_integer_weights
 from repro.graph.graph import Graph
+from oracles import orientation_from_kept_reference
 from test_engine_equivalence import CORPUS
 
 

@@ -63,8 +63,8 @@ def test_batch_runner_amortises_csr_conversion():
 @pytest.mark.bench
 @pytest.mark.parametrize("tie_break", ["history", "stable", "naive"])
 def test_batched_kept_sets_beat_the_reference_loop(tie_break):
-    from repro.core.orientation import (kept_sets_from_trajectory,
-                                        kept_sets_from_trajectory_reference)
+    from oracles import kept_sets_from_trajectory_reference
+    from repro.core.orientation import kept_sets_from_trajectory
     from repro.engine.kernels import compact_trajectory
     from repro.graph.csr import graph_to_csr
 

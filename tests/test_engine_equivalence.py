@@ -145,13 +145,11 @@ SHARD_COUNTS = (1, 2, 5, 10_000)
 def _shard_variants(graph):
     return [ShardedEngine(num_shards=k) for k in SHARD_COUNTS] + \
         [ShardedEngine(num_shards=3, max_workers=2),
-         ShardedEngine(num_shards=3, max_workers=2, parallel="process"),
          # Out-of-core: the same kernels over memory-mapped CSR files (a
-         # private temp dir per engine), sequential and process-pool — the
+         # private temp dir per engine), sequential and threaded — the
          # bit-identity contract covers every storage backend too.
          ShardedEngine(num_shards=3, storage="mmap"),
-         ShardedEngine(num_shards=3, max_workers=2, parallel="process",
-                       storage="mmap")]
+         ShardedEngine(num_shards=3, max_workers=2, storage="mmap")]
 
 
 class TestCorpusSize:
@@ -260,10 +258,8 @@ class TestKeptSetReconstruction:
     @pytest.mark.parametrize("tie_break", ["history", "stable", "naive"])
     @pytest.mark.parametrize("graph, rounds", CORPUS[::3])
     def test_vectorized_matches_reference(self, graph, rounds, tie_break):
-        from repro.core.orientation import (
-            kept_sets_from_trajectory,
-            kept_sets_from_trajectory_reference,
-        )
+        from oracles import kept_sets_from_trajectory_reference
+        from repro.core.orientation import kept_sets_from_trajectory
         from repro.engine.kernels import compact_trajectory
         from repro.graph.csr import graph_to_csr
 
@@ -278,7 +274,7 @@ class TestKeptSetReconstruction:
 
     @pytest.mark.parametrize("tie_break", ["history", "stable", "naive"])
     def test_both_paths_match_the_faithful_protocol(self, two_communities, tie_break):
-        from repro.core.orientation import kept_sets_from_trajectory_reference
+        from oracles import kept_sets_from_trajectory_reference
 
         faithful = get_engine("faithful").run(two_communities, 4,
                                               tie_break=tie_break, track_kept=True)
@@ -293,10 +289,8 @@ class TestKeptSetReconstruction:
         assert reference == faithful.kept
 
     def test_single_round_trajectory_has_no_history(self, small_weighted):
-        from repro.core.orientation import (
-            kept_sets_from_trajectory,
-            kept_sets_from_trajectory_reference,
-        )
+        from oracles import kept_sets_from_trajectory_reference
+        from repro.core.orientation import kept_sets_from_trajectory
         from repro.engine.kernels import compact_trajectory
         from repro.graph.csr import graph_to_csr
 

@@ -18,6 +18,7 @@ from repro.errors import (
     ConvergenceError,
     GraphError,
     InvalidLambdaError,
+    PayloadTooLargeError,
     ProtocolError,
     QueueFullError,
     QuotaExceededError,
@@ -34,6 +35,7 @@ ALL_ERROR_CLASSES = [
     ReproError, GraphError, ProtocolError, SimulationError, AlgorithmError,
     InvalidLambdaError, ConvergenceError, StoreError, ServeError,
     QueueFullError, QuotaExceededError, UnknownResourceError, WireFormatError,
+    PayloadTooLargeError,
 ]
 
 
@@ -59,6 +61,7 @@ class TestCodes:
             QuotaExceededError: "quota-exceeded",
             UnknownResourceError: "unknown-resource",
             WireFormatError: "bad-request",
+            PayloadTooLargeError: "payload-too-large",
         }
 
 

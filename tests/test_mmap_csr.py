@@ -7,10 +7,10 @@ option of :class:`repro.engine.sharded.ShardedEngine`):
 * materialisation is write-once: a valid same-fingerprint directory is never
   rewritten, while truncation, corruption or a foreign fingerprint trigger a
   full rewrite (never a wrong answer);
-* the sharded engine's ``storage="mmap"`` mode — sequential, thread and
-  process-pool — produces bit-identical trajectories to the in-memory
-  engines, including through a :class:`~repro.session.Session` with a
-  persistent store (auto-spill);
+* the sharded engine's ``storage="mmap"`` mode — sequential and threaded —
+  produces bit-identical trajectories to the in-memory engines, including
+  through a :class:`~repro.session.Session` with a persistent store
+  (auto-spill);
 * malformed fingerprints never touch the filesystem.
 """
 
@@ -138,9 +138,7 @@ class TestMappedExecution:
         return [
             ShardedEngine(num_shards=4, storage="mmap", storage_dir=tmp_path),
             ShardedEngine(num_shards=4, storage="mmap"),  # private tmp dir
-            ShardedEngine(num_shards=4, max_workers=2, parallel="thread",
-                          storage="mmap", storage_dir=tmp_path),
-            ShardedEngine(num_shards=4, max_workers=2, parallel="process",
+            ShardedEngine(num_shards=4, max_workers=2,
                           storage="mmap", storage_dir=tmp_path),
         ]
 

@@ -2,16 +2,15 @@
 
 The load-bearing contract is the bit-identity one — enabling tracing must
 never change a computed result — plus structural integrity of what gets
-recorded: parent/child links hold across pool threads and worker processes,
-the ring stays bounded, the Prometheus text follows the exposition grammar,
-and the access log / job GC behave on a real socket.
+recorded: parent/child links hold across pool threads, the ring stays
+bounded, the Prometheus text follows the exposition grammar, and the access
+log / job GC behave on a real socket.
 """
 
 from __future__ import annotations
 
 import io
 import json
-import os
 import re
 import time
 import urllib.request
@@ -82,7 +81,7 @@ class TestBitIdentity:
     @pytest.mark.parametrize("spec,kernel_spans", [
         ("vectorized", True),
         ("faithful", False),   # per-node simulation, no CSR round kernel
-        ("sharded:shards=4,workers=2,parallel=thread", True),
+        ("sharded:shards=4,workers=2", True),
     ])
     def test_traced_solve_is_bit_identical(self, spec, kernel_spans):
         baseline = _solve_values(spec)
@@ -93,12 +92,6 @@ class TestBitIdentity:
         assert "session.solve" in names
         assert "engine.run" in names
         assert ("kernel.round_range" in names) == kernel_spans
-
-    def test_traced_process_solve_is_bit_identical(self):
-        spec = "sharded:shards=2,workers=2,parallel=process"
-        baseline = _solve_values(spec, rounds=4)
-        obs_trace.enable()
-        assert _solve_values(spec, rounds=4) == baseline
 
 
 # ----------------------------------------------------- span structure / ring
@@ -115,7 +108,7 @@ class TestSpanIntegrity:
 
     def test_thread_pool_shards_link_to_the_run(self):
         tracer = obs_trace.enable()
-        _solve_values("sharded:shards=4,workers=2,parallel=thread")
+        _solve_values("sharded:shards=4,workers=2")
         records = tracer.spans()
         by_id = {r["span"]: r for r in records}
         shards = [r for r in records if r["name"] == "kernel.shard"]
@@ -129,19 +122,6 @@ class TestSpanIntegrity:
             assert parent["name"] in ("engine.run", "engine.trajectory",
                                       "session.surviving", "session.solve")
             assert {"lo", "hi", "round"} <= set(shard["attrs"])
-
-    def test_process_worker_shards_carry_the_worker_pid(self):
-        tracer = obs_trace.enable()
-        _solve_values("sharded:shards=2,workers=2,parallel=process", rounds=4)
-        records = tracer.spans()
-        shards = [r for r in records if r["name"] == "kernel.shard"]
-        rounds = [r for r in records if r["name"] == "kernel.round_range"]
-        assert shards and rounds
-        assert all(r["attrs"].get("parallel") == "process" for r in rounds)
-        assert all(r["pid"] != os.getpid() for r in shards)
-        trace_ids = {r["trace"] for r in records if r["name"] in
-                     ("engine.run", "kernel.shard", "kernel.round_range")}
-        assert len(trace_ids) == 1  # the wire context crossed the boundary
 
     def test_ring_is_bounded_but_counts_everything(self):
         tracer = obs_trace.enable(ring_size=8)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 import statistics
 import threading
 import time
@@ -229,6 +230,74 @@ class TestMalformedWireInput:
         assert status == 400, document
         assert document["error"]["code"] == code
         assert client.jobs() == []
+
+
+def _raw_exchange(server, request: bytes, *, close_write: bool = False):
+    """Send hand-built request bytes; read until the server closes.
+
+    Returns ``(status, head, document)`` of the response.  A server that keeps
+    the connection open times the read out, and a second response after the
+    first makes the JSON parse fail, so both count against the test.
+    """
+    with socket.create_connection((server.host, server.port),
+                                  timeout=10) as sock:
+        sock.sendall(request)
+        if close_write:
+            sock.shutdown(socket.SHUT_WR)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    return int(head.split(b" ", 2)[1]), head, json.loads(body)
+
+
+class TestRequestBodyLength:
+    """``Content-Length`` is checked, not trusted (raw sockets: a
+    well-behaved client never sends these requests).  Each rule is checked
+    on both readers of a body: the JSON one and the ``text/plain`` upload."""
+
+    @pytest.mark.parametrize("content_type", ["application/json",
+                                              "text/plain"])
+    def test_oversized_body_is_413_and_closes_the_connection(
+            self, server, client, content_type):
+        request = (b"PUT /graphs HTTP/1.1\r\nHost: test\r\n"
+                   b"Content-Type: " + content_type.encode() + b"\r\n"
+                   b"Content-Length: 100000000000\r\n\r\n")
+        status, head, document = _raw_exchange(server, request)
+        assert status == 413, document
+        assert document["error"]["code"] == "payload-too-large"
+        assert b"connection: close" in head.lower()
+        assert client.graphs() == [] and client.jobs() == []
+
+    @pytest.mark.parametrize("content_type,body", [
+        ("application/json", b'{"dataset": "caveman"}'),
+        ("text/plain", b"0 1\n1 2\n2 3"),  # 4 nodes
+    ], ids=["application/json", "text/plain"])
+    def test_truncated_body_is_400_and_registers_nothing(
+            self, server, client, content_type, body):
+        # Declares 40 bytes, sends a shorter body that parses, closes.
+        request = (b"PUT /graphs HTTP/1.1\r\nHost: test\r\n"
+                   b"Content-Type: " + content_type.encode() + b"\r\n"
+                   b"Content-Length: 40\r\n\r\n" + body)
+        status, _, document = _raw_exchange(server, request, close_write=True)
+        assert status == 400, document
+        assert document["error"]["code"] == "bad-request"
+        assert client.graphs() == [] and client.jobs() == []
+
+    @pytest.mark.parametrize("length", [b"abc", b"-1"])
+    def test_malformed_length_is_400_and_registers_nothing(self, server,
+                                                           client, length):
+        # A negative length would otherwise read as an empty edge list.
+        request = (b"PUT /graphs HTTP/1.1\r\nHost: test\r\n"
+                   b"Content-Type: text/plain\r\n"
+                   b"Content-Length: " + length + b"\r\n\r\n")
+        status, _, document = _raw_exchange(server, request, close_write=True)
+        assert status == 400, document
+        assert document["error"]["code"] == "bad-request"
+        assert client.graphs() == [] and client.jobs() == []
 
 
 class TestInFlightDedupOverTheWire:

@@ -24,7 +24,7 @@ from repro.store import ArtifactStore
 SUITE = CORPUS[::4]
 
 ENGINES = ("vectorized", "sharded:3", "faithful",
-           "sharded:shards=3,workers=2,parallel=process",
+           "sharded:shards=3,workers=2",
            # Out-of-core: CSR arrays stream from memory-mapped files; with a
            # store (the restart matrix below) they live in the store's own
            # per-fingerprint csr/ layout — cold, warm and restarted requests

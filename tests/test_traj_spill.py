@@ -9,10 +9,10 @@ Contract under test (see :mod:`repro.store.traj` and the
   never a wrong or unreadable prefix);
 * a foreign, corrupt or mismatching header reads as absent and a fresh writer
   starts over — corruption can cost a recompute, never a wrong answer;
-* every engine configuration (sequential, thread, process; CSR in memory or
+* every engine configuration (sequential or threaded; CSR in memory or
   mapped) with ``trajectory_storage="mmap"`` produces trajectories
   bit-identical to the in-memory engines, including after a simulated crash;
-* the thread-parallel mode reuses one pool per engine (and ``close`` shuts it
+* the threaded mode reuses one pool per engine (and ``close`` shuts it
   down) instead of paying pool startup on every call;
 * a store-backed :class:`~repro.session.Session` adopts, extends, accounts
   for, and purges the ``.traj`` artifact in place of the monolithic ``.npz``.
@@ -150,14 +150,6 @@ class TestAppendFormat:
             with pytest.raises(StoreError, match="not published"):
                 traj.row(5)
 
-    def test_presize_leaves_the_tail_unpublished(self, tmp_path):
-        with AppendTrajectory.open(tmp_path, FP, 0.0, num_nodes=4) as traj:
-            traj.ensure_prefix(_rows(2))
-            traj.presize(10)
-        assert rows_path(tmp_path, FP, 0.0).stat().st_size == 11 * 4 * 8
-        # The pre-sized (zeroed) region is exactly a torn tail: clamped out.
-        assert published_rounds(tmp_path, FP, 0.0) == 1
-
     def test_minus_zero_lambda_addresses_the_same_artifact(self, tmp_path):
         assert traj_dir(tmp_path, FP, -0.0) == traj_dir(tmp_path, FP, 0.0)
         with AppendTrajectory.open(tmp_path, FP, -0.0, num_nodes=4) as traj:
@@ -194,10 +186,10 @@ class TestEngineEquivalence:
             ShardedEngine(num_shards=4, storage="mmap",
                           trajectory_storage="mmap",
                           storage_dir=tmp_path / "b"),
-            ShardedEngine(num_shards=4, max_workers=2, parallel="thread",
+            ShardedEngine(num_shards=4, max_workers=2,
                           trajectory_storage="mmap",
                           storage_dir=tmp_path / "c"),
-            ShardedEngine(num_shards=4, max_workers=2, parallel="process",
+            ShardedEngine(num_shards=4, max_workers=2,
                           storage="mmap", trajectory_storage="mmap",
                           storage_dir=tmp_path / "d"),
         ]
@@ -283,7 +275,7 @@ class TestThreadPoolReuse:
     """Perf fix: one pool per engine, not a fresh ThreadPoolExecutor per call."""
 
     def test_pool_is_created_lazily_and_reused(self, graph):
-        engine = ShardedEngine(num_shards=4, max_workers=2, parallel="thread")
+        engine = ShardedEngine(num_shards=4, max_workers=2)
         assert engine._thread_pool is None
         engine.run(graph, 3, track_kept=False)
         pool = engine._thread_pool
@@ -292,7 +284,7 @@ class TestThreadPoolReuse:
         assert engine._thread_pool is pool
 
     def test_close_shuts_the_pool_down(self, graph):
-        engine = ShardedEngine(num_shards=4, max_workers=2, parallel="thread")
+        engine = ShardedEngine(num_shards=4, max_workers=2)
         engine.run(graph, 3, track_kept=False)
         pool = engine._thread_pool
         engine.close()
