@@ -5,15 +5,17 @@
 # to the append-only .traj buffer, bit-identical and prefix-resumable), the
 # warm-session throughput benchmark (>= 2x over cold per-call on repeated
 # mixed requests), the persistent-store smoke (second run served from disk,
-# bit-identical), the `repro cache` CLI smoke, the HTTP serve smoke (`repro
-# serve` as a subprocess on an ephemeral port: jobs over a real socket,
-# /metrics in both JSON and Prometheus exposition, graceful SIGTERM drain
-# with no staging files left in the store), the densest fast-path smoke
-# (phases 2-4 on the CSR kernels, bit-identical to the faithful 4-phase
-# simulator pipeline), the observability smoke (a traced solve exported to
-# Chrome trace format plus a non-empty `repro trace summarize` per-span
-# table), and the bench/ smoke (each BENCHMARK.json workload once, traced, on
-# tiny inputs).
+# bit-identical; then a chain of three delta versions, each restarted by a
+# fresh session whose full CSR build must find the artifacts stored under
+# the spliced view's fingerprint), the `repro cache` CLI smoke, the HTTP
+# serve smoke (`repro serve` as a subprocess on an ephemeral port: jobs over
+# a real socket, /metrics in both JSON and Prometheus exposition, graceful
+# SIGTERM drain with no staging files left in the store), the densest
+# fast-path smoke (phases 2-4 on the CSR kernels, bit-identical to the
+# faithful 4-phase simulator pipeline), the observability smoke (a traced
+# solve exported to Chrome trace format plus a non-empty `repro trace
+# summarize` per-span table), and the bench/ smoke (each BENCHMARK.json
+# workload once, traced, on tiny inputs).
 #
 # Usage:  ./scripts/check.sh            (from anywhere; repo root is inferred)
 set -euo pipefail
@@ -108,7 +110,7 @@ echo "== session throughput (warm Session vs cold per-call) =="
 python scripts/bench_session.py --nodes 10000 --requests 50 --require 2.0
 
 echo
-echo "== persistent store smoke (restart served from disk, bit-identical) =="
+echo "== persistent store smoke (restart and delta versions served from disk, bit-identical) =="
 python scripts/store_smoke.py
 
 echo

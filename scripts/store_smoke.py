@@ -9,7 +9,11 @@ contract of ``repro.store``:
 * its results are bit-identical to the first run's (values, kept sets and the
   full trajectory);
 * a stored short trajectory warm-starts a longer budget (prefix reuse
-  composes across restarts).
+  composes across restarts);
+* along a chain of three deltas (a new node, a loop, a reweight, a remove
+  and re-add), each child's spliced CSR view fingerprints like a full build:
+  a fresh session on the child's graph is served from the child's stored
+  artifacts, bit-identically.
 
 Exits non-zero on any violation.
 """
@@ -25,6 +29,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
+from repro.graph.delta import GraphDelta  # noqa: E402
 from repro.graph.generators.random_graphs import barabasi_albert  # noqa: E402
 from repro.session import Session  # noqa: E402
 from repro.store import ArtifactStore  # noqa: E402
@@ -56,12 +61,39 @@ def main() -> int:
         fresh = Session(graph).coreness(rounds=rounds * 2)
         assert resumed.values == fresh.values, "resumed values differ from cold"
 
+        delta_chain_restart(cold_session, store, rounds)
+
         info = store.info()
         print(f"store smoke: ok (graph n={graph.num_nodes}, rounds={rounds}; "
               f"restart disk_hits=1, bit-identical; prefix resume reused "
-              f"{rounds} rounds; store holds {info['files']} files / "
-              f"{info['bytes']} bytes)")
+              f"{rounds} rounds; 3 delta versions restarted from disk; store "
+              f"holds {info['files']} files / {info['bytes']} bytes)")
     return 0
+
+
+def delta_chain_restart(session: Session, store: ArtifactStore,
+                        rounds: int) -> None:
+    """Solve a chain of three deltas, then restart each version from disk."""
+    (u, v, _), (x, y, _) = list(session.graph.edges())[:2]
+    new = session.graph.num_nodes
+    deltas = [GraphDelta(add_nodes=[new], add_edges=[(new, u, 1.0)]),
+              GraphDelta(set_weights=[(v, v, 2.0), (x, y, 3.0)]),
+              GraphDelta(remove_edges=[(u, v)], add_edges=[(u, v, 1.5)])]
+    for delta in deltas:
+        session = session.apply_delta(delta)
+        solved = session.coreness(rounds=rounds)
+        assert session.stats.csr_builds == 1
+        restarted = Session(session.graph, store=store)  # a full CSR build
+        served = restarted.coreness(rounds=rounds)
+        assert restarted.fingerprint == session.fingerprint, \
+            f"spliced fingerprint differs from a full build ({delta.describe()})"
+        assert restarted.stats.disk_hits == 1, \
+            f"delta version not served from disk: {restarted.stats.to_dict()}"
+        assert restarted.stats.cold_runs == 0, "delta version recomputed cold"
+        assert served.values == solved.values, "delta version values differ"
+        assert np.array_equal(served.surviving.trajectory,
+                              solved.surviving.trajectory), \
+            "delta version trajectory is not bit-identical"
 
 
 if __name__ == "__main__":

@@ -165,10 +165,15 @@ class BatchRunner:
         key = id(graph)
         hit = self._sessions.get(key)
         if hit is None:
-            hit = self._sessions[key] = Session(
-                graph, engine=self.engine, store=self.store,
-                max_cached_results=self.max_cached_results)
+            hit = self._sessions[key] = self.new_session(graph)
         return hit
+
+    def new_session(self, graph: Graph) -> Session:
+        """A fresh :class:`Session` on ``graph`` with the runner's engine,
+        store and cache bound; it owns nothing in the runner until
+        :meth:`adopt_session` registers it."""
+        return Session(graph, engine=self.engine, store=self.store,
+                       max_cached_results=self.max_cached_results)
 
     def adopt_session(self, session: Session) -> Session:
         """Register an externally built session as the owner of its graph.

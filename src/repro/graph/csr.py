@@ -16,16 +16,23 @@ The CSR view stores, for a graph relabelled to ``0..n-1``:
 Arrays that are pure functions of a view — the entry order
 :meth:`CSRAdjacency.sorted_entries`, the reverse-entry permutation
 :meth:`CSRAdjacency.twin`, the identity ranks of
-:func:`repro.core.bfs.identity_ranks` — are computed at most once per view
-through :meth:`CSRAdjacency.cached` and handed out read-only.
+:func:`repro.core.bfs.identity_ranks`, the label block of
+:func:`csr_fingerprint` — are computed at most once per view through
+:meth:`CSRAdjacency.cached` and handed out read-only.
+
+A graph derived from another by a :class:`~repro.graph.delta.GraphDelta`
+differs only in the rows of the nodes the delta touched, so
+``graph_to_csr(child, parent=view, touched=labels)`` splices the child's
+view: untouched rows are copied from the parent's arrays and only the touched
+and new rows are read from the child's adjacency dicts.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Callable, Dict, Hashable, Iterable, Tuple
+from itertools import chain, repeat
+from typing import Callable, Dict, Hashable, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -42,8 +49,8 @@ class CSRAdjacency:
     weights: np.ndarray     #: float64, aligned with ``indices``
     loops: np.ndarray       #: float64, shape (n,), self-loop weight per node
     node_order: Tuple[Hashable, ...]  #: original node label for each integer id
-    _memo: Dict[str, np.ndarray] = field(default_factory=dict, init=False,
-                                         repr=False, compare=False)
+    _memo: Dict[str, object] = field(default_factory=dict, init=False,
+                                     repr=False, compare=False)
 
     # --------------------------------------------------------------- properties
     @property
@@ -108,6 +115,16 @@ class CSRAdjacency:
         """
         return self.cached("twin", _reverse_entries)
 
+    def label_index(self) -> Optional[Dict[Hashable, int]]:
+        """The label -> id dict, or None when every label equals its id (the
+        common ``0..n-1`` graph).  Memoised per view; treat it as read-only."""
+        if "label_index" not in self._memo:
+            nodes = self.node_order
+            self._memo["label_index"] = (
+                None if nodes == tuple(range(len(nodes)))
+                else {v: i for i, v in enumerate(nodes)})
+        return self._memo["label_index"]
+
     def to_graph(self) -> Graph:
         """Rebuild a :class:`Graph` (with original labels) from the CSR arrays."""
         g = Graph(nodes=self.node_order)
@@ -147,7 +164,8 @@ def _reverse_entries(csr: CSRAdjacency) -> np.ndarray:
     return twin
 
 
-def graph_to_csr(graph: Graph) -> CSRAdjacency:
+def graph_to_csr(graph: Graph, *, parent: Optional[CSRAdjacency] = None,
+                 touched: Iterable[Hashable] = ()) -> CSRAdjacency:
     """Convert ``graph`` to a :class:`CSRAdjacency`, relabelling nodes to ``0..n-1``.
 
     The integer id of a node is its insertion-order index, so the conversion is
@@ -160,27 +178,41 @@ def graph_to_csr(graph: Graph) -> CSRAdjacency:
     When every label equals its position (the common ``0..n-1`` graph) the
     neighbour labels are the ids themselves; any other labelling goes through
     a label -> id dict.
+
+    With ``parent`` — the view of a graph that ``graph`` was derived from —
+    and ``touched`` — every label whose row or self-loop may differ between
+    the two (for :func:`~repro.graph.delta.apply_delta`, the
+    :func:`~repro.graph.delta.changed_labels` of the delta) — the view is
+    spliced instead: untouched rows are copied from the parent's arrays in
+    contiguous blocks, and only the touched rows and the rows of nodes
+    appended after the parent's are read from ``graph``'s adjacency dicts.
+    The arrays equal a full build's byte for byte, because every row is
+    either read from the same dict a full build reads or unchanged since the
+    parent read it.  If ``graph``'s node order does not start with the
+    parent's, the view is built in full.  A touched set that misses a row
+    whose length changed fails the entry-count check with
+    :class:`~repro.errors.GraphError`; a touched label that is not a node of
+    ``graph`` raises it too.  The spliced view inherits the parent's
+    memoised label block (:func:`csr_fingerprint`) with the appended labels
+    encoded after it.
     """
     nodes: Tuple[Hashable, ...] = tuple(graph.nodes())
+    if parent is not None and nodes[:parent.num_nodes] == parent.node_order:
+        return _splice(graph, nodes, parent, touched)
     n = len(nodes)
+    index = (None if nodes == tuple(range(n))
+             else {v: i for i, v in enumerate(nodes)})
     rows = list(map(graph.neighbor_weights, nodes))
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.fromiter(map(len, rows), dtype=np.int64, count=n), out=indptr[1:])
-    total = int(indptr[-1])
-
-    neighbours: Iterable[Hashable] = chain.from_iterable(rows)
-    self_loops = graph.self_loops()
-    loop_nodes: Iterable[Hashable] = self_loops.keys()
-    if nodes != tuple(range(n)):
-        index: Dict[Hashable, int] = {v: i for i, v in enumerate(nodes)}
-        neighbours = map(index.__getitem__, neighbours)
-        loop_nodes = map(index.__getitem__, loop_nodes)
-    indices = np.fromiter(neighbours, dtype=np.int64, count=total)
-    weights = np.fromiter(chain.from_iterable(map(dict.values, rows)),
-                          dtype=np.float64, count=total)
+    indices, weights = _read_rows(rows, index, int(indptr[-1]))
 
     loops = np.zeros(n, dtype=np.float64)
+    self_loops = graph.self_loops()
     if self_loops:
+        loop_nodes: Iterable[Hashable] = self_loops.keys()
+        if index is not None:
+            loop_nodes = map(index.__getitem__, loop_nodes)
         loop_ids = np.fromiter(loop_nodes, dtype=np.int64, count=len(self_loops))
         loop_weights = np.fromiter(self_loops.values(), dtype=np.float64,
                                    count=len(self_loops))
@@ -190,6 +222,90 @@ def graph_to_csr(graph: Graph) -> CSRAdjacency:
 
     return CSRAdjacency(indptr=indptr, indices=indices, weights=weights,
                         loops=loops, node_order=nodes)
+
+
+def _read_rows(rows, index: Optional[Dict[Hashable, int]],
+               total: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Neighbour ids and weights of the adjacency dicts ``rows``, in order."""
+    neighbours: Iterable[Hashable] = chain.from_iterable(rows)
+    if index is not None:
+        neighbours = map(index.__getitem__, neighbours)
+    return (np.fromiter(neighbours, dtype=np.int64, count=total),
+            np.fromiter(chain.from_iterable(map(dict.values, rows)),
+                        dtype=np.float64, count=total))
+
+
+def _splice(graph: Graph, nodes: Tuple[Hashable, ...], parent: CSRAdjacency,
+            touched: Iterable[Hashable]) -> CSRAdjacency:
+    """:func:`graph_to_csr` of ``graph`` from ``parent``'s arrays (see there);
+    ``nodes`` is ``graph``'s node order and starts with the parent's."""
+    pn, n = parent.num_nodes, len(nodes)
+    index = parent.label_index()
+    added = nodes[pn:]
+    if index is None and added != tuple(range(pn, n)):
+        index = {v: i for i, v in enumerate(nodes)}
+    elif index is not None and added:
+        index = dict(index)
+        index.update(zip(added, range(pn, n)))
+
+    touched = list(touched)
+    unknown = [v for v in touched if not graph.has_node(v)]
+    if unknown:
+        raise GraphError(f"touched labels {unknown[:5]!r} are not nodes of "
+                         f"the graph")
+    ids = np.fromiter(
+        touched if index is None else map(index.__getitem__, touched),
+        dtype=np.int64, count=len(touched))
+    old = np.unique(ids[ids < pn])
+    # Rows read from the graph: the touched parent rows, then the new nodes.
+    reread = np.concatenate((old, np.arange(pn, n, dtype=np.int64)))
+    labels = [nodes[i] for i in reread.tolist()]
+    rows = list(map(graph.neighbor_weights, labels))
+    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    counts = np.empty(n, dtype=np.int64)
+    counts[:pn] = np.diff(parent.indptr)
+    counts[reread] = lengths
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    expected = 2 * (graph.num_edges - len(graph.self_loops()))
+    if indptr[-1] != expected:
+        raise GraphError(f"spliced view holds {int(indptr[-1])} adjacency "
+                         f"entries, the graph {expected}: the touched labels "
+                         f"miss a changed row")
+    fresh_indices, fresh_weights = _read_rows(rows, index, int(lengths.sum()))
+
+    # Untouched parent blocks alternate with the re-read rows; the block
+    # after the last touched parent row is followed by every new row.
+    block_starts = parent.indptr[np.concatenate(([0], old + 1))].tolist()
+    block_stops = parent.indptr[np.concatenate((old, [pn]))].tolist()
+    cuts = np.cumsum(lengths[:len(old)]).tolist() + [len(fresh_indices)]
+    id_pieces, weight_pieces = [], []
+    fresh = 0
+    for start, stop, cut in zip(block_starts, block_stops, cuts):
+        id_pieces += (parent.indices[start:stop], fresh_indices[fresh:cut])
+        weight_pieces += (parent.weights[start:stop], fresh_weights[fresh:cut])
+        fresh = cut
+    indices = np.concatenate(id_pieces)
+    weights = np.concatenate(weight_pieces)
+
+    loops = np.zeros(n, dtype=np.float64)
+    loops[:pn] = parent.loops
+    self_loops = graph.self_loops()
+    loop_weights = np.fromiter(map(self_loops.get, labels, repeat(0.0)),
+                               dtype=np.float64, count=len(labels))
+    # A zero-weight loop (-0.0 included) stores +0.0, as in a full build.
+    loops[reread] = np.where(loop_weights != 0.0, loop_weights, 0.0)
+
+    csr = CSRAdjacency(indptr=indptr, indices=indices, weights=weights,
+                       loops=loops, node_order=nodes)
+    csr._memo["label_index"] = index
+    block = parent._memo.get("label_block")
+    if block is not None:
+        if added:
+            block = np.concatenate((block, _encode_labels(added)))
+            block.flags.writeable = False
+        csr._memo["label_block"] = block
+    return csr
 
 
 #: Version prefix mixed into every fingerprint so a change to the hashed
@@ -214,15 +330,31 @@ def csr_fingerprint(csr: CSRAdjacency) -> str:
     or objects with default reprs) make the fingerprint unstable across
     interpreter runs — the store then treats the graph as new, which costs a
     cold run but never serves wrong artifacts.
+
+    The encoded labels (the label block) are memoised on the view through
+    :meth:`CSRAdjacency.cached`; a view spliced from a parent by
+    :func:`graph_to_csr` starts with its parent's block, so a chain of delta
+    versions encodes only the labels each delta appends.
     """
     digest = hashlib.sha256()
     digest.update(_FINGERPRINT_VERSION)
     for array, dtype in ((csr.indptr, np.int64), (csr.indices, np.int64),
                          (csr.weights, np.float64), (csr.loops, np.float64)):
         digest.update(np.ascontiguousarray(array, dtype=dtype))
-    digest.update("".join(f"{type(label).__name__}:{label!r}\x1f"
-                          for label in csr.node_order).encode("utf-8"))
+    digest.update(csr.cached("label_block", _label_block))
     return digest.hexdigest()
+
+
+def _encode_labels(labels: Iterable[Hashable]) -> np.ndarray:
+    """The fingerprint's encoding of ``labels`` as a uint8 array."""
+    return np.frombuffer("".join(f"{type(label).__name__}:{label!r}\x1f"
+                                 for label in labels).encode("utf-8"),
+                         dtype=np.uint8)
+
+
+def _label_block(csr: CSRAdjacency) -> np.ndarray:
+    """:func:`csr_fingerprint`'s label block: every label in id order."""
+    return _encode_labels(csr.node_order)
 
 
 def graph_fingerprint(graph: Graph) -> str:

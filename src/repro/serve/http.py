@@ -96,7 +96,6 @@ from repro.errors import (
     UnknownResourceError,
     WireFormatError,
 )
-from repro.graph.csr import csr_fingerprint, graph_to_csr
 from repro.graph.datasets import list_datasets, load_dataset
 from repro.graph.delta import GraphDelta
 from repro.graph.graph import Graph
@@ -386,11 +385,16 @@ class ReproHTTPServer(ThreadingHTTPServer):
 
         Returns ``(fingerprint, created)``; re-uploading identical content
         keeps serving the first object (one session per graph in the shared
-        runner) and merely bumps its upload counter.
+        runner) and merely bumps its upload counter.  The fingerprint is read
+        from a runner session on ``graph``: a new graph's session is adopted
+        by the runner, so its jobs and deltas reuse the CSR view built here,
+        and a duplicate's session is dropped.
         """
         if graph.num_nodes == 0:
             raise GraphError("an uploaded graph needs at least one node")
-        fingerprint = csr_fingerprint(graph_to_csr(graph))
+        runner = self.queue.runner
+        session = runner.new_session(graph)
+        fingerprint = session.fingerprint
         with self._state_lock:
             hit = self._graphs.get(fingerprint)
             if hit is not None:
@@ -398,6 +402,7 @@ class ReproHTTPServer(ThreadingHTTPServer):
                 return fingerprint, False
             self._graphs[fingerprint] = _GraphRecord(
                 fingerprint=fingerprint, graph=graph, source=source)
+            runner.adopt_session(session)
             return fingerprint, True
 
     def graph_record(self, fingerprint: str) -> _GraphRecord:

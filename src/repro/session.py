@@ -221,10 +221,22 @@ class Session:
     # ---------------------------------------------------------------- artifacts
     @property
     def csr(self) -> CSRAdjacency:
-        """The session's CSR view of the graph (built on first use, exactly once)."""
+        """The session's CSR view of the graph (built on first use, once).
+
+        A session minted by :meth:`apply_delta` whose parent already holds
+        its view splices this one from the parent's arrays, re-reading only
+        the rows of the nodes the delta touched (see
+        :func:`~repro.graph.csr.graph_to_csr`); the view, and so the
+        fingerprint, equals a full build's.  A parent without a view is not
+        made to build one: the child then builds in full.
+        """
         if self._csr is None:
             self.stats.csr_builds += 1
-            self._csr = graph_to_csr(self.graph)
+            if self._parent is None:
+                self._csr = graph_to_csr(self.graph)
+            else:
+                self._csr = graph_to_csr(self.graph, parent=self._parent._csr,
+                                         touched=changed_labels(self._delta))
         return self._csr
 
     def grid(self, lam: Optional[float] = None) -> LambdaGrid:
@@ -320,14 +332,6 @@ class Session:
                 parent_content_fingerprint=self.fingerprint)
         return child
 
-    def _label_index(self) -> Dict:
-        """Label -> integer id map of this session's CSR view (cached)."""
-        cached = getattr(self, "_label_index_cache", None)
-        if cached is None:
-            cached = {lab: i for i, lab in enumerate(self.csr.labels())}
-            self._label_index_cache = cached
-        return cached
-
     def _delta_frontier_seed(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(parent_ids, changed)`` for the frontier warm start (cached).
 
@@ -347,13 +351,14 @@ class Session:
         if child_labels[:pn] == parent_labels:
             parent_ids[:pn] = np.arange(pn, dtype=np.int64)
         else:  # pragma: no cover - defensive: apply_delta preserves order
-            index = self._parent._label_index()
+            index = {lab: i for i, lab in enumerate(parent_labels)}
             for i, lab in enumerate(child_labels):
                 parent_ids[i] = index.get(lab, -1)
-        child_index = self._label_index()
-        changed = np.fromiter(
-            sorted(child_index[lab] for lab in changed_labels(self._delta)),
-            dtype=np.int64)
+        labels = changed_labels(self._delta)
+        index = self.csr.label_index()
+        changed = np.sort(np.fromiter(
+            labels if index is None else map(index.__getitem__, labels),
+            dtype=np.int64, count=len(labels)))
         self._frontier_seed = (parent_ids, changed)
         return self._frontier_seed
 

@@ -3,8 +3,9 @@
 Run with ``python -m pytest -m bench`` (see pytest.ini).  Each test pins that
 a fast path beats its slower twin on graphs small enough to run anywhere:
 the sharded engine against vectorized, the batched kept-set reconstruction
-against the per-node reference loop, and the array densest pipeline against
-the faithful simulator.
+against the per-node reference loop, the array densest pipeline against
+the faithful simulator, and a delta child's spliced CSR view against a full
+build.
 """
 
 from __future__ import annotations
@@ -91,3 +92,22 @@ def test_array_densest_beats_the_faithful_pipeline():
                                                       engine="array"))
         assert array < faithful, \
             f"array {array:.4f}s vs faithful {faithful:.4f}s"
+
+
+@pytest.mark.bench
+def test_spliced_child_view_beats_a_full_build():
+    # A splice that quietly fell back to the full build would still pass
+    # every equivalence test; only its speed tells them apart.
+    from repro.graph.csr import graph_to_csr
+    from repro.graph.delta import GraphDelta, apply_delta, changed_labels
+
+    graph = barabasi_albert(20_000, 3, seed=79)
+    parent = graph_to_csr(graph)
+    delta = GraphDelta(add_edges=[(0, 19_999, 1.0)])
+    child = apply_delta(graph, delta)
+    touched = changed_labels(delta)
+    full = _best_of(lambda: graph_to_csr(child), repeats=5)
+    spliced = _best_of(lambda: graph_to_csr(child, parent=parent,
+                                            touched=touched), repeats=5)
+    assert 5.0 * spliced <= full, \
+        f"spliced {spliced * 1e3:.2f} ms vs full build {full * 1e3:.2f} ms"

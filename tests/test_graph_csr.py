@@ -4,19 +4,23 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import bfs
 from repro.core.bfs import identity_ranks
 from repro.errors import GraphError
 from repro.graph import csr as csr_module
 from repro.graph.csr import (
+    csr_fingerprint,
     csr_subset_densities,
     csr_subset_density,
     graph_fingerprint,
     graph_to_csr,
 )
+from repro.graph.delta import GraphDelta, apply_delta, changed_labels
 from repro.graph.generators.random_graphs import erdos_renyi_gnp
 from repro.graph.graph import Graph
+from repro.session import Session
 
 
 def _int_labels() -> Graph:
@@ -202,6 +206,16 @@ class TestPerViewMemo:
         assert np.array_equal(read(other), first)
         assert len(calls) == 2 and calls[1] is other
 
+    def test_fingerprint_encodes_the_labels_once_per_view(self, monkeypatch):
+        encode = csr_module._label_block
+        calls = []
+        monkeypatch.setattr(csr_module, "_label_block",
+                            lambda view: calls.append(view) or encode(view))
+        view = graph_to_csr(_strings_edge_readded())
+        first = csr_fingerprint(view)
+        assert csr_fingerprint(view) == first
+        assert len(calls) == 1 and calls[0] is view
+
 
 class TestCSRSubsetDensity:
     def test_matches_graph_subset_density(self, k6):
@@ -249,3 +263,155 @@ class TestCSRSubsetDensities:
     def test_rejects_wrong_group_shape(self, k6):
         with pytest.raises(GraphError):
             csr_subset_densities(graph_to_csr(k6), np.zeros(3, dtype=np.int64), 1)
+
+
+#: Label families for the splice properties: ids, strings, tuples.
+LABELINGS = {"int": lambda i: i, "str": lambda i: f"v{i}",
+             "tuple": lambda i: (i % 3, f"n{i}")}
+
+_WEIGHTS = st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.25])
+
+
+@st.composite
+def delta_chains(draw):
+    """A random graph and three deltas applied one after another.
+
+    The graph has labels of one family, in id order or shuffled, zero
+    weights and zero-weight loops.  Each delta removes edges, sets weights
+    on present and absent edges and loops, adds weight onto present and new
+    edges, adds nodes, and may remove an edge and add it back in the same
+    batch.
+    """
+    label = LABELINGS[draw(st.sampled_from(sorted(LABELINGS)))]
+    n = draw(st.integers(min_value=1, max_value=10))
+    order = draw(st.one_of(st.just(range(n)), st.permutations(range(n))))
+    graph = Graph(nodes=[label(i) for i in order])
+    for _ in range(draw(st.integers(min_value=0, max_value=3 * n))):
+        u, v = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        graph.add_edge(label(u), label(v), draw(_WEIGHTS))
+
+    deltas, current, fresh = [], graph, n
+    for _ in range(3):
+        nodes = list(current.nodes())
+        new = [label(fresh + i) for i in range(draw(st.integers(0, 2)))]
+        fresh += len(new)
+        ends = st.sampled_from(nodes + new)
+        pairs = st.tuples(ends, ends)
+        present = [(u, v) for u, v, _ in current.edges()]
+        removed = draw(st.lists(st.sampled_from(present), max_size=3,
+                                unique_by=frozenset)) if present else []
+        readded = draw(st.lists(st.sampled_from(removed), max_size=2,
+                                unique_by=frozenset)) if removed else []
+        weighted = st.tuples(pairs, _WEIGHTS).map(lambda e: (*e[0], e[1]))
+        set_weights = draw(st.lists(weighted, max_size=3,
+                                    unique_by=lambda e: frozenset(e[:2])))
+        added = {frozenset(e[:2]): e
+                 for e in draw(st.lists(weighted, max_size=3))}
+        for u, v in readded:
+            added[frozenset((u, v))] = (u, v, draw(_WEIGHTS))
+        extra = [label(fresh + i) for i in range(draw(st.integers(0, 2)))]
+        fresh += len(extra)
+        delta = GraphDelta(add_edges=list(added.values()), remove_edges=removed,
+                           set_weights=set_weights, add_nodes=new + extra)
+        deltas.append(delta)
+        current = apply_delta(current, delta)
+    return graph, deltas
+
+
+def _assert_same_view(spliced, fresh):
+    assert spliced.node_order == fresh.node_order
+    for name in ("indptr", "indices", "weights", "loops"):
+        got, want = getattr(spliced, name), getattr(fresh, name)
+        assert got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+class TestSplicedView:
+    """``graph_to_csr(child, parent=..., touched=...)`` equals a full build."""
+
+    @given(delta_chains(), st.booleans())
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_equals_a_fresh_build_along_a_chain(self, chain, fingerprinted):
+        graph, deltas = chain
+        view = graph_to_csr(graph)
+        if fingerprinted:
+            csr_fingerprint(view)       # seeds the label-block memo
+        for delta in deltas:
+            child = apply_delta(graph, delta)
+            spliced = graph_to_csr(child, parent=view,
+                                   touched=changed_labels(delta))
+            fresh = graph_to_csr(child)
+            _assert_same_view(spliced, fresh)
+            if fingerprinted:
+                block = spliced._memo["label_block"]
+                assert not block.flags.writeable
+                assert block.tobytes() == \
+                    csr_module._label_block(fresh).tobytes()
+            assert csr_fingerprint(spliced) == csr_fingerprint(fresh)
+            assert spliced.label_index() == fresh.label_index()
+            graph, view = child, spliced
+
+    @given(delta_chains())
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_session_chain_fingerprints_match_fresh_ones(self, chain):
+        graph, deltas = chain
+        session = Session(graph)
+        assert session.fingerprint == graph_fingerprint(graph)
+        for delta in deltas:
+            child = session.apply_delta(delta)
+            assert child.fingerprint == graph_fingerprint(child.graph)
+            assert child.stats.csr_builds == 1
+            assert session.stats.csr_builds == 1
+            session = child
+
+    def test_session_splices_from_a_parent_view(self, monkeypatch):
+        splices = []
+        splice = csr_module._splice
+        monkeypatch.setattr(csr_module, "_splice",
+                            lambda *args: splices.append(args) or splice(*args))
+        # A root builds its view to mint the chain fingerprint of a child.
+        parent = Session(_strings_edge_readded())
+        child = parent.apply_delta(GraphDelta(add_edges=[("d", "e", 1.0)]))
+        assert child.fingerprint == graph_fingerprint(child.graph)
+        assert len(splices) == 1 and splices[0][2] is parent.csr
+
+    def test_a_parent_without_a_view_is_not_made_to_build_one(self):
+        # A root mints its chain fingerprint from its view; a delta-derived
+        # parent mints its own without building one.
+        root = Session(_strings_edge_readded())
+        parent = root.apply_delta(GraphDelta(remove_edges=[("a", "b")]))
+        child = parent.apply_delta(GraphDelta(add_nodes=["z"]))
+        assert child.fingerprint == graph_fingerprint(child.graph)
+        assert parent.stats.csr_builds == 0 and parent._csr is None
+
+    def test_unrelated_node_order_builds_in_full(self):
+        parent = graph_to_csr(_strings_edge_readded())
+        other = _out_of_order_ints()
+        view = graph_to_csr(other, parent=parent, touched=())
+        _assert_same_view(view, graph_to_csr(other))
+        assert csr_fingerprint(view) == graph_fingerprint(other)
+
+    def test_zero_weight_loop_stores_positive_zero(self):
+        graph = _int_labels()
+        view = graph_to_csr(graph)
+        delta = GraphDelta(set_weights=[(2, 2, 0.0), (6, 6, 0.0)])
+        child = apply_delta(graph, delta)
+        child.add_edge(1, 1, -0.0)     # -0.0 passes the weight check
+        spliced = graph_to_csr(child, parent=view, touched={1, 2, 6})
+        assert not np.signbit(spliced.loops).any()
+        _assert_same_view(spliced, graph_to_csr(child))
+
+    def test_a_touched_set_missing_a_changed_row_fails(self):
+        graph = _int_labels()
+        view = graph_to_csr(graph)
+        child = apply_delta(graph, GraphDelta(remove_edges=[(0, 1)]))
+        with pytest.raises(GraphError, match="miss a changed row"):
+            graph_to_csr(child, parent=view, touched={0})
+
+    def test_a_touched_label_outside_the_graph_fails(self):
+        graph = _int_labels()
+        view = graph_to_csr(graph)
+        with pytest.raises(GraphError, match="not nodes of the graph"):
+            graph_to_csr(graph.copy(), parent=view, touched={"0"})

@@ -28,6 +28,7 @@ from repro.errors import (
     WireFormatError,
 )
 from repro.graph.datasets import load_dataset
+from repro.graph.delta import GraphDelta
 from repro.graph.io import to_dict as graph_to_dict
 from repro.problems import CorenessProblem, register_problem
 from repro.serve.client import ServeClient, solve_many
@@ -120,6 +121,44 @@ class TestGraphResources:
     def test_unroutable_path_is_404(self, client):
         with pytest.raises(UnknownResourceError):
             client._request("GET", "/nope")
+
+
+def _counting(fn, calls):
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+class TestUploadBuildsTheViewOnce:
+    def test_upload_and_first_job_share_one_view(self, tmp_path, monkeypatch):
+        import repro.graph.csr as csr_module
+        import repro.serve.http as http_module
+        import repro.session as session_module
+
+        calls = {"graph_to_csr": [], "csr_fingerprint": [], "_splice": []}
+        for module in (csr_module, session_module, http_module):
+            for name, seen in calls.items():
+                if name in vars(module):
+                    monkeypatch.setattr(module, name,
+                                        _counting(getattr(module, name), seen))
+        with ReproHTTPServer(workers=2, store=tmp_path / "store") as srv, \
+                ServeClient(srv.host, srv.port) as cli:
+            fp = cli.upload_dataset("caveman")
+            cli.result(cli.submit(fp, problem="coreness", rounds=6)["job"])
+            assert len(calls["graph_to_csr"]) == 1
+            assert len(calls["csr_fingerprint"]) == 1
+
+            runner = srv.queue.runner
+            opened = runner.cached_graphs
+            assert cli.upload_dataset("caveman") == fp
+            assert runner.cached_graphs == opened
+            assert cli.graph(fp)["uploads"] == 2
+
+            # The uploaded graph's session holds its view, so a delta's child
+            # splices its own from it.
+            cli.apply_delta(fp, GraphDelta(add_nodes=["new"]))
+            assert len(calls["_splice"]) == 1
 
 
 class TestJobLifecycle:
