@@ -9,8 +9,10 @@
 # fresh session whose full CSR build must find the artifacts stored under
 # the spliced view's fingerprint), the `repro cache` CLI smoke, the HTTP
 # serve smoke (`repro serve` as a subprocess on an ephemeral port: jobs over
-# a real socket, /metrics in both JSON and Prometheus exposition, graceful
-# SIGTERM drain with no staging files left in the store), the densest
+# a real socket, each answer fetched with include=result and compared with
+# the same request's to_dict() in-process, /metrics in both JSON and
+# Prometheus exposition, graceful SIGTERM drain with no staging files left
+# in the store), the densest
 # fast-path smoke (phases 2-4 on the CSR kernels, bit-identical to the
 # faithful 4-phase simulator pipeline), the observability smoke (a traced
 # solve exported to Chrome trace format plus a non-empty `repro trace

@@ -3,7 +3,9 @@
 
 Launches ``python -m repro serve`` as a real subprocess on an ephemeral
 port backed by a throwaway store, then over a real socket: uploads the
-caveman dataset, runs one job per registered problem, checks ``/metrics``
+caveman dataset, runs one job per registered problem, fetches each answer
+with ``include=result`` and compares it with ``to_dict()`` of the same
+request solved by an in-process ``Session`` on the same dataset, checks ``/metrics``
 accounting (both the JSON document and the Prometheus text exposition),
 checks that the median of 20 ``/health`` round trips stays under
 ``MAX_HEALTH_RTT`` seconds (half the ~40 ms delayed-ACK stall a server
@@ -24,6 +26,7 @@ import signal
 import statistics
 import subprocess
 import sys
+import json
 import tempfile
 import time
 import urllib.request
@@ -31,10 +34,14 @@ import urllib.request
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.graph.datasets import load_dataset  # noqa: E402
 from repro.serve.client import ServeClient  # noqa: E402
+from repro.session import Session  # noqa: E402
 
 BANNER = re.compile(r"listening on http://([^:]+):(\d+)")
+DATASET = "caveman"
 PROBLEMS = ("coreness", "orientation", "densest")
+ROUNDS = 6
 MAX_HEALTH_RTT = 0.020
 SAMPLE_LINE = re.compile(
     r'^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? [^ ]+$')
@@ -102,13 +109,19 @@ def main() -> int:
             cwd=REPO_ROOT, env=env)
         try:
             host, port = wait_for_banner(proc)
+            local = Session(load_dataset(DATASET))
             with ServeClient(host, port) as client:
-                fingerprint = client.upload_dataset("caveman")
-                jobs = [client.submit(fingerprint, problem=problem, rounds=6)
+                fingerprint = client.upload_dataset(DATASET)
+                jobs = [client.submit(fingerprint, problem=problem,
+                                      rounds=ROUNDS)
                         for problem in PROBLEMS]
-                for issued in jobs:
-                    doc = client.result(issued["job"])
+                for problem, issued in zip(PROBLEMS, jobs):
+                    doc = client.result(issued["job"], include_result=True)
                     assert doc["status"] == "done", doc
+                    expected = json.loads(json.dumps(
+                        local.solve(problem, rounds=ROUNDS).to_dict()))
+                    assert doc["result"] == expected, \
+                        f"{problem}: the wire answer differs from in-process"
                 metrics = client.metrics()
                 serve = metrics["serve"]
                 assert serve["submitted"] == len(PROBLEMS), serve
@@ -140,6 +153,7 @@ def main() -> int:
             print("serve smoke: store is empty after the run", file=sys.stderr)
             return 1
     print(f"serve smoke: {len(PROBLEMS)} problems over the wire, "
+          "each answer equal to the in-process one, "
           f"{families} prometheus families parsed, "
           f"median /health round trip {rtt * 1e3:.2f} ms, graceful drain, "
           "no staging files left behind")

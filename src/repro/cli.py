@@ -53,6 +53,14 @@ from repro.session import Session
 from repro.store import ArtifactStore
 
 
+def _count(text: str) -> int:
+    """An argparse type for a non-negative int."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -107,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "coreness", help="approximate coreness / maximal density per node (Theorem I.1)")
     add_graph_arguments(coreness_parser)
     add_engine_argument(coreness_parser)
-    coreness_parser.add_argument("--top", type=int, default=10,
+    coreness_parser.add_argument("--top", type=_count, default=10,
                                  help="number of top nodes to print (default 10)")
     coreness_parser.add_argument("--lam", type=float, default=0.0,
                                  help="Lambda-grid parameter for message-size reduction")

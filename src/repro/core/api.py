@@ -23,10 +23,10 @@ implement the uniform ``to_dict()`` JSON protocol of :mod:`repro.problems`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Optional, Tuple
+from typing import Hashable, MutableMapping, Optional, Tuple
 
 from repro.core.densest import WeakDensestResult
-from repro.core.orientation import Orientation
+from repro.core.orientation import Orientation, max_value_of
 from repro.core.surviving import SurvivingNumbers
 from repro.engine.base import EngineLike
 from repro.errors import AlgorithmError
@@ -37,9 +37,17 @@ from repro.utils.serialize import json_node, json_value_pairs
 
 @dataclass
 class CorenessResult:
-    """Approximate coreness / maximal-density values for every node."""
+    """Approximate coreness / maximal-density values for every node.
 
-    values: Dict[Hashable, float]   #: the surviving numbers ``b_v``
+    ``values`` is the result's own mapping: a write to it reaches no other
+    result and not the session's cached
+    :class:`~repro.core.surviving.SurvivingNumbers`.  On the trajectory
+    engines it is a :class:`~repro.core.orientation.NodeValues` sharing the
+    read-only value array, and its label dict is built on the first keyed
+    read or write; ``max_value`` and ``to_dict()`` read the array.
+    """
+
+    values: MutableMapping[Hashable, float]   #: the surviving numbers ``b_v``
     rounds: int                     #: rounds executed
     guarantee: float                #: proven factor ``2·n^(1/T)`` (modulo the 1+λ slack)
     lam: float                      #: the Λ-grid parameter used
@@ -57,13 +65,16 @@ class CorenessResult:
         (so integer nodes rank numerically: 9 before 10), falling back to the
         lexicographic order of ``repr(node)`` only when the node set mixes
         unorderable types — see :func:`repro.utils.ordering.rank_by_value`.
+        A negative ``k`` raises :class:`~repro.errors.AlgorithmError`.
         """
+        if k < 0:
+            raise AlgorithmError(f"top_nodes needs k >= 0, got {k}")
         return tuple(rank_by_value(self.values)[:k])
 
     @property
     def max_value(self) -> float:
         """The largest surviving number (the batch/CLI objective)."""
-        return max(self.values.values()) if self.values else 0.0
+        return max_value_of(self.values)
 
     def to_dict(self) -> dict:
         """JSON-serializable form (uniform result protocol of :mod:`repro.problems`)."""
@@ -111,10 +122,16 @@ def approximate_coreness(graph: Graph, *, epsilon: Optional[float] = None,
 
 @dataclass
 class OrientationResult:
-    """Approximate min-max edge orientation."""
+    """Approximate min-max edge orientation.
+
+    ``values`` is the result's own mapping, as in :class:`CorenessResult`.
+    The orientation's ``assignment`` and ``in_weight`` are arrays on the CSR
+    view's ids behind mappings whose label dicts are built on the first
+    keyed read or write; ``max_in_weight`` and ``to_dict()`` read the arrays.
+    """
 
     orientation: Orientation        #: the explicit edge assignment
-    values: Dict[Hashable, float]   #: the surviving numbers that produced it
+    values: MutableMapping[Hashable, float]   #: the surviving numbers that produced it
     rounds: int                     #: rounds executed
     guarantee: float                #: proven factor ``2·n^(1/T)``
     surviving: Optional[SurvivingNumbers] = None  #: full lower-level result

@@ -55,6 +55,7 @@ from repro.core.aggregation import (
 )
 from repro.core.bfs import BFSOutput, run_bfs_construction, total_bfs_rounds
 from repro.core.local_elimination import LocalEliminationOutput, run_local_elimination
+from repro.core.orientation import value_array
 from repro.core.rounds import guarantee_after_rounds, rounds_for_epsilon, rounds_for_gamma
 from repro.core.surviving import SurvivingNumbers, run_compact_elimination
 from repro.errors import AlgorithmError
@@ -181,16 +182,6 @@ def _collect_reference_outputs(agg_outputs: Dict[Hashable, "AggregationOutput"],
     return subsets, reported, node_assignment
 
 
-def _phase1_values_array(surviving: SurvivingNumbers, csr: CSRAdjacency) -> np.ndarray:
-    """The Phase-1 surviving numbers as a float64 vector aligned with the CSR ids."""
-    trajectory = surviving.trajectory
-    if (trajectory is not None and surviving.node_order == csr.labels()
-            and trajectory.shape[0] > surviving.rounds):
-        return np.ascontiguousarray(trajectory[surviving.rounds], dtype=np.float64)
-    values = surviving.values
-    return np.array([values[label] for label in csr.labels()], dtype=np.float64)
-
-
 def _array_phases(graph: Graph, surviving: SurvivingNumbers, T: int, factor: float,
                   csr: Optional[CSRAdjacency],
                   ) -> Tuple[Dict[Hashable, set], Dict[Hashable, float],
@@ -206,7 +197,7 @@ def _array_phases(graph: Graph, surviving: SurvivingNumbers, T: int, factor: flo
     if csr is None:
         csr = graph_to_csr(graph)
     labels = csr.labels()
-    values = _phase1_values_array(surviving, csr)
+    values = value_array(surviving.values, labels)
     forest, num, _deg, decision = densest_phases(csr, values, T, factor)
 
     members = np.flatnonzero(decision.sigma)

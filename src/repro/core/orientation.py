@@ -19,16 +19,17 @@ resolution preserves the guarantee because dropping load only helps.
 This module turns the ``N_v`` sets (or a surviving-number trajectory from the
 vectorised engine) into an explicit :class:`Orientation` and evaluates it.  The
 sets themselves live on the integer ids of a CSR view as :class:`KeptSets`,
-from the trajectory to the orientation; label tuples are built only when a
-caller reads them.
+from the trajectory to the orientation, and so do the answers: per-node values
+(:class:`NodeValues`) and the edge assignment (:class:`EdgeOwners`).  Each is
+a mapping whose label dict is built only when a caller reads it by label.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import ItemsView, Mapping, MutableMapping, ValuesView
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,7 +46,32 @@ def canonical_edge(u: Hashable, v: Hashable) -> EdgeKey:
     return (u, v) if repr(u) <= repr(v) else (v, u)
 
 
-class KeptSets(Mapping):
+class _LabelDict(Mapping):
+    """Build-once plumbing of the mappings over a CSR view's ids.
+
+    A subclass keeps its data as arrays on integer node ids and gives
+    :meth:`_build`, the label dict those arrays stand for.  The dict is built
+    on the first keyed read (``[]``, ``in``, ``get``) and kept.  Two threads
+    that build it at once build equal dicts and the first one stored wins,
+    so there is no lock.
+    """
+
+    _dict: Optional[dict] = None   #: the label dict, once built
+
+    def _build(self) -> dict:
+        raise NotImplementedError
+
+    def _by_label(self) -> dict:
+        built = self._dict
+        if built is None:
+            built = vars(self).setdefault("_dict", self._build())
+        return built
+
+    def __getitem__(self, key):
+        return self._by_label()[key]
+
+
+class KeptSets(_LabelDict):
     """The auxiliary subsets ``N_v`` of every node, as a CSR of node ids.
 
     A read-only mapping from node label to the tuple ``N_v`` over three
@@ -60,9 +86,8 @@ class KeptSets(Mapping):
 
     The label dict is built once, on first access (one ``tolist()`` and one
     slice per row); iterating the labels or reading ``len`` does not build
-    it.  Two threads that build it at once produce equal dicts, so there is
-    no lock.  :func:`orientation_from_kept` reads ``entries`` directly and
-    never builds the tuples.
+    it.  :func:`orientation_from_kept` reads ``entries`` directly and never
+    builds the tuples.
     """
 
     def __init__(self, labels: Sequence[Hashable], indptr: np.ndarray,
@@ -73,7 +98,6 @@ class KeptSets(Mapping):
         self.members = _read_only(members)
         self.entries = None if entries is None else _read_only(entries)
         self.view = view   #: the CSR view ``entries`` index (identity only)
-        self._tuples: Optional[Dict[Hashable, Tuple[Hashable, ...]]] = None
 
     @classmethod
     def empty(cls, labels: Sequence[Hashable], *,
@@ -105,19 +129,12 @@ class KeptSets(Mapping):
         np.cumsum(np.bincount(claimants[known], minlength=n), out=indptr[1:])
         return cls(labels, indptr, members[known][by_claimant])
 
-    def _by_label(self) -> Dict[Hashable, Tuple[Hashable, ...]]:
-        tuples = self._tuples
-        if tuples is None:
-            labels = self.labels
-            flat = tuple(map(labels.__getitem__, self.members.tolist()))
-            bounds = self.indptr.tolist()
-            tuples = dict(zip(labels, map(flat.__getitem__,
-                                          map(slice, bounds, bounds[1:]))))
-            self._tuples = tuples
-        return tuples
-
-    def __getitem__(self, label: Hashable) -> Tuple[Hashable, ...]:
-        return self._by_label()[label]
+    def _build(self) -> Dict[Hashable, Tuple[Hashable, ...]]:
+        labels = self.labels
+        flat = tuple(map(labels.__getitem__, self.members.tolist()))
+        bounds = self.indptr.tolist()
+        return dict(zip(labels, map(flat.__getitem__,
+                                    map(slice, bounds, bounds[1:]))))
 
     def __iter__(self):
         return iter(self.labels)
@@ -135,6 +152,168 @@ class KeptSets(Mapping):
         return f"KeptSets({self._by_label()!r})"
 
 
+class _ArrayDict(_LabelDict, MutableMapping):
+    """A label dict over read-only arrays, built only when read by key or
+    written.
+
+    Until the first write or delete, iteration, ``len``, ``keys()``,
+    ``values()`` and ``items()`` read the arrays and build nothing.  A write
+    or a delete builds the dict, applies to it and marks the mapping edited:
+    from then on the dict answers every read.  :meth:`copy` shares the
+    arrays; it copies the dict only when the mapping was edited, so two
+    copies never share a dict.  A subclass gives the keys, the values and
+    the count off its arrays.
+    """
+
+    _edited = False   #: written to: the dict, not the arrays, is the answer
+
+    def _keys(self) -> Iterator:
+        raise NotImplementedError
+
+    def _values(self) -> Iterator:
+        raise NotImplementedError
+
+    def _size(self) -> int:
+        raise NotImplementedError
+
+    def _build(self) -> dict:
+        return dict(zip(self._keys(), self._values()))
+
+    def _edit(self) -> dict:
+        built = self._by_label()
+        self._edited = True
+        return built
+
+    def __setitem__(self, key, value) -> None:
+        self._edit()[key] = value
+
+    def __delitem__(self, key) -> None:
+        del self._edit()[key]
+
+    def popitem(self):
+        return self._edit().popitem()   # the last item, as dict.popitem
+
+    def __iter__(self):
+        return iter(self._dict) if self._edited else self._keys()
+
+    def __len__(self) -> int:
+        return len(self._dict) if self._edited else self._size()
+
+    def values(self):
+        return _ArrayValues(self)
+
+    def items(self):
+        return _ArrayItems(self)
+
+    def copy(self):
+        """The same mapping on the same arrays, with a dict of its own."""
+        twin = object.__new__(type(self))
+        vars(twin).update(vars(self))
+        vars(twin).pop("_dict", None)
+        if self._edited:
+            twin._dict = dict(self._dict)
+        return twin
+
+    __copy__ = copy
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self.items())!r})"
+
+
+class _ArrayValues(ValuesView):
+    def __iter__(self):
+        mapping = self._mapping
+        return (iter(mapping._dict.values()) if mapping._edited
+                else mapping._values())
+
+
+class _ArrayItems(ItemsView):
+    def __iter__(self):
+        mapping = self._mapping
+        return (iter(mapping._dict.items()) if mapping._edited
+                else zip(mapping._keys(), mapping._values()))
+
+
+class NodeValues(_ArrayDict):
+    """One float per node, as a label dict over a float64 array.
+
+    ``array[i]`` is the value of node ``labels[i]``, so the mapping equals
+    ``dict(zip(labels, array.tolist()))``, key order and float bits
+    included.  The trajectory engines hold the surviving numbers ``b_v``
+    this way, and :func:`orientation_from_kept` the in-weights.  ``array``
+    is a read-only copy of what the constructor is given.
+    """
+
+    def __init__(self, labels: Sequence[Hashable], array) -> None:
+        self.labels: Tuple[Hashable, ...] = tuple(labels)
+        self.array = np.array(array, dtype=np.float64)
+        self.array.flags.writeable = False
+
+    def _keys(self) -> Iterator:
+        return iter(self.labels)
+
+    def _values(self) -> Iterator:
+        return iter(self.array.tolist())
+
+    def _size(self) -> int:
+        return len(self.labels)
+
+
+class EdgeOwners(_ArrayDict):
+    """``Orientation.assignment`` as a label dict over three int64 id arrays.
+
+    Edge ``i`` has the key ``(labels[first[i]], labels[second[i]])``, in
+    :func:`canonical_edge` order, and is oriented towards
+    ``labels[owner[i]]``.  The edges are in :meth:`Graph.edges` order.
+    """
+
+    def __init__(self, labels: Sequence[Hashable], first: np.ndarray,
+                 second: np.ndarray, owner: np.ndarray) -> None:
+        self.labels: Tuple[Hashable, ...] = tuple(labels)
+        self.first = _read_only(first)
+        self.second = _read_only(second)
+        self.owner = _read_only(owner)
+
+    def _label_array(self) -> np.ndarray:
+        # A gather from an object array beats a Python call per lookup.
+        return np.fromiter(self.labels, dtype=object, count=len(self.labels))
+
+    def _keys(self) -> Iterator:
+        labels = self._label_array()
+        return zip(labels[self.first].tolist(), labels[self.second].tolist())
+
+    def _values(self) -> Iterator:
+        return iter(self._label_array()[self.owner].tolist())
+
+    def _size(self) -> int:
+        return len(self.owner)
+
+
+def max_value_of(values: Mapping[Hashable, float]) -> float:
+    """``max(values.values())``, or 0.0 when there are none.
+
+    An unedited :class:`NodeValues` answers from its array: ``np.argmax``
+    takes the first maximal value in label order, the one ``max()`` over the
+    dict returns (``-0.0`` before an equal ``0.0`` included).
+    """
+    if isinstance(values, NodeValues) and not values._edited:
+        array = values.array
+        return float(array[array.argmax()]) if len(array) else 0.0
+    return max(values.values()) if values else 0.0
+
+
+def value_array(values: Mapping[Hashable, float],
+                labels: Sequence[Hashable]) -> np.ndarray:
+    """``values`` in the order of ``labels`` as float64 (a missing label
+    reads 0.0): the array itself of an unedited :class:`NodeValues` on
+    ``labels``, read-only."""
+    if (isinstance(values, NodeValues) and not values._edited
+            and (values.labels is labels or values.labels == tuple(labels))):
+        return values.array
+    return np.fromiter(map(values.get, labels, repeat(0.0)), dtype=np.float64,
+                       count=len(labels))
+
+
 def _read_only(array) -> np.ndarray:
     array = np.asarray(array, dtype=np.int64)
     array.flags.writeable = False
@@ -148,10 +327,15 @@ class Orientation:
     ``assignment[e] = v`` means edge ``e`` is oriented *towards* ``v`` (``v`` pays
     its weight in the min-max objective).  Self-loops are charged to their single
     endpoint and recorded in ``loop_weight``.
+
+    :func:`orientation_from_kept` returns ``assignment`` as an
+    :class:`EdgeOwners` and ``in_weight`` as a :class:`NodeValues`: mappings
+    over arrays on the CSR view's ids whose label dicts are built on the
+    first keyed read or write.  The baselines pass plain dicts.
     """
 
-    assignment: Dict[EdgeKey, Hashable]
-    in_weight: Dict[Hashable, float]
+    assignment: MutableMapping[EdgeKey, Hashable]
+    in_weight: MutableMapping[Hashable, float]
     conflicts: int = 0        #: edges claimed by both endpoints (resolved arbitrarily)
     violations: int = 0       #: edges claimed by neither endpoint (invariant 2 failures)
     loop_weight: Dict[Hashable, float] = field(default_factory=dict)
@@ -159,9 +343,7 @@ class Orientation:
     @property
     def max_in_weight(self) -> float:
         """The objective value: the maximum weighted in-degree over all nodes."""
-        if not self.in_weight:
-            return 0.0
-        return max(self.in_weight.values())
+        return max_value_of(self.in_weight)
 
     def owner(self, u: Hashable, v: Hashable) -> Hashable:
         """The endpoint that edge ``{u, v}`` is assigned to."""
@@ -169,7 +351,7 @@ class Orientation:
 
 
 def orientation_from_kept(graph: Graph, kept: Mapping[Hashable, Sequence[Hashable]],
-                          values: Optional[Dict[Hashable, float]] = None, *,
+                          values: Optional[Mapping[Hashable, float]] = None, *,
                           csr: Optional[CSRAdjacency] = None) -> Orientation:
     """Build an :class:`Orientation` from the per-node auxiliary subsets.
 
@@ -214,7 +396,9 @@ def orientation_from_kept(graph: Graph, kept: Mapping[Hashable, Sequence[Hashabl
     owners then go to one ``np.bincount``, which sums every node's load in
     edge order, so the result equals the original per-edge loop (kept as
     the test oracle in ``tests/oracles.py``) field for field, dict key order
-    included, for every weight.
+    included, for every weight.  The owners and the loads stay arrays, in
+    an :class:`EdgeOwners` and a :class:`NodeValues`; no label dict is
+    built unless a caller reads one by label.
     """
     if csr is None:
         csr = graph_to_csr(graph)
@@ -237,8 +421,7 @@ def orientation_from_kept(graph: Graph, kept: Mapping[Hashable, Sequence[Hashabl
     ranks = _repr_ranks(csr)
     if neither.any():
         if values is not None:
-            node_values = np.fromiter(map(values.get, labels, repeat(0.0)),
-                                      dtype=np.float64, count=n)
+            node_values = value_array(values, labels)
             u_wins = node_values[us] >= node_values[vs]
         else:
             u_wins = ranks[us] <= ranks[vs]   # canonical_edge(u, v)[0]
@@ -268,12 +451,10 @@ def orientation_from_kept(graph: Graph, kept: Mapping[Hashable, Sequence[Hashabl
     # in edges() order, as the per-edge loop does; loops are added last.
     in_weight = np.bincount(owner, weights=ws, minlength=n) + csr.loops
     swap = ranks[us] > ranks[vs]
-    label_array = np.fromiter(labels, dtype=object, count=n)
-    keys = zip(label_array[np.where(swap, vs, us)].tolist(),
-               label_array[np.where(swap, us, vs)].tolist())
     return Orientation(
-        assignment=dict(zip(keys, label_array[owner].tolist())),
-        in_weight=dict(zip(labels, in_weight.tolist())),
+        assignment=EdgeOwners(labels, np.where(swap, vs, us),
+                              np.where(swap, us, vs), owner),
+        in_weight=NodeValues(labels, in_weight),
         conflicts=conflicts, violations=int(neither.sum()),
         loop_weight={v: 0.0 + w for v, w in graph.self_loops().items()})
 

@@ -126,9 +126,17 @@ class CompactEliminationProtocol(NodeProtocol):
 
 @dataclass
 class SurvivingNumbers:
-    """Result of running the compact elimination procedure for ``T`` rounds."""
+    """Result of running the compact elimination procedure for ``T`` rounds.
 
-    values: Dict[Hashable, float]                   #: ``b_v`` per node
+    The trajectory engines and store reloads return ``values`` as a
+    :class:`~repro.core.orientation.NodeValues`: a read-only float64 array
+    on the CSR view's ids (a copy of the trajectory's last row) behind a
+    mapping whose label dict is built on the first keyed read.  The faithful
+    engine returns a plain dict.  A cached result is shared between
+    identical requests; the problem results take ``values.copy()``.
+    """
+
+    values: Mapping[Hashable, float]                #: ``b_v`` per node
     #: ``N_v`` per node, read-only; every set is empty when untracked.  The
     #: trajectory engines return a :class:`~repro.core.orientation.KeptSets`
     #: whose per-node tuples are built on the first read; the faithful

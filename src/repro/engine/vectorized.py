@@ -68,15 +68,19 @@ class TrajectoryEngine(Engine):
         The single assembly path for trajectory-backed results: the engines
         call it after computing rounds, and :class:`repro.session.Session`
         calls it when a request is served entirely from a cached trajectory —
-        keeping both field-for-field identical by construction.  The kept
-        sets are a :class:`~repro.core.orientation.KeptSets` on ``csr``
-        (empty when ``track_kept`` is off).
+        keeping both field-for-field identical by construction.  The values
+        are a :class:`~repro.core.orientation.NodeValues` over a copy of the
+        trajectory's last row, so the answer does not depend on where the
+        trajectory lives (RAM or a ``.traj`` memmap), and the kept sets a
+        :class:`~repro.core.orientation.KeptSets` on ``csr`` (empty when
+        ``track_kept`` is off).
         """
-        from repro.core.orientation import KeptSets, kept_sets_from_trajectory
+        from repro.core.orientation import (KeptSets, NodeValues,
+                                            kept_sets_from_trajectory)
         from repro.core.surviving import SurvivingNumbers
 
         labels = csr.labels()
-        values = dict(zip(labels, trajectory[rounds].tolist()))
+        values = NodeValues(labels, trajectory[rounds])
         if track_kept:
             kept = kept_sets_from_trajectory(csr, trajectory, tie_break=tie_break)
         else:

@@ -204,7 +204,7 @@ class CorenessProblem(Problem):
         surv = session.surviving(epsilon=epsilon, gamma=gamma, rounds=rounds,
                                  lam=lam, tie_break=tie_break,
                                  track_kept=track_kept)
-        return CorenessResult(values=dict(surv.values), rounds=surv.rounds,
+        return CorenessResult(values=surv.values.copy(), rounds=surv.rounds,
                               guarantee=surv.guarantee, lam=surv.grid.lam,
                               surviving=surv)
 
@@ -233,7 +233,7 @@ class OrientationProblem(Problem):
                                  lam=0.0, tie_break=tie_break, track_kept=True)
         orientation = orientation_from_kept(session.graph, surv.kept,
                                             values=surv.values, csr=session.csr)
-        return OrientationResult(orientation=orientation, values=dict(surv.values),
+        return OrientationResult(orientation=orientation, values=surv.values.copy(),
                                  rounds=surv.rounds, guarantee=surv.guarantee,
                                  surviving=surv)
 

@@ -62,7 +62,7 @@ from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.orientation import KeptSets
+from repro.core.orientation import KeptSets, NodeValues
 from repro.core.rounding import LambdaGrid
 from repro.core.surviving import SurvivingNumbers
 from repro.errors import StoreError
@@ -321,7 +321,8 @@ class ArtifactStore:
         ``labels`` and ``grid`` come from the caller's live graph — the
         fingerprint guarantees they match what was stored, so the file only
         carries arrays.  The reloaded result is value- and kept-identical to
-        the stored one, its kept sets a
+        the stored one, its values a
+        :class:`~repro.core.orientation.NodeValues` and its kept sets a
         :class:`~repro.core.orientation.KeptSets` over the stored arrays;
         the simulator's per-round ``message_stats`` are not persisted
         (``stats_summary`` is).  Untracked kept sets load empty, whatever
@@ -352,7 +353,7 @@ class ArtifactStore:
                     or (kept_indices.size and not (
                         0 <= kept_indices.min() and kept_indices.max() < n))):
                 return None
-            values = {label: float(values_array[i]) for i, label in enumerate(labels)}
+            values = NodeValues(labels, values_array)
             if track_kept:
                 kept = KeptSets(labels, kept_indptr, kept_indices)
             else:

@@ -91,6 +91,14 @@ class TestTopNodesTieBreak:
         # repr order: "'x'" < "(1, 2)" < "2"; deterministic, no TypeError.
         assert result.top_nodes(3) == ("x", (1, 2), 2)
 
+    def test_negative_count_is_rejected(self):
+        # A slice [:-1] used to drop the last node silently.
+        result = self._result({"a": 1.0, "b": 2.0, "c": 3.0})
+        with pytest.raises(AlgorithmError, match="k >= 0"):
+            result.top_nodes(-1)
+        assert result.top_nodes(0) == ()
+        assert result.top_nodes(5) == ("c", "b", "a")
+
 
 class TestNodeOrderStability:
     def test_node_order_is_insertion_order(self):

@@ -54,6 +54,16 @@ class TestCorenessCommand:
                     out=io.StringIO())
         assert code == 2
 
+    def test_negative_top_is_rejected(self, k6_file, capsys):
+        # --top -1 used to print every row but the last.
+        out = io.StringIO()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["coreness", "--input", str(k6_file), "--rounds", "2",
+                  "--top", "-1"], out=out)
+        assert excinfo.value.code == 2
+        assert "--top" in capsys.readouterr().err
+        assert out.getvalue() == ""
+
 
 class TestOrientationCommand:
     def test_reports_objective(self, k6_file):

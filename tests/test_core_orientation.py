@@ -2,17 +2,25 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analysis.invariants import check_orientation_invariants
 from repro.baselines.exact_orientation import exact_orientation_unweighted, lp_lower_bound
-from repro.core.api import approximate_orientation
+from repro.core.api import CorenessResult, approximate_orientation
 from repro.core.orientation import (
+    EdgeOwners,
     KeptSets,
+    NodeValues,
     canonical_edge,
     check_feasible,
     kept_sets_from_trajectory,
+    max_value_of,
     orientation_from_kept,
     orientation_from_values_greedy,
 )
@@ -24,6 +32,7 @@ from repro.graph.generators.random_graphs import barabasi_albert, erdos_renyi_gn
 from repro.graph.generators.structured import complete_graph, cycle_graph, star_graph
 from repro.graph.generators.weights import with_uniform_integer_weights
 from repro.graph.graph import Graph
+from repro.session import Session
 from oracles import orientation_from_kept_reference
 from test_engine_equivalence import CORPUS
 
@@ -203,7 +212,7 @@ class TestKeptSets:
         orientation_from_kept(ba_weighted, kept, csr=csr)
         labels = csr.labels()
         assert list(kept) == list(labels) and len(kept) == len(labels)
-        assert kept._tuples is None   # built only when a tuple is read
+        assert kept._dict is None   # built only when a tuple is read
         assert list(kept.items()) == [
             (label, tuple(labels[j] for j in
                           kept.members[kept.indptr[i]:kept.indptr[i + 1]]))
@@ -266,6 +275,221 @@ class TestKeptSets:
                                   csr=other),
             orientation_from_kept_reference(ba_weighted, surv.kept,
                                             values=surv.values))
+
+
+#: Edge and loop weights for the lazy-answer properties: zeros, dyadic and
+#: non-dyadic values.
+ANSWER_WEIGHTS = (0.0, 0.5, 1.0, 2.0, 0.1, 1.0 / 3.0, 7.25)
+
+
+@st.composite
+def labelled_graphs(draw):
+    """Small graphs with int, str or tuple labels inserted in a shuffled
+    order, with zero weights and self-loops (zero-weight loops included)."""
+    kind = draw(st.sampled_from(["int", "str", "tuple"]))
+    n = draw(st.integers(min_value=1, max_value=9))
+    name = {"int": lambda i: 5 * i - 7, "str": lambda i: f"v{i}",
+            "tuple": lambda i: (i % 3, f"t{i}")}[kind]
+    labels = [name(i) for i in draw(st.permutations(range(n)))]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    weights = st.sampled_from(ANSWER_WEIGHTS)
+    edges = draw(st.lists(st.one_of(st.none(), weights),
+                          min_size=len(pairs), max_size=len(pairs)))
+    loops = draw(st.lists(st.one_of(st.none(), weights), min_size=n, max_size=n))
+    graph = Graph(nodes=labels)
+    for (i, j), w in zip(pairs, edges):
+        if w is not None:
+            graph.add_edge(labels[i], labels[j], w)
+    for i, w in enumerate(loops):
+        if w is not None:
+            graph.add_edge(labels[i], labels[i], w)
+    return graph
+
+
+#: One random edit: (operation, key index, a float for value writes).
+EDITS = st.lists(st.tuples(
+    st.sampled_from(["set", "new", "del", "pop", "popitem", "setdefault"]),
+    st.integers(min_value=0, max_value=100),
+    st.sampled_from([-0.0, 0.0, 1.5, -3.0, 1e300, 0.1])), max_size=8)
+
+
+def _assert_same_dict(mapping, expected):
+    """``mapping`` reads as the dict ``expected``: key order, float bits
+    (via ``repr``), ``==`` both ways, ``len``, ``in``, ``get``, views."""
+    assert list(map(repr, mapping.items())) == list(map(repr, expected.items()))
+    assert list(mapping) == list(expected)
+    assert list(mapping.keys()) == list(expected.keys())
+    assert list(map(repr, mapping.values())) == list(map(repr, expected.values()))
+    assert mapping == expected and expected == mapping
+    assert not (mapping != expected) and not (expected != mapping)
+    assert len(mapping) == len(expected)
+    for key, value in expected.items():
+        assert key in mapping
+        assert repr(mapping.get(key)) == repr(value)
+        assert repr(mapping[key]) == repr(value)
+    assert ("no such key",) not in mapping
+    assert mapping.get(("no such key",), "default") == "default"
+
+
+def _edit(edits, mapping, plain, new_value):
+    """Apply the same ``edits`` to ``mapping`` and to the dict ``plain``."""
+    for op, index, number in edits:
+        keys = list(plain)
+        key = keys[index % len(keys)] if keys else ("absent", index)
+        value = new_value(number, index)
+        if op == "set":
+            mapping[key] = plain[key] = value
+        elif op == "new":
+            mapping[("new", index)] = plain[("new", index)] = value
+        elif op == "del":
+            if key in plain:
+                del plain[key]
+                del mapping[key]
+            else:
+                with pytest.raises(KeyError):
+                    del mapping[key]
+        elif op == "pop":
+            assert repr(mapping.pop(key, None)) == repr(plain.pop(key, None))
+        elif op == "popitem":
+            if plain:
+                assert repr(mapping.popitem()) == repr(plain.popitem())
+        else:
+            assert repr(mapping.setdefault(key, value)) == \
+                repr(plain.setdefault(key, value))
+
+
+class TestLazyAnswersEqualEagerDicts:
+    """``NodeValues`` and ``EdgeOwners`` read exactly as the dicts they
+    replace, before and after writes, through the result classes too."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(labelled_graphs(), st.integers(min_value=1, max_value=4),
+           st.sampled_from(["history", "stable", "naive"]), EDITS, EDITS)
+    def test_mappings_match_dicts(self, graph, rounds, tie_break, value_edits,
+                                  edge_edits):
+        session = Session(graph)
+        core = session.coreness(rounds=rounds)
+        result = session.orientation(rounds=rounds, tie_break=tie_break)
+        orientation = result.orientation
+        surv = result.surviving
+        labels = session.csr.labels()
+        assert isinstance(core.values, NodeValues)
+        assert isinstance(result.values, NodeValues)
+        assert isinstance(orientation.in_weight, NodeValues)
+        assert isinstance(orientation.assignment, EdgeOwners)
+
+        # Iteration, len and items() read the arrays and build nothing.
+        for mapping in (core.values, orientation.in_weight,
+                        orientation.assignment):
+            list(mapping), len(mapping), list(mapping.items())
+            list(mapping.values()), max_value_of(orientation.in_weight)
+            assert mapping._dict is None
+
+        values = dict(zip(labels, surv.trajectory[rounds].tolist()))
+        _assert_same_dict(result.values, values)
+        _assert_same_dict(core.values, dict(zip(
+            labels, session.surviving(rounds=rounds).trajectory[rounds].tolist())))
+        _assert_same_dict(orientation.in_weight, dict(zip(
+            labels, orientation.in_weight.array.tolist())))
+        reference = orientation_from_kept_reference(graph, dict(surv.kept),
+                                                    values=values)
+        _assert_same_dict(orientation.assignment, reference.assignment)
+        _assert_same_dict(orientation.in_weight, reference.in_weight)
+        for mapping in (core.values, orientation.in_weight,
+                        orientation.assignment):
+            clone = pickle.loads(pickle.dumps(mapping))
+            _assert_same_dict(clone, dict(mapping.items()))
+
+        # The same results built from plain dicts serialise byte for byte
+        # alike, before and after the same random edits.
+        plain_core = dataclasses.replace(core, values=dict(core.values))
+        plain_result = dataclasses.replace(
+            result, values=dict(result.values),
+            orientation=dataclasses.replace(
+                orientation, assignment=dict(orientation.assignment),
+                in_weight=dict(orientation.in_weight)))
+        for value_ops, edge_ops in (((), ()), (value_edits, edge_edits)):
+            _edit(value_ops, core.values, plain_core.values,
+                  lambda number, index: number)
+            _edit(value_ops, orientation.in_weight,
+                  plain_result.orientation.in_weight,
+                  lambda number, index: number)
+            _edit(edge_ops, orientation.assignment,
+                  plain_result.orientation.assignment,
+                  lambda number, index: labels[index % len(labels)])
+            for mapping, plain in (
+                    (core.values, plain_core.values),
+                    (orientation.in_weight, plain_result.orientation.in_weight),
+                    (orientation.assignment,
+                     plain_result.orientation.assignment)):
+                _assert_same_dict(mapping, plain)
+                _assert_same_dict(pickle.loads(pickle.dumps(mapping)), plain)
+                _assert_same_dict(mapping.copy(), plain)
+            assert repr(core.max_value) == repr(plain_core.max_value)
+            assert repr(result.max_in_weight) == repr(plain_result.max_in_weight)
+            assert json.dumps(core.to_dict()) == json.dumps(plain_core.to_dict())
+            assert json.dumps(result.to_dict()) == \
+                json.dumps(plain_result.to_dict())
+
+    @pytest.mark.parametrize("array, expected", [
+        ([-0.0, 0.0, -1.0], "-0.0"),
+        ([0.0, -0.0], "0.0"),
+        ([1.0, 3.0, 3.0, 2.0], "3.0"),
+        ([], "0.0"),
+    ])
+    def test_max_takes_the_first_maximal_value(self, array, expected):
+        labels = [f"v{i}" for i in range(len(array))]
+        values = NodeValues(labels, array)
+        plain = dict(zip(labels, array))
+        assert repr(max_value_of(values)) == expected
+        assert repr(max_value_of(plain)) == expected
+        assert values._dict is None
+        assert repr(CorenessResult(values=values, rounds=1, guarantee=2.0,
+                                   lam=0.0).max_value) == expected
+
+    def test_racing_first_writes_are_all_kept(self):
+        """Threads racing to build a fresh mapping's dict each write one
+        key: the first dict stored is the one every thread writes into, so
+        no write lands in a dict that is then replaced."""
+        import sys
+        import threading
+
+        labels = list(range(20000))
+        for _ in range(5):
+            values = NodeValues(labels, np.zeros(len(labels)))
+            start = threading.Barrier(8)
+
+            def write(index):
+                start.wait(timeout=10)
+                values[index] = float(index + 1)
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=write, args=(i,))
+                           for i in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert [values[i] for i in range(8)] == [float(i + 1)
+                                                     for i in range(8)]
+
+    def test_copies_own_their_dicts(self):
+        values = NodeValues(["a", "b"], [1.0, 2.0])
+        copy = values.copy()
+        assert copy.array is values.array and not copy.array.flags.writeable
+        values["a"] = 5.0
+        assert copy == {"a": 1.0, "b": 2.0} and copy._dict is None
+        edited = values.copy()
+        edited["b"] = 7.0
+        assert values == {"a": 5.0, "b": 2.0}
+        assert edited == {"a": 5.0, "b": 7.0}
+        assert max_value_of(values) == 5.0 and max_value_of(edited) == 7.0
 
 
 class TestInvariantsFromProtocol:

@@ -403,6 +403,74 @@ class TestPrefixReuse:
         assert session.surviving(rounds=5) is second
 
 
+class TestLazyAnswers:
+    """Answers stay arrays until a caller reads them by label: a solve, its
+    objective and ``to_dict()`` build no per-node dict, and every result
+    owns its mapping."""
+
+    @staticmethod
+    def _label_dicts(result):
+        """The private label dicts of ``result``'s per-node and per-edge
+        mappings (None: not built)."""
+        mappings = [result.values, result.surviving.values]
+        if hasattr(result, "orientation"):
+            mappings += [result.orientation.in_weight,
+                         result.orientation.assignment]
+        return [mapping._dict for mapping in mappings]
+
+    @pytest.mark.parametrize("problem", ["coreness", "orientation"])
+    def test_solve_objective_and_to_dict_build_no_dict(self, ba_weighted,
+                                                       problem):
+        from repro.problems import get_problem
+
+        session = Session(ba_weighted)
+        session.coreness(rounds=6)           # later budgets are slices
+        for rounds in (6, 4):
+            result = session.solve(problem, rounds=rounds)
+            get_problem(problem).objective(result)
+            json.dumps(result.to_dict())
+            assert self._label_dicts(result) == [None] * len(
+                self._label_dicts(result))
+            assert session.solve(problem, rounds=rounds) is result
+            # The values are a copy of the trajectory row, not a view.
+            surv = result.surviving
+            assert not np.shares_memory(surv.values.array, surv.trajectory)
+            assert result.values.array is surv.values.array
+
+    def test_store_reload_builds_no_dict(self, ba_weighted, tmp_path):
+        from repro.store import ArtifactStore
+
+        store = ArtifactStore(tmp_path / "store")
+        first = Session(ba_weighted, engine="faithful", store=store).coreness(
+            rounds=3)
+        reloaded = Session(ba_weighted, engine="faithful",
+                           store=store).coreness(rounds=3)
+        assert reloaded.surviving.values._dict is None
+        assert json.dumps(reloaded.to_dict()) == json.dumps(first.to_dict())
+        assert self._label_dicts(reloaded) == [None, None]
+
+    def test_a_write_reaches_no_other_answer(self, ba_weighted):
+        session = Session(ba_weighted)
+        core = session.coreness(rounds=4)
+        surv = session.surviving(rounds=4)
+        label = next(iter(core.values))
+        before = dict(surv.values)
+        core.values[label] = -1.0
+        del core.values[next(reversed(list(core.values)))]
+        assert core.values[label] == -1.0
+        assert len(core.values) == len(before) - 1
+        assert core.to_dict()["num_nodes"] == len(before) - 1
+        assert session.surviving(rounds=4) is surv
+        assert surv.values == before and not surv.values._edited
+        later = session.orientation(rounds=4)
+        assert later.values == before
+        assert later.values[label] == before[label]
+        later.orientation.in_weight[label] = 1e9
+        assert later.max_in_weight == 1e9
+        assert session.orientation(rounds=4) is later
+        assert session.coreness(rounds=4) is core
+
+
 class TestSessionStats:
     def test_stats_snapshot_is_json_serializable(self, k6):
         session = Session(k6)
