@@ -4,12 +4,15 @@
 # bit-identical to in-memory), the mmap-trajectory smoke (trajectory spilled
 # to the append-only .traj buffer, bit-identical and prefix-resumable), the
 # warm-session throughput benchmark (>= 2x over cold per-call on repeated
-# mixed requests), the persistent-store smoke (second run served from disk,
-# bit-identical; then a chain of three delta versions, each restarted by a
-# fresh session whose full CSR build must find the artifacts stored under
-# the spliced view's fingerprint), the `repro cache` CLI smoke, the HTTP
-# serve smoke (`repro serve` as a subprocess on an ephemeral port: jobs over
-# a real socket, each answer fetched with include=result and compared with
+# mixed requests), the persistent-store smoke (the cold run leaves one
+# append-only trajectory-lam0.0.traj/ and no .npz; second run served from
+# disk, bit-identical; a resumed 2x-rounds run appends without rewriting
+# the stored rows of rows.bin; then a chain of three delta versions, each
+# restarted by a fresh session whose full CSR build must find the artifacts
+# stored under the spliced view's fingerprint), the `repro cache` CLI
+# smoke, the HTTP serve smoke (`repro serve` as a subprocess on an
+# ephemeral port: jobs over a real socket, each answer fetched with
+# include=result and compared with
 # the same request's to_dict() in-process, /metrics in both JSON and
 # Prometheus exposition, graceful SIGTERM drain with no staging files left
 # in the store), the densest

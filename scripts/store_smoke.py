@@ -5,11 +5,14 @@ Runs the same workload twice against one temporary store with *fresh* sessions
 (the second run stands in for a restarted process) and asserts the wire-level
 contract of ``repro.store``:
 
+* the cold run persists its trajectory as the append-only
+  ``trajectory-lam0.0.traj/`` directory, and the store holds no ``.npz``;
 * the second run is served from disk (``disk_hits`` counted, zero cold runs);
 * its results are bit-identical to the first run's (values, kept sets and the
   full trajectory);
 * a stored short trajectory warm-starts a longer budget (prefix reuse
-  composes across restarts);
+  composes across restarts), and extending it appends: the stored rows of
+  ``rows.bin`` keep their bytes;
 * along a chain of three deltas (a new node, a loop, a reweight, a remove
   and re-add), each child's spliced CSR view fingerprints like a full build:
   a fresh session on the child's graph is served from the child's stored
@@ -33,6 +36,7 @@ from repro.graph.delta import GraphDelta  # noqa: E402
 from repro.graph.generators.random_graphs import barabasi_albert  # noqa: E402
 from repro.session import Session  # noqa: E402
 from repro.store import ArtifactStore  # noqa: E402
+from repro.store.traj import rows_path  # noqa: E402
 
 
 def main() -> int:
@@ -44,6 +48,15 @@ def main() -> int:
         cold_session = Session(graph, store=store)
         cold = cold_session.coreness(rounds=rounds)
         assert cold_session.stats.disk_writes >= 1, "cold run persisted nothing"
+        graph_dir = store.graph_dir(cold_session.fingerprint)
+        names = {p.name for p in graph_dir.iterdir()}
+        assert "trajectory-lam0.0.traj" in names, f"no .traj artifact: {names}"
+        assert not any(p.suffix == ".npz" for p in graph_dir.rglob("*")), \
+            f"the store wrote an .npz: {names}"
+        rows = rows_path(store.root, cold_session.fingerprint, 0.0)
+        stored_prefix = rows.read_bytes()
+        assert len(stored_prefix) == (rounds + 1) * graph.num_nodes * 8, \
+            "rows.bin does not hold rounds + 1 rows"
 
         restarted = Session(graph, store=store)
         served = restarted.coreness(rounds=rounds)
@@ -60,14 +73,20 @@ def main() -> int:
         assert resumer.stats.rounds_reused == rounds, "stored prefix unused"
         fresh = Session(graph).coreness(rounds=rounds * 2)
         assert resumed.values == fresh.values, "resumed values differ from cold"
+        extended = rows.read_bytes()
+        assert extended[:len(stored_prefix)] == stored_prefix, \
+            "the resumed run rewrote published rows"
+        assert extended == fresh.surviving.trajectory.tobytes(), \
+            "extended rows.bin differs from a cold trajectory"
 
         delta_chain_restart(cold_session, store, rounds)
 
         info = store.info()
         print(f"store smoke: ok (graph n={graph.num_nodes}, rounds={rounds}; "
-              f"restart disk_hits=1, bit-identical; prefix resume reused "
-              f"{rounds} rounds; 3 delta versions restarted from disk; store "
-              f"holds {info['files']} files / {info['bytes']} bytes)")
+              f"one .traj, no .npz; restart disk_hits=1, bit-identical; "
+              f"prefix resume reused {rounds} rounds and appended; 3 delta "
+              f"versions restarted from disk; store holds {info['files']} "
+              f"files / {info['bytes']} bytes)")
     return 0
 
 

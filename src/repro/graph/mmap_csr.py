@@ -137,8 +137,20 @@ def csr_mmap_dir(root, fingerprint: str) -> Path:
     return Path(root) / fingerprint / CSR_DIR_NAME
 
 
-def _atomic_write_bytes(path: Path, payload: bytes) -> None:
-    tmp = path.with_name(f".{path.name}.tmp-{os.getpid()}-{threading.get_ident()}")
+def _temp_path(path: Path) -> Path:
+    """The same-directory temp file an atomic write of ``path`` goes through.
+
+    Hidden (a leading ``.``), so the artifact store's ``info``/``purge``/
+    ``evict`` never see an in-flight write, and unique per process *and*
+    thread, so concurrent writers of one artifact never share a temp file
+    (``os.replace`` could otherwise publish torn bytes).
+    """
+    return path.with_name(f".{path.name}.tmp-{os.getpid()}-{threading.get_ident()}")
+
+
+def atomic_write_bytes(path: Path, payload: bytes) -> None:
+    """Publish ``payload`` at ``path`` with a temp write and ``os.replace``."""
+    tmp = _temp_path(path)
     try:
         tmp.write_bytes(payload)
         os.replace(tmp, path)
@@ -149,7 +161,7 @@ def _atomic_write_bytes(path: Path, payload: bytes) -> None:
 def _atomic_write_array(path: Path, array: np.ndarray, dtype: str) -> int:
     """Write ``array`` as raw little-endian bytes; returns the byte size."""
     data = np.ascontiguousarray(array, dtype=np.dtype(dtype))
-    tmp = path.with_name(f".{path.name}.tmp-{os.getpid()}-{threading.get_ident()}")
+    tmp = _temp_path(path)
     try:
         data.tofile(tmp)
         os.replace(tmp, path)
@@ -216,8 +228,8 @@ def materialize_csr(csr: CSRAdjacency, root, *,
     meta = {"schema": MMAP_SCHEMA_VERSION, "fingerprint": fingerprint,
             "n": int(csr.num_nodes), "entries": int(csr.num_directed_entries),
             "arrays": arrays}
-    _atomic_write_bytes(directory / "meta.json",
-                        (json.dumps(meta, indent=2) + "\n").encode("utf-8"))
+    atomic_write_bytes(directory / "meta.json",
+                       (json.dumps(meta, indent=2) + "\n").encode("utf-8"))
     return fingerprint, directory
 
 

@@ -39,7 +39,6 @@ tests and ``scripts/bench_session.py`` observe.
 
 from __future__ import annotations
 
-import os
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -137,12 +136,14 @@ class Session:
         :class:`~repro.store.ArtifactStore` or its root directory).  The
         session then consults the store before computing — a stored
         elimination trajectory for this graph warm-starts or fully serves a
-        request, bit-identically to the in-process warm path — and persists
-        what it computes, so a freshly constructed session on a known graph
-        resumes from disk.  Disk traffic is counted in :attr:`stats`
-        (``disk_hits`` / ``disk_misses`` / ``disk_writes``).  Opening a store
-        builds the CSR view once even for the faithful engine (the content
-        fingerprint hashes it).  An engine that supports memory-mapped
+        request, bit-identically to the in-process warm path, as a read-only
+        map of the store's append-only ``.traj`` file — and persists what it
+        computes (a trajectory by appending only the rounds that file lacks),
+        so a freshly constructed session on a known graph resumes from disk.
+        Disk traffic is counted in :attr:`stats` (``disk_hits`` /
+        ``disk_misses`` / ``disk_writes``).  Opening a store builds the CSR
+        view once even for the faithful engine (the content fingerprint
+        hashes it).  An engine that supports memory-mapped
         storage (the sharded engine) is additionally bound to the store root:
         graphs whose edge arrays exceed its spill threshold — or any graph
         under ``storage="mmap"`` — execute over arrays mapped from
@@ -527,7 +528,8 @@ class Session:
         known = self._disk_rounds.get(lam)
         if known is not None and known <= mem_rounds:
             return prefix
-        stored = self.store.load_trajectory(self.fingerprint, lam)
+        stored = self.store.load_trajectory(self.fingerprint, lam,
+                                            num_nodes=self.csr.num_nodes)
         if stored is None:
             self._disk_rounds[lam] = -1
             self.stats.disk_misses += 1
@@ -559,59 +561,26 @@ class Session:
         self.stats.rounds_reused += T
         return loaded
 
-    def _spilled_rounds(self, lam: float, best: np.ndarray) -> Optional[int]:
-        """Rounds the engine already published into the store's own ``.traj``
-        file, or None when ``best`` is not a view of that file.
-
-        A spilled-trajectory engine bound to this session's store returns a
-        read-only ``np.memmap`` over ``<root>/<fingerprint>/trajectory-lam<λ>
-        .traj/rows.bin`` — the rounds-on-disk metadata then comes from the
-        append header the engine published round-by-round, and re-writing the
-        monolithic ``.npz`` would only duplicate the bytes.
-        """
-        filename = getattr(best, "filename", None)
-        if not isinstance(best, np.memmap) or filename is None:
-            return None
-        from repro.store.traj import rows_path
-
-        expected = rows_path(self.store.root, self.fingerprint, lam)
-        if os.path.realpath(filename) != os.path.realpath(expected):
-            return None
-        return best.shape[0] - 1
-
     def _persist(self, lam: float, result: SurvivingNumbers, *, tie_break: str,
                  track_kept: bool) -> None:
         """Persist what this request added: the longest trajectory, or — for
-        engines without trajectories — the full result."""
+        engines without trajectories — the full result.
+
+        The store appends only the rows its ``.traj`` file lacks, so the
+        trajectory is saved whenever it is longer than the rounds this session
+        knows are on disk (``_disk_rounds``, set by the store probe before
+        every engine run): a run the engine already spilled into that file
+        appends nothing, and an append never shortens a longer file.
+        """
         if self.store is None:
             return
         if self._array_engine:
             best = self._trajectories.get(lam)
-            if best is None:
-                return
-            spilled = self._spilled_rounds(lam, best)
-            if spilled is not None:
-                # Already on disk, appended round-by-round by the engine; no
-                # npz round-trip.  A crash mid-run would have lost at most
-                # the last un-published round, never a readable prefix.
-                disk = self._disk_rounds.get(lam)
-                if disk is None or spilled > disk:
-                    self._disk_rounds[lam] = spilled
-                    self.stats.disk_writes += 1
-                    self.store.record_graph(self.fingerprint,
-                                            self.csr.num_nodes,
-                                            self.csr.labels())
-                return
-            disk = self._disk_rounds.get(lam)
-            if disk is None:
-                # Disk state unknown (memory fully served so far): a cheap
-                # metadata read keeps us from clobbering a longer artifact.
-                stored = self.store.trajectory_rounds(self.fingerprint, lam)
-                disk = self._disk_rounds[lam] = -1 if stored is None else stored
-            if best.shape[0] - 1 > disk:
+            rounds = -1 if best is None else best.shape[0] - 1
+            if rounds > self._disk_rounds.get(lam, -1):
                 self.store.save_trajectory(self.fingerprint, lam, best,
                                            labels=self.csr.labels())
-                self._disk_rounds[lam] = best.shape[0] - 1
+                self._disk_rounds[lam] = rounds
                 self.stats.disk_writes += 1
         elif result.trajectory is None:
             self.store.save_result(self.fingerprint, result, lam=lam,

@@ -12,10 +12,11 @@ known graph resumes bit-identically from disk.
 >>> session = Session(load_dataset("caveman"), store=store)  # doctest: +SKIP
 >>> session.coreness(rounds=8)                          # doctest: +SKIP
 
-See :mod:`repro.store.store` for the on-disk layout, atomicity and corruption
-semantics, :mod:`repro.store.traj` for the append-only out-of-core trajectory
-buffer (``trajectory-lam<λ>.traj/``), and the ``repro cache`` CLI for
-inspection and purging.
+Trajectories are stored only as append-only ``trajectory-lam<λ>.traj/``
+files (:mod:`repro.store.traj`): a save appends the rounds the file lacks and
+a load maps its published prefix read-only.  See :mod:`repro.store.store` for
+the on-disk layout, atomicity and corruption semantics, and the ``repro
+cache`` CLI for inspection and purging.
 """
 
 from repro.store.store import SCHEMA_VERSION, ArtifactStore, StoreError

@@ -8,36 +8,44 @@ One directory per graph, addressed by its CSR content fingerprint
     <root>/
       <fingerprint>/                     # exactly 64 lowercase hex chars
         graph.json                       # schema, n, entries, sample labels
-        trajectory-lam<λ>.npz            # longest elimination trajectory per λ
+        trajectory-lam<λ>.traj/          # append-only elimination trajectory
+          header.json, rows.bin          # per λ (repro.store.traj): rows are
+                                         # appended, then published with an
+                                         # atomic header replace; row t at
+                                         # offset t*n*8
         result-T<T>-lam<λ>-<rule>-k<0|1>.npz   # full SurvivingNumbers (see below)
         csr/                             # memory-mapped CSR arrays, written by
           meta.json, *.bin               # repro.graph.mmap_csr for out-of-core runs
-        trajectory-lam<λ>.traj/          # append-only out-of-core trajectory
-          header.json, rows.bin          # (repro.store.traj): rounds are appended
-                                         # by the engine and published with atomic
-                                         # header updates; row t at offset t*n*8
 
-The ``.traj`` directory is the spilled twin of ``trajectory-lam<λ>.npz``:
-engines running with ``trajectory_storage="mmap"`` append completed rounds
-directly into ``rows.bin`` and publish each one by atomically replacing
-``header.json``, so a crash loses at most the un-published round — readers
-always see a complete round prefix (clamped to what the file actually holds).
-Loads consult both spellings and serve whichever holds more rounds, preferring
-the mapped file on ties (no RAM copy); ``info``/``purge``/``evict`` account
-the directory like the ``csr/`` arrays, with ``header.json`` treated as the
-descriptor that is only removed when its rows are gone.
+Trajectories have one on-disk format, the ``.traj`` directory of
+:mod:`repro.store.traj`.  :meth:`ArtifactStore.save_trajectory` appends only
+the rows the file does not yet publish — published rows are never rewritten,
+since each round is a deterministic function of the one before — and
+:meth:`ArtifactStore.load_trajectory` maps the published prefix read-only.
+An engine running with ``trajectory_storage="mmap"`` appends into the very
+same file round by round, so persisting its run appends nothing.  A crash
+loses at most the un-published round; readers always see a complete round
+prefix (clamped to what the file actually holds).  ``info``/``purge``/
+``evict`` account the directory like the ``csr/`` arrays, with
+``header.json`` treated as the descriptor that is only removed when its rows
+are gone.  Trajectory ``.npz`` files written by earlier versions are no
+longer read (the graph's first request recomputes once); ``purge`` and
+``evict`` still remove them.  On decimal weights, where engines can differ in
+the last ulp, rows a second engine appends follow the first engine's prefix;
+integer and dyadic weights, which the bit-identity contract covers, are
+unaffected.
 
 λ is spelled canonically in filenames (:func:`repro.utils.numeric.canonical_lam`:
 ``-0.0`` and ``0.0`` are one artifact, matching the in-memory caches that
 collapse the two; non-finite λ is rejected with ``ValueError``).
 
-Every ``.npz`` carries a JSON ``meta`` entry (schema version, artifact kind,
-fingerprint, λ, round count, node count) that is validated on load; files with
-a wrong schema, a mismatching fingerprint or any decoding problem are treated
-as absent — a corrupted or foreign file can cost a recompute, never a wrong
-answer.  Writes go to a same-directory temp file and are published with an
-atomic ``os.replace``, so concurrent readers only ever observe complete
-artifacts and the last writer wins.
+Every result ``.npz`` carries a JSON ``meta`` entry (schema version, artifact
+kind, fingerprint, λ, round count, node count) that is validated on load;
+files with a wrong schema, a mismatching fingerprint or any decoding problem
+are treated as absent — a corrupted or foreign file can cost a recompute,
+never a wrong answer.  Writes go to a same-directory temp file and are
+published with an atomic ``os.replace``, so concurrent readers only ever
+observe complete artifacts and the last writer wins.
 
 Trajectory artifacts serve the array engines: a stored ``(T+1, n)`` float64
 trajectory warm-starts any later request on the same graph and λ (a longer
@@ -54,8 +62,6 @@ from __future__ import annotations
 
 import io
 import json
-import os
-import threading
 import zipfile
 from pathlib import Path
 from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
@@ -66,7 +72,7 @@ from repro.core.orientation import KeptSets, NodeValues
 from repro.core.rounding import LambdaGrid
 from repro.core.surviving import SurvivingNumbers
 from repro.errors import StoreError
-from repro.graph.mmap_csr import CSR_DIR_NAME, is_fingerprint
+from repro.graph.mmap_csr import CSR_DIR_NAME, atomic_write_bytes, is_fingerprint
 from repro.obs import trace as obs_trace
 from repro.store import traj as traj_store
 from repro.utils.numeric import canonical_lam
@@ -80,18 +86,6 @@ SCHEMA_VERSION = "repro-store/1"
 #: (TypeError covers wrong-typed metadata fields, e.g. a string round count).
 _LOAD_ERRORS = (OSError, ValueError, KeyError, TypeError, EOFError,
                 zipfile.BadZipFile, json.JSONDecodeError)
-
-
-def _format_lam(lam: float) -> str:
-    """Exact, filename-safe spelling of a λ (``repr`` of the canonical float).
-
-    Canonicalised through :func:`repro.utils.numeric.canonical_lam` so the
-    filename agrees with every in-memory λ key: ``-0.0`` spells ``"0.0"``
-    (dict keys collapse the two, so the disk must too) and non-finite values
-    — which would mint un-reloadable artifact names — raise ``ValueError``
-    at this boundary.
-    """
-    return repr(canonical_lam(lam))
 
 
 class ArtifactStore:
@@ -128,34 +122,19 @@ class ArtifactStore:
                              f"{fingerprint!r}")
         return self.root / fingerprint
 
-    def _trajectory_path(self, fingerprint: str, lam: float) -> Path:
-        return self.graph_dir(fingerprint) / f"trajectory-lam{_format_lam(lam)}.npz"
-
     def _result_path(self, fingerprint: str, *, rounds: int, lam: float,
                      tie_break: str, track_kept: bool) -> Path:
         return self.graph_dir(fingerprint) / (
-            f"result-T{int(rounds)}-lam{_format_lam(lam)}-{tie_break}"
+            f"result-T{int(rounds)}-lam{traj_store.format_lam(lam)}-{tie_break}"
             f"-k{int(bool(track_kept))}.npz")
 
     # ----------------------------------------------------------------- writing
-    def _atomic_write(self, path: Path, payload: bytes) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # Unique per process *and* thread: concurrent writers of the same
-        # artifact (e.g. two store-backed sessions in one process) must never
-        # share a temp file, or os.replace could publish torn bytes.
-        tmp = path.with_name(
-            f".{path.name}.tmp-{os.getpid()}-{threading.get_ident()}")
-        try:
-            tmp.write_bytes(payload)
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
-
     def _write_npz(self, path: Path, meta: dict, arrays: Dict[str, np.ndarray]) -> None:
         buffer = io.BytesIO()
         np.savez(buffer, meta=np.frombuffer(
             json.dumps(meta).encode("utf-8"), dtype=np.uint8), **arrays)
-        self._atomic_write(path, buffer.getvalue())
+        path.parent.mkdir(parents=True, exist_ok=True)
+        atomic_write_bytes(path, buffer.getvalue())
 
     def _write_graph_meta(self, fingerprint: str, n: int,
                           labels: Sequence[Hashable]) -> None:
@@ -164,7 +143,7 @@ class ArtifactStore:
             return
         meta = {"schema": SCHEMA_VERSION, "fingerprint": fingerprint, "n": n,
                 "sample_labels": [json_node(label) for label in labels[:8]]}
-        self._atomic_write(path, (json.dumps(meta, indent=2) + "\n").encode("utf-8"))
+        atomic_write_bytes(path, (json.dumps(meta, indent=2) + "\n").encode("utf-8"))
 
     # ----------------------------------------------------------------- reading
     @staticmethod
@@ -199,81 +178,42 @@ class ArtifactStore:
                         labels: Sequence[Hashable] = ()) -> Path:
         """Persist the ``(T+1, n)`` trajectory for ``(fingerprint, λ)``.
 
-        Unconditionally replaces any stored trajectory for the pair — callers
-        (the :class:`~repro.session.Session` integration) only write when they
-        hold more rounds than the store does.
+        Appends, through :meth:`~repro.store.traj.AppendTrajectory.ensure_prefix`,
+        only the rows the ``.traj`` file does not yet publish: published rows
+        are never rewritten (round determinism makes them equal to
+        ``trajectory``'s), and a trajectory no longer than the file appends
+        nothing.  Returns the ``.traj`` directory.
         """
-        trajectory = np.ascontiguousarray(trajectory, dtype=np.float64)
+        trajectory = np.asarray(trajectory, dtype=np.float64)
         if trajectory.ndim != 2 or trajectory.shape[0] < 1:
             raise StoreError(f"not a trajectory array: shape {trajectory.shape}")
-        meta = {"schema": SCHEMA_VERSION, "kind": "trajectory",
-                "fingerprint": fingerprint, "lam": canonical_lam(lam),
-                "rounds": int(trajectory.shape[0] - 1), "n": int(trajectory.shape[1])}
-        path = self._trajectory_path(fingerprint, lam)
         with obs_trace.span("store.save_trajectory", fingerprint=fingerprint,
-                            lam=meta["lam"], rounds=meta["rounds"]):
-            self._write_npz(path, meta, {"trajectory": trajectory})
+                            lam=canonical_lam(lam),
+                            rounds=trajectory.shape[0] - 1):
+            with traj_store.AppendTrajectory.open(
+                    self.root, fingerprint, lam,
+                    num_nodes=trajectory.shape[1]) as appender:
+                appender.ensure_prefix(trajectory)
             self._write_graph_meta(fingerprint, trajectory.shape[1], labels)
-        return path
+        return appender.directory
 
-    def _load_npz_trajectory(self, fingerprint: str, lam: float) -> Optional[np.ndarray]:
-        loaded = self._load_npz(self._trajectory_path(fingerprint, lam),
-                                kind="trajectory", fingerprint=fingerprint, lam=lam)
-        if loaded is None:
-            return None
-        meta, archive = loaded
-        try:
-            trajectory = archive["trajectory"]
-            if (trajectory.ndim != 2 or trajectory.dtype != np.float64
-                    or trajectory.shape != (meta.get("rounds", -2) + 1, meta.get("n"))):
-                return None
-            return trajectory
-        except _LOAD_ERRORS:
-            return None
-        finally:
-            archive.close()
-
-    def load_trajectory(self, fingerprint: str, lam: float) -> Optional[np.ndarray]:
+    def load_trajectory(self, fingerprint: str, lam: float, *,
+                        num_nodes: int) -> Optional[np.ndarray]:
         """The stored trajectory for ``(fingerprint, λ)``, or None.
 
-        Consults both spellings — the monolithic ``.npz`` and the append-only
-        ``.traj`` directory — and serves whichever holds more rounds; on a tie
-        the ``.traj`` file wins, as a read-only ``np.memmap`` (no RAM copy).
-        Absent, corrupted, schema-mismatching and fingerprint-mismatching
-        files all read as None (a miss).
+        A read-only ``np.memmap`` over the published prefix of the ``.traj``
+        file (no RAM copy).  Absent, corrupted, foreign and fully-torn files
+        all read as None (a miss), and so does a file whose rows are not
+        ``num_nodes`` wide: it cannot be this graph's trajectory.
         """
         with obs_trace.span("store.load_trajectory", fingerprint=fingerprint,
                             lam=canonical_lam(lam)) as sp:
-            mapped = traj_store.open_trajectory(self.root, fingerprint, lam)
-            npz = self._load_npz_trajectory(fingerprint, lam)
-            if mapped is not None and (npz is None
-                                       or mapped.shape[0] >= npz.shape[0]):
-                loaded = mapped
-            else:
-                loaded = npz
+            loaded = traj_store.open_trajectory(self.root, fingerprint, lam)
+            if loaded is not None and loaded.shape[1] != num_nodes:
+                loaded = None
             sp.set(hit=loaded is not None,
                    rounds=-1 if loaded is None else loaded.shape[0] - 1)
             return loaded
-
-    def trajectory_rounds(self, fingerprint: str, lam: float) -> Optional[int]:
-        """Round count of the stored trajectory without loading the arrays.
-
-        The maximum over both spellings (``.npz`` metadata and the ``.traj``
-        append header, the latter clamped to the rows actually on disk).
-        """
-        counts = []
-        loaded = self._load_npz(self._trajectory_path(fingerprint, lam),
-                                kind="trajectory", fingerprint=fingerprint, lam=lam)
-        if loaded is not None:
-            meta, archive = loaded
-            archive.close()
-            rounds = meta.get("rounds")
-            if isinstance(rounds, int):
-                counts.append(int(rounds))
-        appended = traj_store.published_rounds(self.root, fingerprint, lam)
-        if appended is not None:
-            counts.append(appended)
-        return max(counts) if counts else None
 
     # ----------------------------------------------------------------- results
     def save_result(self, fingerprint: str, result: SurvivingNumbers, *,
@@ -404,7 +344,8 @@ class ArtifactStore:
         with obs_trace.span("store.record_lineage",
                             fingerprint=chain_fingerprint,
                             parent_fingerprint=parent_fingerprint):
-            self._atomic_write(path, (json.dumps(doc, indent=2) + "\n")
+            path.parent.mkdir(parents=True, exist_ok=True)
+            atomic_write_bytes(path, (json.dumps(doc, indent=2) + "\n")
                                .encode("utf-8"))
         return path
 
@@ -457,26 +398,6 @@ class ArtifactStore:
         (``purge``/``evict``) these files like any other artifact.
         """
         return self.graph_dir(fingerprint) / CSR_DIR_NAME
-
-    def traj_dir(self, fingerprint: str, lam: float) -> Path:
-        """The append-only ``.traj`` directory of ``(fingerprint, λ)``.
-
-        Written by engines running with ``trajectory_storage="mmap"`` (see
-        :mod:`repro.store.traj`); accounted for and removed like any other
-        artifact.
-        """
-        self.graph_dir(fingerprint)  # same malformed-fingerprint contract
-        return traj_store.traj_dir(self.root, fingerprint, lam)
-
-    def record_graph(self, fingerprint: str, n: int,
-                     labels: Sequence[Hashable] = ()) -> None:
-        """Ensure the human-facing ``graph.json`` descriptor exists.
-
-        Idempotent; used by callers that create artifacts without going
-        through ``save_trajectory``/``save_result`` (e.g. a session whose
-        engine appended the trajectory straight into the ``.traj`` file).
-        """
-        self._write_graph_meta(fingerprint, n, labels)
 
     def _artifact_files(self, fingerprint: Optional[str] = None) -> Iterator[Path]:
         # Hidden files are skipped everywhere: a ``.{name}.tmp-*`` file is an

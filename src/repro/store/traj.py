@@ -1,12 +1,12 @@
-"""Append-only out-of-core elimination trajectories (``.traj`` artifacts).
+"""Append-only elimination trajectories (``.traj`` artifacts).
 
 The elimination trajectory — the ``(T+1) × n`` float64 array at the heart of
 Algorithm 2 — is the single largest allocation at scale, dwarfing the CSR
-arrays that :mod:`repro.graph.mmap_csr` already spills.  This module stores a
-trajectory as an *append-only* on-disk buffer so the round loop keeps only a
-sliding window of rows resident, and so prefix-resume, ``Session`` restart and
-the artifact store all read the same file instead of round-tripping a
-monolithic ``.npz``::
+arrays that :mod:`repro.graph.mmap_csr` already spills.  This module is the
+artifact store's only on-disk trajectory format: an *append-only* buffer, so
+the round loop of a spilling engine keeps only a sliding window of rows
+resident, and prefix-resume, ``Session`` restart and the artifact store all
+read and extend the same file::
 
     <root>/
       <fingerprint>/                       # the store's content address
@@ -33,13 +33,16 @@ Append protocol (the crash-safety contract):
   most the last un-published round.  (The protocol is crash-consistent
   against process crashes — the OS page cache holds flushed data; power-loss
   durability is best-effort, with an ``fsync`` on writer close.)
+* published rows are never rewritten and ``rows.bin`` is never truncated in
+  place: a writer that must start over unlinks and recreates it, so a live
+  read-only mapping of the old file stays valid.
 
 Because every round is a deterministic function of the previous row,
 concurrent appenders of the same ``(fingerprint, λ)`` write identical bytes
-to identical offsets and the last header wins — the same benign-race argument
-the ``.npz`` artifacts rely on.  A header that names a foreign fingerprint,
-schema or dtype reads as absent (and a fresh writer starts over): corruption
-can cost a recompute, never a wrong answer.
+to identical offsets and the last header wins.  A header that names a foreign
+fingerprint, schema or dtype, or carries a malformed ``n`` or ``rounds``,
+reads as absent (and a fresh writer starts over): corruption can cost a
+recompute, never a wrong answer.
 
 The default (and currently only) dtype is float64 — bit-identity with the
 in-memory engines is the contract.  A narrow ``float32`` flavour would be a
@@ -51,7 +54,6 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 import time
 from pathlib import Path
 from typing import Optional
@@ -59,7 +61,7 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import StoreError
-from repro.graph.mmap_csr import is_fingerprint
+from repro.graph.mmap_csr import atomic_write_bytes, is_fingerprint
 from repro.obs import trace as obs_trace
 from repro.utils.numeric import canonical_lam
 
@@ -81,7 +83,14 @@ _FILL_CHUNK_BYTES = 8 << 20
 
 
 def format_lam(lam: float) -> str:
-    """Exact, filename-safe spelling of a λ (``repr`` of the canonical float)."""
+    """Exact, filename-safe spelling of a λ (``repr`` of the canonical float).
+
+    The one spelling of every store filename that carries a λ.  Canonicalised
+    through :func:`repro.utils.numeric.canonical_lam` so the filename agrees
+    with every in-memory λ key: ``-0.0`` spells ``"0.0"`` (dict keys collapse
+    the two, so the disk must too) and non-finite values — which would mint
+    un-reloadable artifact names — raise ``ValueError`` at this boundary.
+    """
     return repr(canonical_lam(lam))
 
 
@@ -103,15 +112,6 @@ def is_traj_dir(path) -> bool:
     return name.startswith("trajectory-lam") and name.endswith(TRAJ_SUFFIX)
 
 
-def _atomic_write_bytes(path: Path, payload: bytes) -> None:
-    tmp = path.with_name(f".{path.name}.tmp-{os.getpid()}-{threading.get_ident()}")
-    try:
-        tmp.write_bytes(payload)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
 def _read_header(directory: Path) -> dict:
     """The parsed ``header.json`` of a ``.traj`` directory ({} when absent/corrupt)."""
     try:
@@ -122,13 +122,19 @@ def _read_header(directory: Path) -> dict:
 
 
 def _header_matches(header: dict, fingerprint: str, lam: float) -> bool:
-    """Whether ``header`` describes *this* ``(fingerprint, λ)`` artifact."""
+    """Whether ``header`` describes *this* ``(fingerprint, λ)`` artifact.
+
+    ``n`` and ``rounds`` must be plain ints (``type(...) is int`` rejects the
+    bools JSON can also hold) with ``n >= 1`` and ``rounds >= 0``: a negative
+    count would send a writer seeking before row 0.
+    """
+    n, rounds = header.get("n"), header.get("rounds")
     return (header.get("schema") == TRAJ_SCHEMA_VERSION
             and header.get("fingerprint") == fingerprint
             and header.get("lam") == canonical_lam(lam)
             and header.get("dtype") == TRAJ_DTYPE
-            and isinstance(header.get("n"), int) and header["n"] >= 1
-            and isinstance(header.get("rounds"), int))
+            and type(n) is int and n >= 1
+            and type(rounds) is int and rounds >= 0)
 
 
 def _clamped_rounds(directory: Path, header: dict) -> int:
@@ -273,8 +279,8 @@ class AppendTrajectory:
         header = {"schema": TRAJ_SCHEMA_VERSION, "fingerprint": self.fingerprint,
                   "lam": self.lam, "n": self.num_nodes, "dtype": TRAJ_DTYPE,
                   "rounds": int(rounds)}
-        _atomic_write_bytes(self.directory / HEADER_NAME,
-                            (json.dumps(header, indent=2) + "\n").encode("utf-8"))
+        atomic_write_bytes(self.directory / HEADER_NAME,
+                           (json.dumps(header, indent=2) + "\n").encode("utf-8"))
         self.rounds = int(rounds)
         if tracer is not None:
             tracer.record_span(

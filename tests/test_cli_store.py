@@ -86,13 +86,13 @@ class TestCacheCommand:
         store_dir = self._populate(tmp_path, k6_file)
         code, text = _run(["cache", "info", "--store", str(store_dir)])
         assert code == 0
-        assert "files=2" in text          # trajectory + graph.json
+        assert "files=3" in text   # header.json + rows.bin + graph.json
 
     def test_purge_empties_the_store(self, tmp_path, k6_file):
         store_dir = self._populate(tmp_path, k6_file)
         code, text = _run(["cache", "purge", "--store", str(store_dir)])
         assert code == 0
-        assert "purged 2 file(s)" in text
+        assert "purged 3 file(s)" in text
         code, text = _run(["cache", "ls", "--store", str(store_dir)])
         assert "(store is empty)" in text
 
@@ -102,7 +102,7 @@ class TestCacheCommand:
         code, text = _run(["cache", "purge", "--store", str(store_dir),
                            "--fingerprint", fingerprint])
         assert code == 0
-        assert "purged 2 file(s)" in text
+        assert "purged 3 file(s)" in text
 
     def test_bad_fingerprint_is_reported_as_error(self, tmp_path, k6_file):
         store_dir = self._populate(tmp_path, k6_file)

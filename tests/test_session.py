@@ -532,7 +532,7 @@ class TestLambdaCanonicalisationRegression:
         trajectory_files = [p.name for p in
                             store.graph_dir(session.fingerprint).iterdir()
                             if p.name.startswith("trajectory")]
-        assert trajectory_files == ["trajectory-lam0.0.npz"]  # ... one on disk
+        assert trajectory_files == ["trajectory-lam0.0.traj"]  # ... one on disk
 
     @pytest.mark.parametrize("spelling", [0.0, -0.0])
     def test_restart_hits_disk_for_either_spelling(self, two_communities,

@@ -16,8 +16,10 @@ import pytest
 from test_engine_equivalence import CORPUS
 
 from repro.core.api import approximate_coreness, approximate_orientation
+from repro.graph.generators.random_graphs import barabasi_albert
 from repro.session import Session
-from repro.store import ArtifactStore
+from repro.store import AppendTrajectory, ArtifactStore
+from repro.store.traj import HEADER_NAME, traj_dir
 
 #: Every 4th corpus case: enough topology/weight diversity for the session
 #: layer while the full corpus stays with the per-engine kernel suite.
@@ -169,8 +171,8 @@ class TestStoreRestartMatrix:
         store = ArtifactStore(tmp_path / "store")
         session = Session(two_communities, store=store)
         cold = session.coreness(rounds=6)
-        path = store._trajectory_path(session.fingerprint, 0.0)
-        path.write_bytes(b"corrupted beyond recognition")
+        header = traj_dir(store.root, session.fingerprint, 0.0) / HEADER_NAME
+        header.write_bytes(b"corrupted beyond recognition")
 
         restarted = Session(two_communities, store=store)
         recomputed = restarted.coreness(rounds=6)
@@ -179,7 +181,29 @@ class TestStoreRestartMatrix:
         assert recomputed.values == cold.values
         # The recompute healed the store.
         assert restarted.stats.disk_writes == 1
-        assert store.load_trajectory(session.fingerprint, 0.0) is not None
+        assert store.load_trajectory(session.fingerprint, 0.0,
+                                     num_nodes=session.csr.num_nodes) is not None
+
+    def test_wrong_width_trajectory_reads_as_miss_and_heals(self, tmp_path):
+        # A 150-wide trajectory under a 200-node graph's address is no answer
+        # for it: served, its values would raise KeyError on a keyed read.
+        graph = barabasi_albert(200, 3, seed=5)
+        store = ArtifactStore(tmp_path / "store")
+        cold = Session(graph)
+        with AppendTrajectory.open(store.root, cold.fingerprint, 0.0,
+                                   num_nodes=150) as foreign:
+            foreign.ensure_prefix(np.zeros((13, 150)))
+
+        restarted = Session(graph, store=store)
+        for rounds in (4, 12):
+            assert restarted.coreness(rounds=rounds).values == \
+                cold.coreness(rounds=rounds).values
+        assert restarted.stats.disk_misses == 1
+        assert restarted.stats.cold_runs == 1
+        # The persist that followed the miss replaced the foreign file.
+        healed = Session(graph, store=store)
+        assert healed.coreness(rounds=12).values == cold.coreness(rounds=12).values
+        assert healed.stats.disk_hits == 1 and healed.stats.cold_runs == 0
 
 
 class TestWireEquivalence:

@@ -4,10 +4,13 @@ Contract under test (see :mod:`repro.store.store`):
 
 * fingerprints are content addresses — stable across conversions, sensitive to
   any change in topology, weights or node labels;
-* trajectory and result artifacts round-trip bit-identically through ``.npz``;
-* loads are corruption-tolerant: truncated, foreign, schema-mismatching and
-  fingerprint-mismatching files all read as misses, never wrong answers;
-* writes are atomic (no temp files survive) and last-writer-wins;
+* trajectories round-trip bit-identically through the append-only ``.traj``
+  file and results through ``.npz``;
+* loads are corruption-tolerant: truncated, foreign, schema-mismatching,
+  fingerprint-mismatching and wrong-width files all read as misses, never
+  wrong answers;
+* writes are atomic (no temp files survive); a trajectory save appends only
+  the rows the file does not yet publish;
 * ``purge`` / ``evict`` / ``info`` manage the footprint.
 """
 
@@ -23,6 +26,7 @@ from repro.errors import StoreError
 from repro.graph.csr import csr_fingerprint, graph_fingerprint, graph_to_csr
 from repro.graph.graph import Graph
 from repro.store import SCHEMA_VERSION, ArtifactStore
+from repro.store.traj import HEADER_NAME, ROWS_NAME, published_rounds
 
 
 @pytest.fixture
@@ -88,31 +92,46 @@ class TestTrajectoryArtifacts:
         trajectory = get_engine("vectorized").run(
             csr.to_graph(), 6, track_kept=False).trajectory
         store.save_trajectory(fingerprint, 0.0, trajectory, labels=csr.labels())
-        loaded = store.load_trajectory(fingerprint, 0.0)
+        loaded = store.load_trajectory(fingerprint, 0.0, num_nodes=csr.num_nodes)
         assert loaded.dtype == np.float64
+        assert isinstance(loaded, np.memmap) and not loaded.flags.writeable
         assert np.array_equal(loaded, trajectory)
-        assert store.trajectory_rounds(fingerprint, 0.0) == 6
+        assert published_rounds(store.root, fingerprint, 0.0) == 6
 
     def test_missing_reads_as_none(self, store, fingerprint):
-        assert store.load_trajectory(fingerprint, 0.0) is None
-        assert store.trajectory_rounds(fingerprint, 0.0) is None
+        assert store.load_trajectory(fingerprint, 0.0, num_nodes=4) is None
+        assert published_rounds(store.root, fingerprint, 0.0) is None
 
     def test_lambda_is_part_of_the_key(self, store, fingerprint):
         trajectory = np.zeros((3, 4))
         store.save_trajectory(fingerprint, 0.5, trajectory)
-        assert store.load_trajectory(fingerprint, 0.0) is None
-        assert store.load_trajectory(fingerprint, 0.5) is not None
+        assert store.load_trajectory(fingerprint, 0.0, num_nodes=4) is None
+        assert store.load_trajectory(fingerprint, 0.5, num_nodes=4) is not None
 
-    def test_last_writer_wins(self, store, fingerprint):
+    def test_saves_append_only_the_unpublished_rows(self, store, fingerprint):
         store.save_trajectory(fingerprint, 0.0, np.zeros((3, 4)))
         store.save_trajectory(fingerprint, 0.0, np.ones((5, 4)))
-        assert store.trajectory_rounds(fingerprint, 0.0) == 4
+        # A shorter save appends nothing and shortens nothing.
+        store.save_trajectory(fingerprint, 0.0, np.full((2, 4), 2.0))
+        loaded = store.load_trajectory(fingerprint, 0.0, num_nodes=4)
+        assert np.array_equal(loaded, np.vstack([np.zeros((3, 4)),
+                                                 np.ones((2, 4))]))
 
     def test_no_temp_files_survive_a_write(self, store, fingerprint):
         store.save_trajectory(fingerprint, 0.0, np.zeros((3, 4)))
-        leftovers = [p for p in store.graph_dir(fingerprint).iterdir()
+        leftovers = [p for p in store.graph_dir(fingerprint).rglob("*")
                      if ".tmp" in p.name]
         assert leftovers == []
+
+    def test_legacy_npz_trajectories_are_ignored_but_purged(self, store,
+                                                             fingerprint):
+        legacy = store.graph_dir(fingerprint) / "trajectory-lam0.0.npz"
+        legacy.parent.mkdir(parents=True)
+        np.savez(legacy, trajectory=np.zeros((3, 4)))
+        assert store.load_trajectory(fingerprint, 0.0, num_nodes=4) is None
+        assert store.info(fingerprint)["files"] == 1
+        assert store.purge(fingerprint) == 1
+        assert not legacy.exists()
 
     def test_rejects_non_trajectory_arrays(self, store, fingerprint):
         with pytest.raises(StoreError):
@@ -126,46 +145,53 @@ class TestTrajectoryArtifacts:
 
 
 class TestCorruptionTolerance:
-    def test_truncated_file_reads_as_miss(self, store, fingerprint):
-        path = store.save_trajectory(fingerprint, 0.0, np.zeros((3, 4)))
-        path.write_bytes(path.read_bytes()[:20])
-        assert store.load_trajectory(fingerprint, 0.0) is None
+    @staticmethod
+    def _edit_header(directory, **fields):
+        header = json.loads((directory / HEADER_NAME).read_text())
+        header.update(fields)
+        (directory / HEADER_NAME).write_text(json.dumps(header))
 
-    def test_garbage_file_reads_as_miss(self, store, fingerprint):
-        path = store.save_trajectory(fingerprint, 0.0, np.zeros((3, 4)))
-        path.write_bytes(b"not a zip archive")
-        assert store.load_trajectory(fingerprint, 0.0) is None
+    @pytest.mark.parametrize("name", [HEADER_NAME, ROWS_NAME])
+    def test_truncated_file_reads_as_miss(self, store, fingerprint, name):
+        path = store.save_trajectory(fingerprint, 0.0, np.zeros((3, 4))) / name
+        path.write_bytes(path.read_bytes()[:20])
+        assert store.load_trajectory(fingerprint, 0.0, num_nodes=4) is None
+
+    @pytest.mark.parametrize("name", [HEADER_NAME, ROWS_NAME])
+    def test_garbage_file_reads_as_miss(self, store, fingerprint, name):
+        path = store.save_trajectory(fingerprint, 0.0, np.zeros((3, 4))) / name
+        path.write_bytes(b"not a trajectory")
+        assert store.load_trajectory(fingerprint, 0.0, num_nodes=4) is None
 
     def test_foreign_fingerprint_reads_as_miss(self, store, fingerprint):
-        # A file copied under the wrong graph directory must not be served.
+        # A directory copied under the wrong graph directory must not be served.
         path = store.save_trajectory(fingerprint, 0.0, np.zeros((3, 4)))
         other = "ab" * 32
         target = store.graph_dir(other) / path.name
-        target.parent.mkdir(parents=True)
-        target.write_bytes(path.read_bytes())
-        assert store.load_trajectory(other, 0.0) is None
+        target.mkdir(parents=True)
+        for name in (HEADER_NAME, ROWS_NAME):
+            (target / name).write_bytes((path / name).read_bytes())
+        assert store.load_trajectory(other, 0.0, num_nodes=4) is None
 
-    def test_schema_version_mismatch_reads_as_miss(self, store, csr, fingerprint):
+    def test_schema_version_mismatch_reads_as_miss(self, store, fingerprint):
         path = store.save_trajectory(fingerprint, 0.0, np.zeros((3, 4)))
-        meta = {"schema": "repro-store/999", "kind": "trajectory",
-                "fingerprint": fingerprint, "lam": 0.0, "rounds": 2, "n": 4}
-        store._write_npz(path, meta, {"trajectory": np.zeros((3, 4))})
-        assert store.load_trajectory(fingerprint, 0.0) is None
+        self._edit_header(path, schema="repro-traj/999")
+        assert store.load_trajectory(fingerprint, 0.0, num_nodes=4) is None
 
     def test_shape_metadata_mismatch_reads_as_miss(self, store, fingerprint):
+        # The 96 bytes of rows read as rows of 3 values: not this graph's.
         path = store.save_trajectory(fingerprint, 0.0, np.zeros((3, 4)))
-        meta = {"schema": SCHEMA_VERSION, "kind": "trajectory",
-                "fingerprint": fingerprint, "lam": 0.0, "rounds": 7, "n": 4}
-        store._write_npz(path, meta, {"trajectory": np.zeros((3, 4))})
-        assert store.load_trajectory(fingerprint, 0.0) is None
+        self._edit_header(path, n=3)
+        assert store.load_trajectory(fingerprint, 0.0, num_nodes=4) is None
+        # ... and a 4-wide file is no 5-node graph's trajectory either.
+        store.save_trajectory(fingerprint, 0.5, np.zeros((3, 4)))
+        assert store.load_trajectory(fingerprint, 0.5, num_nodes=5) is None
 
     def test_wrong_typed_metadata_reads_as_miss(self, store, fingerprint):
         path = store.save_trajectory(fingerprint, 0.0, np.zeros((3, 4)))
-        meta = {"schema": SCHEMA_VERSION, "kind": "trajectory",
-                "fingerprint": fingerprint, "lam": 0.0, "rounds": "two", "n": 4}
-        store._write_npz(path, meta, {"trajectory": np.zeros((3, 4))})
-        assert store.load_trajectory(fingerprint, 0.0) is None
-        assert store.trajectory_rounds(fingerprint, 0.0) is None
+        self._edit_header(path, rounds="two")
+        assert store.load_trajectory(fingerprint, 0.0, num_nodes=4) is None
+        assert published_rounds(store.root, fingerprint, 0.0) is None
 
 
 class TestResultArtifacts:
@@ -240,7 +266,7 @@ class TestManagement:
         self._populate(store, fingerprint)
         info = store.info()
         assert [row["fingerprint"] for row in info["graphs"]] == [fingerprint]
-        assert info["files"] == 3  # 2 trajectories + graph.json
+        assert info["files"] == 5  # 2 x (header.json + rows.bin) + graph.json
         assert info["bytes"] > 0
         assert info["graphs"][0]["kinds"] == ["graph", "trajectory"]
 
@@ -257,12 +283,12 @@ class TestManagement:
         self._populate(store, fingerprint)
         self._populate(store, other, lams=(0.0,))
         removed = store.purge(fingerprint)
-        assert removed == 3
+        assert removed == 5
         assert store.fingerprints() == (other,)
 
     def test_purge_everything(self, store, fingerprint):
         self._populate(store, fingerprint)
-        assert store.purge() == 3
+        assert store.purge() == 5
         assert store.fingerprints() == ()
         assert store.info()["files"] == 0
 
@@ -272,16 +298,16 @@ class TestManagement:
     def test_evict_drops_oldest_until_under_budget(self, store, fingerprint):
         import os
 
-        paths = [store.save_trajectory(fingerprint, lam, np.zeros((3, 4)))
-                 for lam in (0.0, 0.25, 0.5)]
+        dirs = [store.save_trajectory(fingerprint, lam, np.zeros((3, 4)))
+                for lam in (0.0, 0.25, 0.5)]
         # Pin distinct mtimes so the LRU order is deterministic.
-        for age, path in enumerate(paths):
-            os.utime(path, (1_000_000 + age, 1_000_000 + age))
-        sizes = [p.stat().st_size for p in paths]
+        for age, directory in enumerate(dirs):
+            os.utime(directory / ROWS_NAME, (1_000_000 + age, 1_000_000 + age))
+        sizes = [(d / ROWS_NAME).stat().st_size for d in dirs]
         removed = store.evict(max_bytes=sizes[1] + sizes[2])
-        assert removed == 1
-        assert not paths[0].exists()
-        assert paths[1].exists() and paths[2].exists()
+        assert removed == 1  # rows.bin; its header.json goes as a descriptor
+        assert not dirs[0].exists()
+        assert dirs[1].exists() and dirs[2].exists()
 
     def test_evict_to_zero_clears_the_store(self, store, fingerprint):
         self._populate(store, fingerprint)
@@ -347,11 +373,11 @@ class TestLambdaCanonicalisation:
 
     def test_minus_zero_addresses_the_same_artifact(self, store, fingerprint):
         store.save_trajectory(fingerprint, -0.0, np.zeros((3, 4)))
-        assert store.load_trajectory(fingerprint, 0.0) is not None
-        assert store.load_trajectory(fingerprint, -0.0) is not None
+        assert store.load_trajectory(fingerprint, 0.0, num_nodes=4) is not None
+        assert store.load_trajectory(fingerprint, -0.0, num_nodes=4) is not None
         files = [p.name for p in store.graph_dir(fingerprint).iterdir()
                  if p.name.startswith("trajectory")]
-        assert files == ["trajectory-lam0.0.npz"]
+        assert files == ["trajectory-lam0.0.traj"]
         # ... and saving the positive spelling does not add a second file.
         store.save_trajectory(fingerprint, 0.0, np.zeros((3, 4)))
         assert len([p for p in store.graph_dir(fingerprint).iterdir()
@@ -378,17 +404,16 @@ class TestLambdaCanonicalisation:
         with pytest.raises(ValueError, match="finite"):
             store.save_trajectory(fingerprint, bad, np.zeros((3, 4)))
         with pytest.raises(ValueError, match="finite"):
-            store.load_trajectory(fingerprint, bad)
+            store.load_trajectory(fingerprint, bad, num_nodes=4)
         with pytest.raises(ValueError, match="finite"):
-            store.trajectory_rounds(fingerprint, bad)
+            published_rounds(store.root, fingerprint, bad)
         assert not store.graph_dir(fingerprint).exists()  # nothing was minted
 
     def test_stored_metadata_carries_the_canonical_spelling(self, store,
                                                             fingerprint):
         path = store.save_trajectory(fingerprint, -0.0, np.zeros((3, 4)))
-        with np.load(path, allow_pickle=False) as archive:
-            meta = json.loads(bytes(archive["meta"]).decode("utf-8"))
-        assert repr(meta["lam"]) == "0.0"
+        header = json.loads((path / HEADER_NAME).read_text())
+        assert repr(header["lam"]) == "0.0"
 
 
 class TestInFlightVisibility:
@@ -403,22 +428,20 @@ class TestInFlightVisibility:
     """
 
     def test_stalled_temp_files_are_invisible(self, store, fingerprint):
-        store.save_trajectory(fingerprint, 0.0, np.zeros((3, 4)))
-        stalled = (store.graph_dir(fingerprint)
-                   / ".trajectory-lam0.5.npz.tmp-999-1")
+        path = store.save_trajectory(fingerprint, 0.0, np.zeros((3, 4)))
+        stalled = path / f".{HEADER_NAME}.tmp-999-1"  # a publish in flight
         stalled.write_bytes(b"half-written")
         info = store.info(fingerprint)
-        assert info["files"] == 2  # graph.json + trajectory, not the temp
+        assert info["files"] == 3  # graph.json + header + rows, not the temp
         assert info["graphs"][0]["kinds"] == ["graph", "trajectory"]
-        assert store.evict(max_bytes=0) == 1  # the trajectory, never the temp
+        assert store.evict(max_bytes=0) == 1  # rows.bin, never the temp
         assert stalled.exists()
 
     def test_purge_leaves_in_flight_writes_alone(self, store, fingerprint):
-        store.save_trajectory(fingerprint, 0.0, np.zeros((3, 4)))
-        stalled = (store.graph_dir(fingerprint)
-                   / ".trajectory-lam0.5.npz.tmp-999-1")
+        path = store.save_trajectory(fingerprint, 0.0, np.zeros((3, 4)))
+        stalled = path / f".{HEADER_NAME}.tmp-999-1"
         stalled.write_bytes(b"half-written")
-        assert store.purge(fingerprint) == 2
+        assert store.purge(fingerprint) == 3
         assert stalled.exists()  # not ours to delete mid-replace
 
     def test_info_tolerates_files_vanishing_mid_scan(self, store, fingerprint,
@@ -430,7 +453,7 @@ class TestInFlightVisibility:
         real_stat = Path.stat
 
         def racing_stat(self, **kwargs):
-            if self.name == victim.name:
+            if self.parent == victim:
                 # Deleted between iterdir and stat.
                 import errno
 
@@ -439,7 +462,7 @@ class TestInFlightVisibility:
 
         monkeypatch.setattr(Path, "stat", racing_stat)
         info = store.info(fingerprint)
-        assert info["files"] == 2  # graph.json + the surviving trajectory
+        assert info["files"] == 3  # graph.json + the surviving trajectory
         assert info["graphs"][0]["fingerprint"] == fingerprint
 
 
@@ -460,10 +483,10 @@ class TestCsrAccounting:
         assert "csr" in row["kinds"]
         assert row["csr_bytes"] > 0
         assert row["bytes"] >= row["csr_bytes"]
-        assert row["files"] == 7  # graph.json + trajectory + meta + 4 arrays
+        assert row["files"] == 8  # graph.json + 2 trajectory + meta + 4 arrays
 
     def test_purge_removes_the_csr_directory(self, store, spilled):
-        assert store.purge(spilled) == 7
+        assert store.purge(spilled) == 8
         assert not store.graph_dir(spilled).exists()
 
     def test_evict_to_zero_clears_csr_arrays_too(self, store, spilled):

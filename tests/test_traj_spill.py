@@ -15,10 +15,14 @@ Contract under test (see :mod:`repro.store.traj` and the
 * the threaded mode reuses one pool per engine (and ``close`` shuts it
   down) instead of paying pool startup on every call;
 * a store-backed :class:`~repro.session.Session` adopts, extends, accounts
-  for, and purges the ``.traj`` artifact in place of the monolithic ``.npz``.
+  for, and purges the ``.traj`` artifact — the store's only trajectory
+  format — appending without rewriting published rows or invalidating a
+  live mapping.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
@@ -107,6 +111,25 @@ class TestAppendFormat:
             traj.ensure_prefix(_rows(2))
         (traj_dir(tmp_path, FP, 0.0) / HEADER_NAME).write_text("{not json")
         assert published_rounds(tmp_path, FP, 0.0) is None
+
+    @pytest.mark.parametrize("field, value", [("rounds", -5), ("rounds", True),
+                                              ("n", True)])
+    def test_malformed_header_counts_read_as_absent_and_start_over(
+            self, tmp_path, field, value):
+        # A negative count would send the appender seeking before row 0, and
+        # a JSON boolean is an int to isinstance (true would read as 1).
+        with AppendTrajectory.open(tmp_path, FP, 0.0, num_nodes=4) as traj:
+            traj.ensure_prefix(_rows(4))
+        path = traj_dir(tmp_path, FP, 0.0) / HEADER_NAME
+        path.write_text(json.dumps({**json.loads(path.read_text()),
+                                    field: value}))
+        assert published_rounds(tmp_path, FP, 0.0) is None
+        assert open_trajectory(tmp_path, FP, 0.0) is None
+        rows = _rows(5)
+        with AppendTrajectory.open(tmp_path, FP, 0.0, num_nodes=4) as traj:
+            assert traj.rounds == -1  # started over
+            assert traj.ensure_prefix(rows) == 4
+        assert np.array_equal(open_trajectory(tmp_path, FP, 0.0), rows)
 
     def test_node_count_mismatch_starts_over(self, tmp_path):
         with AppendTrajectory.open(tmp_path, FP, 0.0, num_nodes=4) as traj:
@@ -303,35 +326,9 @@ class TestThreadPoolReuse:
 
 
 class TestStoreIntegration:
-    def test_load_trajectory_prefers_the_longer_artifact(self, tmp_path):
-        store = ArtifactStore(tmp_path / "store")
-        npz_rows = _rows(4)
-        store.save_trajectory(FP, 0.0, npz_rows)
-        # No .traj yet: the .npz is served.
-        assert store.load_trajectory(FP, 0.0).shape == (4, 4)
-        # A longer .traj wins ...
-        with AppendTrajectory.open(store.root, FP, 0.0, num_nodes=4) as traj:
-            traj.ensure_prefix(_rows(6))
-        loaded = store.load_trajectory(FP, 0.0)
-        assert isinstance(loaded, np.memmap) and loaded.shape == (6, 4)
-        assert store.trajectory_rounds(FP, 0.0) == 5
-        # ... and a longer .npz wins back.
-        store.save_trajectory(FP, 0.0, _rows(9))
-        assert store.load_trajectory(FP, 0.0).shape == (9, 4)
-        assert store.trajectory_rounds(FP, 0.0) == 8
-
-    def test_ties_prefer_the_mapped_artifact(self, tmp_path):
-        store = ArtifactStore(tmp_path / "store")
-        store.save_trajectory(FP, 0.0, _rows(4))
-        with AppendTrajectory.open(store.root, FP, 0.0, num_nodes=4) as traj:
-            traj.ensure_prefix(_rows(4))
-        assert isinstance(store.load_trajectory(FP, 0.0), np.memmap)
-
     def test_info_purge_and_evict_account_for_traj_files(self, tmp_path):
         store = ArtifactStore(tmp_path / "store")
-        store.record_graph(FP, 4)
-        with AppendTrajectory.open(store.root, FP, 0.0, num_nodes=4) as traj:
-            traj.ensure_prefix(_rows(3))
+        store.save_trajectory(FP, 0.0, _rows(3))
         row = store.info(FP)["graphs"][0]
         assert row["traj_bytes"] > 0
         assert "trajectory" in row["kinds"]
@@ -341,28 +338,67 @@ class TestStoreIntegration:
 
     def test_evict_to_zero_clears_traj_artifacts(self, tmp_path):
         store = ArtifactStore(tmp_path / "store")
-        store.record_graph(FP, 4)
-        with AppendTrajectory.open(store.root, FP, 0.0, num_nodes=4) as traj:
-            traj.ensure_prefix(_rows(3))
+        store.save_trajectory(FP, 0.0, _rows(3))
         # Only the data file counts; header.json is descriptor cleanup.
         assert store.evict(max_bytes=0) == 1
         assert store.fingerprints() == ()
         assert not traj_dir(store.root, FP, 0.0).exists()
 
+    def test_published_rows_are_never_rewritten(self, graph, tmp_path,
+                                                monkeypatch):
+        store = ArtifactStore(tmp_path / "store")
+        first = Session(graph, store=store)
+        first.coreness(rounds=6)
+        path = rows_path(store.root, first.fingerprint, 0.0)
+        published, inode = path.read_bytes(), path.stat().st_ino
+        written = []
+        write_rows = AppendTrajectory._write_rows
+
+        def spy(self, first_row, block):
+            written.append(first_row)
+            write_rows(self, first_row, block)
+
+        monkeypatch.setattr(AppendTrajectory, "_write_rows", spy)
+        Session(graph, store=store).coreness(rounds=9)
+        assert written == [7]  # rows 7..9 only, appended in one block
+        assert path.stat().st_ino == inode  # appended, not recreated
+        data = path.read_bytes()
+        assert data[:len(published)] == published
+        reference = get_engine("vectorized").run(graph, 9, track_kept=False)
+        assert data == reference.trajectory.tobytes()
+
+    def test_a_live_mapping_survives_an_append(self, graph, tmp_path):
+        store = ArtifactStore(tmp_path / "store")
+        Session(graph, store=store).coreness(rounds=6)
+        reader = Session(graph, store=store)
+        mapped = reader.coreness(rounds=6).surviving.trajectory
+        assert isinstance(mapped, np.memmap)
+        before = np.array(mapped)
+        Session(graph, store=store).coreness(rounds=9)
+        assert np.array_equal(mapped, before)
+        # A writer that must start over unlinks the file, never truncates it.
+        (traj_dir(store.root, reader.fingerprint, 0.0) / HEADER_NAME) \
+            .write_text("{not json")
+        Session(graph, store=store).coreness(rounds=3)
+        assert np.array_equal(mapped, before)
+        assert reader.coreness(rounds=4).values == \
+            Session(graph).coreness(rounds=4).values
+
 
 class TestSessionSpill:
     SPEC = "sharded:shards=4,traj=mmap"
 
-    def test_session_spills_traj_instead_of_npz(self, graph, tmp_path):
+    @pytest.mark.parametrize("engine", ["vectorized", "sharded:4", SPEC])
+    def test_session_spills_traj_instead_of_npz(self, graph, tmp_path, engine):
         store = ArtifactStore(tmp_path / "store")
         reference = Session(graph).coreness(rounds=6)
-        session = Session(graph, engine=self.SPEC, store=store)
+        session = Session(graph, engine=engine, store=store)
         assert session.coreness(rounds=6).values == reference.values
         names = {p.name for p in store.graph_dir(session.fingerprint).iterdir()}
         assert "trajectory-lam0.0.traj" in names
         assert not any(name.endswith(".npz") for name in names)
         assert session.stats.disk_writes == 1
-        assert store.trajectory_rounds(session.fingerprint, 0.0) == 6
+        assert published_rounds(store.root, session.fingerprint, 0.0) == 6
         row = store.info(session.fingerprint)["graphs"][0]
         assert row["traj_bytes"] > 0 and "trajectory" in row["kinds"]
 
