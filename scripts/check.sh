@@ -9,7 +9,9 @@
 # disk, bit-identical; a resumed 2x-rounds run appends without rewriting
 # the stored rows of rows.bin; then a chain of three delta versions, each
 # restarted by a fresh session whose full CSR build must find the artifacts
-# stored under the spliced view's fingerprint), the `repro cache` CLI
+# stored under the spliced view's fingerprint, and isolated: writing to the
+# last version's graph in place, on a row it shares copy-on-write with the
+# root, leaves every earlier version's fingerprint unchanged), the `repro cache` CLI
 # smoke, the HTTP serve smoke (`repro serve` as a subprocess on an
 # ephemeral port: jobs over a real socket, each answer fetched with
 # include=result and compared with

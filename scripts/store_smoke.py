@@ -16,7 +16,11 @@ contract of ``repro.store``:
 * along a chain of three deltas (a new node, a loop, a reweight, a remove
   and re-add), each child's spliced CSR view fingerprints like a full build:
   a fresh session on the child's graph is served from the child's stored
-  artifacts, bit-identically.
+  artifacts, bit-identically;
+* the versions are isolated: the chain's graphs share their untouched rows
+  copy-on-write, and mutating the last child's graph in place (an edge on a
+  row it still shares with the root, and a node removal) leaves the root and
+  every earlier version with the content fingerprint it had.
 
 Exits non-zero on any violation.
 """
@@ -32,6 +36,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
+from repro.graph.csr import graph_fingerprint  # noqa: E402
 from repro.graph.delta import GraphDelta  # noqa: E402
 from repro.graph.generators.random_graphs import barabasi_albert  # noqa: E402
 from repro.session import Session  # noqa: E402
@@ -85,21 +90,25 @@ def main() -> int:
         print(f"store smoke: ok (graph n={graph.num_nodes}, rounds={rounds}; "
               f"one .traj, no .npz; restart disk_hits=1, bit-identical; "
               f"prefix resume reused {rounds} rounds and appended; 3 delta "
-              f"versions restarted from disk; store holds {info['files']} "
+              f"versions restarted from disk and isolated from an in-place "
+              f"write; store holds {info['files']} "
               f"files / {info['bytes']} bytes)")
     return 0
 
 
 def delta_chain_restart(session: Session, store: ArtifactStore,
                         rounds: int) -> None:
-    """Solve a chain of three deltas, then restart each version from disk."""
+    """Solve a chain of three deltas, restart each version from disk, then
+    mutate the last version in place and check the others are untouched."""
     (u, v, _), (x, y, _) = list(session.graph.edges())[:2]
     new = session.graph.num_nodes
     deltas = [GraphDelta(add_nodes=[new], add_edges=[(new, u, 1.0)]),
               GraphDelta(set_weights=[(v, v, 2.0), (x, y, 3.0)]),
               GraphDelta(remove_edges=[(u, v)], add_edges=[(u, v, 1.5)])]
+    versions = [session]
     for delta in deltas:
         session = session.apply_delta(delta)
+        versions.append(session)
         solved = session.coreness(rounds=rounds)
         assert session.stats.csr_builds == 1
         restarted = Session(session.graph, store=store)  # a full CSR build
@@ -113,6 +122,17 @@ def delta_chain_restart(session: Session, store: ArtifactStore,
         assert np.array_equal(served.surviving.trajectory,
                               solved.surviving.trajectory), \
             "delta version trajectory is not bit-identical"
+
+    root, last = versions[0].graph, versions[-1].graph
+    a, b, gone = [w for w in reversed(list(root.nodes()))
+                  if w not in {u, v, x, y}][:3]
+    assert last.neighbor_weights(a) is root.neighbor_weights(a), \
+        "an untouched row is not shared along the chain"
+    last.add_edge(a, b, 1.0)
+    last.remove_node(gone)
+    for earlier in versions[:-1]:
+        assert graph_fingerprint(earlier.graph) == earlier.fingerprint, \
+            "mutating the last delta version changed an earlier version"
 
 
 if __name__ == "__main__":

@@ -24,7 +24,9 @@ A graph derived from another by a :class:`~repro.graph.delta.GraphDelta`
 differs only in the rows of the nodes the delta touched, so
 ``graph_to_csr(child, parent=view, touched=labels)`` splices the child's
 view: untouched rows are copied from the parent's arrays and only the touched
-and new rows are read from the child's adjacency dicts.
+and new rows are read from the child's adjacency dicts.  A spliced view
+whose delta appends no node has its parent's labels, so it takes the parent's
+label-only memos (:data:`LABEL_MEMOS`) as they are.
 """
 
 from __future__ import annotations
@@ -38,6 +40,13 @@ import numpy as np
 
 from repro.errors import GraphError
 from repro.graph.graph import Graph
+
+
+#: :meth:`CSRAdjacency.cached` keys (and the :meth:`CSRAdjacency.label_index`
+#: memo) whose values depend on ``node_order`` alone: the label -> id dict,
+#: the fingerprint's label block, :func:`repro.core.bfs.identity_ranks` and
+#: the repr ranks of :mod:`repro.core.orientation`.
+LABEL_MEMOS = ("label_index", "label_block", "identity_ranks", "repr_ranks")
 
 
 @dataclass(frozen=True)
@@ -194,7 +203,8 @@ def graph_to_csr(graph: Graph, *, parent: Optional[CSRAdjacency] = None,
     :class:`~repro.errors.GraphError`; a touched label that is not a node of
     ``graph`` raises it too.  The spliced view inherits the parent's
     memoised label block (:func:`csr_fingerprint`) with the appended labels
-    encoded after it.
+    encoded after it; when no label is appended it inherits every memo named
+    in :data:`LABEL_MEMOS` as it is.
     """
     nodes: Tuple[Hashable, ...] = tuple(graph.nodes())
     if parent is not None and nodes[:parent.num_nodes] == parent.node_order:
@@ -298,12 +308,17 @@ def _splice(graph: Graph, nodes: Tuple[Hashable, ...], parent: CSRAdjacency,
 
     csr = CSRAdjacency(indptr=indptr, indices=indices, weights=weights,
                        loops=loops, node_order=nodes)
+    if not added:
+        csr._memo.update((name, parent._memo[name]) for name in LABEL_MEMOS
+                         if name in parent._memo)
+        return csr
+    # Appended labels extend the index and the label block; they can shift
+    # the ranks of existing labels, so those are left to be recomputed.
     csr._memo["label_index"] = index
     block = parent._memo.get("label_block")
     if block is not None:
-        if added:
-            block = np.concatenate((block, _encode_labels(added)))
-            block.flags.writeable = False
+        block = np.concatenate((block, _encode_labels(added)))
+        block.flags.writeable = False
         csr._memo["label_block"] = block
     return csr
 

@@ -209,6 +209,13 @@ def apply_delta(graph: Graph, delta: GraphDelta) -> Graph:
     (so their CSR integer ids are stable across the delta — what the
     frontier-restricted re-solve relies on), new nodes are appended in the
     delta's canonical order of first appearance.
+
+    The child starts as a :meth:`Graph.copy` of the parent, which shares
+    every row copy-on-write, so the child holds copies only of the rows the
+    delta writes: the cost is O(n) for the node -> row dict plus the touched
+    rows, not the whole adjacency.  The child is complete and independent
+    when this returns; a later write to either graph copies the row it
+    touches first.
     """
     child = graph.copy()
     for v in delta.add_nodes:

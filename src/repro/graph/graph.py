@@ -15,13 +15,20 @@ Section II terminology:
 The adjacency is stored as a dict-of-dicts which keeps node insertion order, making
 iteration deterministic.  For the vectorised engines the graph can be converted to a
 :class:`repro.graph.csr.CSRAdjacency`.
+
+:meth:`Graph.copy` is copy-on-write: the copy gets its own node -> row dict
+but shares every row dict with its source, and whichever of the two graphs
+writes a shared row first copies that one row.  A chain of delta versions
+(:func:`repro.graph.delta.apply_delta`) therefore holds each untouched row
+once, and every version stays a complete, independent graph.
 """
 
 from __future__ import annotations
 
 import math
 from types import MappingProxyType
-from typing import Dict, Hashable, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import (Dict, Hashable, Iterable, Iterator, Mapping, Optional, Sequence,
+                    Set, Tuple)
 
 from repro.errors import GraphError
 
@@ -46,7 +53,8 @@ class Graph:
 
     # __weakref__ lets long-lived registries (the serve layer's per-graph
     # lock map) hold graphs weakly instead of pinning them forever.
-    __slots__ = ("_adj", "_loops", "_num_edges", "_total_weight", "__weakref__")
+    __slots__ = ("_adj", "_loops", "_num_edges", "_total_weight", "_owned",
+                 "__weakref__")
 
     def __init__(self, edges: Optional[Iterable[Sequence]] = None,
                  nodes: Optional[Iterable[Node]] = None) -> None:
@@ -56,6 +64,10 @@ class Graph:
         self._loops: Dict[Node, float] = {}
         self._num_edges: int = 0
         self._total_weight: float = 0.0
+        # None while every row of _adj belongs to this graph alone.  After a
+        # copy() the rows are shared with the other graph, and _owned holds
+        # the labels whose rows this graph has since copied for itself.
+        self._owned: Optional[Set[Node]] = None
         if nodes is not None:
             for v in nodes:
                 self.add_node(v)
@@ -75,6 +87,8 @@ class Graph:
         """Add an isolated node (no-op if it already exists)."""
         if v not in self._adj:
             self._adj[v] = {}
+            if self._owned is not None:
+                self._owned.add(v)
 
     def has_node(self, v: Node) -> bool:
         """Whether ``v`` is a node of the graph."""
@@ -121,12 +135,17 @@ class Graph:
                 self._num_edges += 1
             self._total_weight += w
             return
-        if v in self._adj[u]:
-            self._adj[u][v] += w
-            self._adj[v][u] += w
+        if self._owned is not None:
+            self._claim(u)
+            self._claim(v)
+        adj = self._adj
+        row = adj[u]
+        if v in row:
+            row[v] += w
+            adj[v][u] += w
         else:
-            self._adj[u][v] = w
-            self._adj[v][u] = w
+            row[v] = w
+            adj[v][u] = w
             self._num_edges += 1
         self._total_weight += w
 
@@ -138,13 +157,22 @@ class Graph:
             self._total_weight -= self._loops.pop(u)
             self._num_edges -= 1
             return
-        try:
-            w = self._adj[u].pop(v)
-            self._adj[v].pop(u)
-        except KeyError as exc:
-            raise GraphError(f"edge ({u!r}, {v!r}) not in graph") from exc
+        if v not in self._adj.get(u, ()):
+            raise GraphError(f"edge ({u!r}, {v!r}) not in graph")
+        if self._owned is not None:
+            self._claim(u)
+            self._claim(v)
+        w = self._adj[u].pop(v)
+        self._adj[v].pop(u)
         self._total_weight -= w
         self._num_edges -= 1
+
+    def _claim(self, v: Node) -> None:
+        """Copy ``v``'s row for this graph before its first write since the
+        last :meth:`copy` (only called while ``_owned`` is a set)."""
+        if v not in self._owned:
+            self._adj[v] = dict(self._adj[v])
+            self._owned.add(v)
 
     def has_edge(self, u: Node, v: Node) -> bool:
         """Whether the edge ``{u, v}`` (or self-loop when ``u == v``) exists."""
@@ -197,7 +225,13 @@ class Graph:
             raise GraphError(f"unknown node {v!r}") from exc
 
     def neighbor_weights(self, v: Node) -> Mapping[Node, float]:
-        """Read-only view of ``{u: w({u, v}) for u in N(v)}``."""
+        """Read-only view of ``{u: w({u, v}) for u in N(v)}``.
+
+        This is the live row, not a snapshot.  A row that :meth:`copy` left
+        shared with another graph is replaced by a private copy on its first
+        write, so a mapping taken before that write no longer reflects it:
+        read the row again after mutating the graph.
+        """
         try:
             return self._adj[v]
         except KeyError as exc:
@@ -266,18 +300,27 @@ class Graph:
 
     # ----------------------------------------------------------------- copies
     def copy(self) -> "Graph":
-        """Deep copy of the graph (weights copied by value).
+        """An independent copy of the graph that shares its rows copy-on-write.
 
-        The adjacency dicts are copied as they are, so every row keeps its
-        neighbour order and the copy has the original's CSR view and content
-        fingerprint (re-adding edges through :meth:`edges` would reorder rows
-        whose neighbours were not inserted in node order).
+        The copy gets its own node -> row dict and self-loop dict, but every
+        row dict (a node's neighbour -> weight map) is shared with this
+        graph.  A write through :meth:`add_edge`, :meth:`remove_edge` or
+        :meth:`remove_node` first copies the one or two rows it touches, in
+        whichever of the two graphs it writes, so each behaves as a deep copy
+        and a copy costs O(n) plus the rows later written, not the whole
+        adjacency.  Rows keep their neighbour order, so the copy has the
+        original's CSR view and content fingerprint (re-adding edges through
+        :meth:`edges` would reorder rows whose neighbours were not inserted
+        in node order).  As for any graph, do not mutate it while another
+        thread copies or reads it.
         """
         g = Graph()
-        g._adj = {v: dict(nbrs) for v, nbrs in self._adj.items()}
+        g._adj = dict(self._adj)
         g._loops = dict(self._loops)
         g._num_edges = self._num_edges
         g._total_weight = self._total_weight
+        g._owned = set()
+        self._owned = set()     # this graph's rows are now shared too
         return g
 
     def is_unit_weighted(self, tol: float = 1e-12) -> bool:
@@ -323,3 +366,13 @@ class Graph:
 
     def __hash__(self) -> int:  # Graphs are mutable: identity hash only.
         return id(self)
+
+    def __getstate__(self):
+        # The pickle holds rows of its own, so an unpickled graph shares no
+        # row with another graph, even one unpickled from the same stream.
+        return ({v: dict(nbrs) for v, nbrs in self._adj.items()}, dict(self._loops),
+                self._num_edges, self._total_weight)
+
+    def __setstate__(self, state) -> None:
+        self._adj, self._loops, self._num_edges, self._total_weight = state
+        self._owned = None

@@ -97,7 +97,7 @@ from repro.errors import (
     WireFormatError,
 )
 from repro.graph.datasets import list_datasets, load_dataset
-from repro.graph.delta import GraphDelta
+from repro.graph.delta import GraphDelta, chain_fingerprint
 from repro.graph.graph import Graph
 from repro.graph.io import from_dict as graph_from_dict
 from repro.graph.io import parse_edge_list
@@ -110,6 +110,7 @@ from repro.obs.metrics import (
     get_registry,
 )
 from repro.serve.queue import JobQueue
+from repro.session import check_frontier_fraction
 from repro.store import ArtifactStore
 
 #: Longest long-poll a single ``?wait=`` request may hold a handler thread
@@ -445,7 +446,9 @@ class ReproHTTPServer(ThreadingHTTPServer):
         runner so every later job on the child graph goes through the
         incremental path.  Deriving a version that is already registered
         (same chain fingerprint) is idempotent: the existing record answers
-        with ``created=False``.
+        with ``created=False``, and the delta is not applied again (its key
+        is the chain fingerprint the session would mint, computed from the
+        parent's lineage address and the delta alone).
         """
         with self._state_lock:
             if self._draining:
@@ -465,23 +468,31 @@ class ReproHTTPServer(ThreadingHTTPServer):
         fraction = payload.get("max_frontier_fraction", 0.25)
         if not isinstance(fraction, (int, float)) or isinstance(fraction, bool):
             raise WireFormatError("max_frontier_fraction must be a number")
+        fraction = check_frontier_fraction(float(fraction))
         parent_session = self.queue.runner.session(record.graph)
-        child = parent_session.apply_delta(delta,
-                                           max_frontier_fraction=float(fraction))
-        child_fp = child.chain_fingerprint
+        child_fp = chain_fingerprint(parent_session.chain_fingerprint, delta)
         with self._state_lock:
             hit = self._graphs.get(child_fp)
-            created = hit is None
-            if created:
-                hit = self._graphs[child_fp] = _GraphRecord(
-                    fingerprint=child_fp, graph=child.graph, source="delta",
-                    parent=fingerprint,
-                    content_fingerprint=child.fingerprint)
-                self._applied_deltas += 1
-            else:
+            if hit is not None:
                 hit.uploads += 1
-        if created:
-            self.queue.runner.adopt_session(child)
+        created = False
+        if hit is None:
+            child = parent_session.apply_delta(delta,
+                                               max_frontier_fraction=fraction)
+            with self._state_lock:
+                # Two concurrent first POSTs both apply; one registers.
+                hit = self._graphs.get(child_fp)
+                created = hit is None
+                if created:
+                    hit = self._graphs[child_fp] = _GraphRecord(
+                        fingerprint=child_fp, graph=child.graph,
+                        source="delta", parent=fingerprint,
+                        content_fingerprint=child.fingerprint)
+                    self._applied_deltas += 1
+                else:
+                    hit.uploads += 1
+            if created:
+                self.queue.runner.adopt_session(child)
         self._deltas_by_tenant.inc(tenant=tenant)
         return {**self._graph_doc(hit), "delta": delta.describe(),
                 "operations": delta.num_operations, "created": created,

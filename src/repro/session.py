@@ -76,6 +76,15 @@ SOLVE_SECONDS = get_registry().histogram(
     labelnames=("problem",))
 
 
+def check_frontier_fraction(value: float) -> float:
+    """``max_frontier_fraction`` as a float; :class:`AlgorithmError` unless
+    it lies in ``[0, 1]``."""
+    if not 0.0 <= float(value) <= 1.0:
+        raise AlgorithmError(
+            f"max_frontier_fraction must be in [0, 1], got {value!r}")
+    return float(value)
+
+
 @dataclass
 class SessionStats:
     """Counters of what a :class:`Session` built, reused and executed."""
@@ -313,17 +322,14 @@ class Session:
         if not isinstance(delta, GraphDelta):
             raise AlgorithmError(
                 f"apply_delta expects a GraphDelta, got {type(delta).__name__}")
-        if not 0.0 <= float(max_frontier_fraction) <= 1.0:
-            raise AlgorithmError(
-                f"max_frontier_fraction must be in [0, 1], "
-                f"got {max_frontier_fraction!r}")
+        fraction = check_frontier_fraction(max_frontier_fraction)
         child_graph = apply_graph_delta(self.graph, delta)
         child = Session(child_graph, engine=self.engine, lam=self._default_lam,
                         store=self.store,
                         max_cached_results=self.max_cached_results)
         child._parent = self
         child._delta = delta
-        child._max_frontier_fraction = float(max_frontier_fraction)
+        child._max_frontier_fraction = fraction
         child._chain_fingerprint = delta_chain_fingerprint(
             self.chain_fingerprint, delta)
         if self.store is not None:

@@ -2,7 +2,9 @@
 
 The production paths in :mod:`repro.core.orientation` are batched NumPy
 rewrites of these loops.  The loops stay here, beside their only callers, as
-the ground truth the equivalence tests compare the rewrites against.
+the ground truth the equivalence tests compare the rewrites against.  So does
+:func:`deep_copy`, the eager copy that :meth:`Graph.copy` replaced with
+copy-on-write rows.
 """
 
 from __future__ import annotations
@@ -15,6 +17,21 @@ from repro.core.orientation import EdgeKey, Orientation, canonical_edge
 from repro.core.update import update_sorted, update_stable
 from repro.graph.csr import CSRAdjacency
 from repro.graph.graph import Graph
+
+
+def deep_copy(graph: Graph) -> Graph:
+    """A copy of ``graph`` that copies every row dict up front.
+
+    This was :meth:`Graph.copy` before it shared rows copy-on-write; the copy
+    owns all its rows, so it is the reference a copy-on-write copy must
+    behave like under any sequence of writes.
+    """
+    g = Graph()
+    g._adj = {v: dict(nbrs) for v, nbrs in graph._adj.items()}
+    g._loops = dict(graph._loops)
+    g._num_edges = graph._num_edges
+    g._total_weight = graph._total_weight
+    return g
 
 
 def orientation_from_kept_reference(

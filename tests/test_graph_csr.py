@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import bfs
 from repro.core.bfs import identity_ranks
+from repro.core.orientation import _repr_ranks
 from repro.errors import GraphError
 from repro.graph import csr as csr_module
 from repro.graph.csr import (
@@ -326,6 +327,28 @@ def _assert_same_view(spliced, fresh):
         assert got.tobytes() == want.tobytes(), name
 
 
+def _seed_label_memos(view):
+    """Compute every label-only memo of ``view``."""
+    view.label_index()
+    csr_fingerprint(view)
+    identity_ranks(view)
+    _repr_ranks(view)
+
+
+def _assert_same_memos(spliced, fresh):
+    """Every memo ``spliced`` holds equals ``fresh``'s, computed afresh."""
+    _seed_label_memos(fresh)
+    fresh.sorted_entries()
+    fresh.twin()
+    for name, got in spliced._memo.items():
+        want = fresh._memo[name]
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype, name
+            assert got.tobytes() == want.tobytes(), name
+        else:
+            assert got == want, name
+
+
 class TestSplicedView:
     """``graph_to_csr(child, parent=..., touched=...)`` equals a full build."""
 
@@ -336,21 +359,42 @@ class TestSplicedView:
         graph, deltas = chain
         view = graph_to_csr(graph)
         if fingerprinted:
-            csr_fingerprint(view)       # seeds the label-block memo
+            _seed_label_memos(view)     # the label block and both rank arrays
         for delta in deltas:
             child = apply_delta(graph, delta)
             spliced = graph_to_csr(child, parent=view,
                                    touched=changed_labels(delta))
             fresh = graph_to_csr(child)
             _assert_same_view(spliced, fresh)
+            _assert_same_memos(spliced, fresh)
             if fingerprinted:
                 block = spliced._memo["label_block"]
                 assert not block.flags.writeable
                 assert block.tobytes() == \
                     csr_module._label_block(fresh).tobytes()
+                _seed_label_memos(spliced)
             assert csr_fingerprint(spliced) == csr_fingerprint(fresh)
             assert spliced.label_index() == fresh.label_index()
             graph, view = child, spliced
+
+    def test_a_child_without_new_nodes_shares_its_parents_ranks(self):
+        graph = _strings_edge_readded()
+        view = graph_to_csr(graph)
+        ranks, by_repr = identity_ranks(view), _repr_ranks(view)
+        delta = GraphDelta(add_edges=[("a", "d", 1.0)])
+        spliced = graph_to_csr(apply_delta(graph, delta), parent=view,
+                               touched=changed_labels(delta))
+        assert identity_ranks(spliced) is ranks
+        assert _repr_ranks(spliced) is by_repr
+
+        # "aa" sorts between "a" and "b", so it shifts the ranks after it.
+        delta = GraphDelta(add_edges=[("a", "aa", 1.0)])
+        grown = apply_delta(graph, delta)
+        spliced = graph_to_csr(grown, parent=view, touched=changed_labels(delta))
+        fresh = graph_to_csr(grown)
+        assert identity_ranks(spliced).tobytes() == identity_ranks(fresh).tobytes()
+        assert _repr_ranks(spliced).tobytes() == _repr_ranks(fresh).tobytes()
+        assert identity_ranks(spliced).tolist() != ranks.tolist() + [4]
 
     @given(delta_chains())
     @settings(max_examples=40, deadline=None,

@@ -161,6 +161,46 @@ class TestUploadBuildsTheViewOnce:
             assert len(calls["_splice"]) == 1
 
 
+class TestReplayedDelta:
+    def test_a_repeated_delta_post_is_not_applied_again(self, tmp_path,
+                                                         monkeypatch):
+        import repro.graph.csr as csr_module
+        import repro.session as session_module
+        from repro.store import ArtifactStore
+
+        calls = {"apply_graph_delta": [], "_splice": [], "csr_fingerprint": []}
+        for module in (csr_module, session_module):
+            for name, seen in calls.items():
+                if name in vars(module):
+                    monkeypatch.setattr(module, name,
+                                        _counting(getattr(module, name), seen))
+        lineage = calls["record_lineage"] = []
+        monkeypatch.setattr(ArtifactStore, "record_lineage",
+                            _counting(ArtifactStore.record_lineage, lineage))
+        delta = GraphDelta(add_edges=[(0, 239, 1.0)], remove_edges=[(0, 1)])
+        with ReproHTTPServer(workers=2, store=tmp_path / "store") as srv, \
+                ServeClient(srv.host, srv.port) as cli:
+            fp = cli.upload_dataset("caveman")
+            first = cli.apply_delta(fp, delta)
+            assert first["created"] is True and first["uploads"] == 1
+            assert len(calls["apply_graph_delta"]) == len(lineage) == 1
+            seen = {name: len(made) for name, made in calls.items()}
+            opened = srv.queue.runner.cached_graphs
+
+            again = cli.apply_delta(fp, delta.to_dict())
+            assert again["created"] is False and again["uploads"] == 2
+            assert again["fingerprint"] == first["fingerprint"]
+            assert {name: len(made) for name, made in calls.items()} == seen
+            assert srv.queue.runner.cached_graphs == opened
+
+            # A bad fraction answers the same error whether or not the
+            # version is registered.
+            for graph_fp in (fp, first["fingerprint"]):
+                with pytest.raises(AlgorithmError, match="must be in"):
+                    cli.apply_delta(graph_fp, delta, max_frontier_fraction=2.0)
+            assert cli.graph(first["fingerprint"])["uploads"] == 2
+
+
 class TestJobLifecycle:
     def test_submit_poll_result(self, client):
         fp = client.upload_dataset("caveman")
