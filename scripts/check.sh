@@ -11,15 +11,21 @@
 # restarted by a fresh session whose full CSR build must find the artifacts
 # stored under the spliced view's fingerprint, and isolated: writing to the
 # last version's graph in place, on a row it shares copy-on-write with the
-# root, leaves every earlier version's fingerprint unchanged), the `repro cache` CLI
-# smoke, the HTTP serve smoke (`repro serve` as a subprocess on an
-# ephemeral port: jobs over a real socket, each answer fetched with
-# include=result and compared with
-# the same request's to_dict() in-process, /metrics in both JSON and
-# Prometheus exposition, graceful SIGTERM drain with no staging files left
-# in the store), the densest
-# fast-path smoke (phases 2-4 on the CSR kernels, bit-identical to the
-# faithful 4-phase simulator pipeline), the observability smoke (a traced
+# root, leaves every earlier version's fingerprint unchanged; and a solved
+# chain whose earlier versions are collected once dropped, the last one still
+# answering bit-identically from its collected parent's stored trajectory),
+# the `repro cache` CLI smoke, the HTTP serve smoke (`repro serve` as a
+# subprocess on an ephemeral port: jobs over a real socket, each answer
+# fetched with include=result and compared with the same request's
+# to_dict() in-process, /metrics in both JSON and Prometheus exposition, a
+# chain of MAX_SESSIONS + 8 delta versions past the server's session bound
+# whose first version re-opens as a disk hit with the same answer and
+# replays its delta without minting a new key while no session counter
+# falls, and a second such chain posted with no job whose evicted first
+# version still solves by frontier, graceful SIGTERM drain with no staging
+# files left in the store),
+# the densest fast-path smoke (phases 2-4 on the CSR kernels, bit-identical
+# to the faithful 4-phase simulator pipeline), the observability smoke (a traced
 # solve exported to Chrome trace format plus a non-empty `repro trace
 # summarize` per-span table), and the bench/ smoke (each BENCHMARK.json
 # workload once, traced, on tiny inputs).

@@ -7,6 +7,15 @@ caveman dataset, runs one job per registered problem, fetches each answer
 with ``include=result`` and compares it with ``to_dict()`` of the same
 request solved by an in-process ``Session`` on the same dataset, checks ``/metrics``
 accounting (both the JSON document and the Prometheus text exposition),
+posts a chain of ``MAX_SESSIONS + 8`` deltas and solves each version (so the
+runner evicts the first versions' sessions), then re-solves the first delta
+version (the same answer, one more disk hit, no new cold run), replays the
+delta that made it and the delta posted on it (each ``created: false``, the
+same fingerprint) and scrapes ``/metrics`` twice (no
+``repro_session_*_total`` sample may fall), posts a second chain of
+``MAX_SESSIONS + 8`` deltas with no job in between and solves its first
+version last (a frontier re-solve from the root's stored trajectory: one more
+incremental run, no new cold run, the in-process answer),
 checks that the median of 20 ``/health`` round trips stays under
 ``MAX_HEALTH_RTT`` seconds (half the ~40 ms delayed-ACK stall a server
 socket with Nagle's algorithm on adds to every response), and finally
@@ -35,7 +44,9 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.graph.datasets import load_dataset  # noqa: E402
+from repro.graph.delta import GraphDelta, apply_delta  # noqa: E402
 from repro.serve.client import ServeClient  # noqa: E402
+from repro.serve.http import MAX_SESSIONS  # noqa: E402
 from repro.session import Session  # noqa: E402
 
 BANNER = re.compile(r"listening on http://([^:]+):(\d+)")
@@ -47,8 +58,9 @@ SAMPLE_LINE = re.compile(
     r'^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? [^ ]+$')
 
 
-def check_prometheus_exposition(host, port):
-    """Scrape /metrics?format=prometheus and parse the text exposition."""
+def scrape_prometheus(host, port):
+    """Scrape /metrics?format=prometheus and parse the text exposition into
+    ``{sample name (with labels): value}``."""
     url = f"http://{host}:{port}/metrics?format=prometheus"
     with urllib.request.urlopen(url, timeout=10) as response:
         assert response.status == 200, response.status
@@ -56,7 +68,7 @@ def check_prometheus_exposition(host, port):
         assert content_type.startswith("text/plain; version=0.0.4"), \
             content_type
         text = response.read().decode("utf-8")
-    names = set()
+    samples = {}
     for line in text.splitlines():
         if not line:
             continue
@@ -65,12 +77,93 @@ def check_prometheus_exposition(host, port):
             assert parts[0] == "#" and parts[1] in ("HELP", "TYPE"), line
             continue
         assert SAMPLE_LINE.match(line), f"unparseable sample line: {line!r}"
-        names.add(line.split("{", 1)[0].split(" ", 1)[0])
+        name, value = line.rsplit(" ", 1)
+        samples[name] = float(value)
+    names = {name.split("{", 1)[0] for name in samples}
     required = {"repro_http_jobs", "repro_http_jobs_by_status",
-                "repro_serve_submitted_total", "repro_solve_latency_seconds_count"}
+                "repro_serve_submitted_total", "repro_solve_latency_seconds_count",
+                "repro_runner_sessions", "repro_runner_sessions_evicted_total",
+                "repro_session_frontier_peak_nodes"}
     missing = required - names
     assert not missing, f"exposition is missing families: {missing}"
-    return len(names)
+    return samples
+
+
+def solve(client, fingerprint):
+    """One coreness job on ``fingerprint``; its full result."""
+    issued = client.submit(fingerprint, problem="coreness", rounds=ROUNDS)
+    doc = client.result(issued["job"], include_result=True)
+    assert doc["status"] == "done", doc
+    return doc["result"]
+
+
+def check_delta_chain(client, host, port, root):
+    """Post a chain of ``MAX_SESSIONS + 8`` deltas, solving each version,
+    so the runner evicts the first ones; then re-open the first delta
+    version and replay both the delta that made it and the one posted on
+    it."""
+    graph = load_dataset(DATASET)
+    edges = [(u, v) for u, v, _ in graph.edges()]
+    deltas = [GraphDelta(set_weights=[(*edges[i], 2.0)])
+              for i in range(MAX_SESSIONS + 8)]
+    versions, first = [root], None
+    for delta in deltas:
+        doc = client.apply_delta(versions[-1], delta)
+        assert doc["created"] is True, doc
+        versions.append(doc["fingerprint"])
+        answer = solve(client, versions[-1])
+        first = answer if first is None else first
+    before = client.metrics()
+    assert before["server"]["sessions"] <= MAX_SESSIONS, before["server"]
+    assert before["server"]["evicted_sessions"] >= 8, before["server"]
+    scraped = scrape_prometheus(host, port)
+
+    assert solve(client, versions[1]) == first, \
+        "the re-opened first version answers differently"
+    after = client.metrics()["session"]
+    assert after["disk_hits"] > before["session"]["disk_hits"], after
+    assert after["cold_runs"] == before["session"]["cold_runs"], after
+
+    for at, delta, made in ((0, deltas[0], versions[1]),
+                            (1, deltas[1], versions[2])):
+        replay = client.apply_delta(versions[at], delta)
+        assert replay["created"] is False, replay
+        assert replay["fingerprint"] == made, \
+            "a replayed delta on a re-opened version minted a new key"
+
+    rescraped = scrape_prometheus(host, port)
+    fell = [name for name, value in scraped.items()
+            if name.startswith("repro_session_") and name.endswith("_total")
+            and rescraped[name] < value]
+    assert not fell, f"session counters fell across evictions: {fell}"
+    return len(deltas)
+
+
+def check_unsolved_chain(client, root):
+    """Post ``MAX_SESSIONS + 8`` deltas with no job in between, so the first
+    version is evicted before its first job; that job must still re-solve
+    only the frontier, from the root's stored trajectory."""
+    graph = load_dataset(DATASET)
+    edges = [(u, v) for u, v, _ in graph.edges()]
+    deltas = [GraphDelta(set_weights=[(*edges[i], 3.0)])
+              for i in range(MAX_SESSIONS + 8)]
+    solve(client, root)
+    versions = [root]
+    for delta in deltas:
+        doc = client.apply_delta(versions[-1], delta,
+                                 max_frontier_fraction=1.0)
+        assert doc["created"] is True, doc
+        versions.append(doc["fingerprint"])
+    before = client.metrics()["session"]
+    answer = solve(client, versions[1])
+    after = client.metrics()["session"]
+    assert after["incremental_runs"] == before["incremental_runs"] + 1, \
+        "an evicted, never solved version lost its frontier re-solve"
+    assert after["cold_runs"] == before["cold_runs"], after
+    expected = Session(apply_delta(graph, deltas[0])).coreness(rounds=ROUNDS)
+    assert answer == json.loads(json.dumps(expected.to_dict())), \
+        "the evicted version answers differently from in-process"
+    return len(deltas)
 
 
 def health_rtt_median(client, samples=20):
@@ -131,7 +224,10 @@ def main() -> int:
                 rtt = health_rtt_median(client)
                 assert rtt < MAX_HEALTH_RTT, \
                     f"median /health round trip {rtt * 1e3:.1f} ms"
-            families = check_prometheus_exposition(host, port)
+                families = len({name.split("{", 1)[0] for name
+                                in scrape_prometheus(host, port)})
+                chain = check_delta_chain(client, host, port, fingerprint)
+                unsolved = check_unsolved_chain(client, fingerprint)
             proc.send_signal(signal.SIGTERM)
             returncode = proc.wait(timeout=30)
         finally:
@@ -155,6 +251,11 @@ def main() -> int:
     print(f"serve smoke: {len(PROBLEMS)} problems over the wire, "
           "each answer equal to the in-process one, "
           f"{families} prometheus families parsed, "
+          f"{chain} chained deltas past the session bound "
+          "(first version re-opened as a disk hit, replay not re-applied, "
+          "no session counter fell), "
+          f"{unsolved} more posted unsolved (the first solved last, by "
+          "frontier), "
           f"median /health round trip {rtt * 1e3:.2f} ms, graceful drain, "
           "no staging files left behind")
     return 0

@@ -20,15 +20,21 @@ contract of ``repro.store``:
 * the versions are isolated: the chain's graphs share their untouched rows
   copy-on-write, and mutating the last child's graph in place (an edge on a
   row it still shares with the root, and a node removal) leaves the root and
-  every earlier version with the content fingerprint it had.
+  every earlier version with the content fingerprint it had;
+* a solved chain does not pin its versions: once the script drops every
+  version but the last, the earlier ones are collected, and the last one's
+  first solve at a new λ seeds its frontier from its collected parent's
+  stored trajectory, bit-identically to a cold solve.
 
 Exits non-zero on any violation.
 """
 
 from __future__ import annotations
 
+import gc
 import sys
 import tempfile
+import weakref
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -85,13 +91,15 @@ def main() -> int:
             "extended rows.bin differs from a cold trajectory"
 
         delta_chain_restart(cold_session, store, rounds)
+        released = released_chain(Session(graph, store=store), rounds)
 
         info = store.info()
         print(f"store smoke: ok (graph n={graph.num_nodes}, rounds={rounds}; "
               f"one .traj, no .npz; restart disk_hits=1, bit-identical; "
               f"prefix resume reused {rounds} rounds and appended; 3 delta "
               f"versions restarted from disk and isolated from an in-place "
-              f"write; store holds {info['files']} "
+              f"write; {released} dropped versions of a solved chain "
+              f"collected; store holds {info['files']} "
               f"files / {info['bytes']} bytes)")
     return 0
 
@@ -133,6 +141,35 @@ def delta_chain_restart(session: Session, store: ArtifactStore,
     for earlier in versions[:-1]:
         assert graph_fingerprint(earlier.graph) == earlier.fingerprint, \
             "mutating the last delta version changed an earlier version"
+
+
+def released_chain(session: Session, rounds: int) -> int:
+    """Solve a chain of six deltas at two λ, holding every version, then
+    drop all but the last: the earlier versions must be collected, and the
+    last one, solved so far at λ=0 only, must answer λ=0.5 from a frontier
+    seeded by its collected parent's stored trajectory."""
+    edges = [(u, v) for u, v, _ in session.graph.edges()]
+    versions = [session]
+    for i in range(6):
+        versions.append(versions[-1].apply_delta(
+            GraphDelta(set_weights=[(*edges[i], 2.0)])))
+        for lam in (0.0, 0.5) if i < 5 else (0.0,):
+            versions[-1].coreness(rounds=rounds, lam=lam)
+    last = versions.pop()
+    dropped = [weakref.ref(version) for version in versions]
+    del versions, session
+    gc.collect()
+    assert all(ref() is None for ref in dropped), \
+        "a dropped version of a solved chain is still alive"
+    assert last.parent is None, "the last version still holds its parent"
+    answer = last.coreness(rounds=rounds, lam=0.5)
+    assert last.stats.incremental_runs == 2 and last.stats.cold_runs == 0, \
+        f"the last version did not seed from the store: {last.stats}"
+    cold = Session(last.graph).coreness(rounds=rounds, lam=0.5)
+    assert np.array_equal(answer.surviving.trajectory,
+                          cold.surviving.trajectory), \
+        "the last version's answer differs from a cold solve"
+    return len(dropped)
 
 
 if __name__ == "__main__":

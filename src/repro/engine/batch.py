@@ -14,9 +14,12 @@ returns a :class:`BatchResult` with the problem result plus per-job
 
 from __future__ import annotations
 
+import threading
 import time
+import weakref
+from collections import OrderedDict
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -27,7 +30,7 @@ from repro.errors import AlgorithmError
 from repro.graph.csr import CSRAdjacency
 from repro.graph.graph import Graph
 from repro.problems import Problem, ProblemLike, get_problem
-from repro.session import Session
+from repro.session import DeltaLink, Session, SessionStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.surviving import SurvivingNumbers
@@ -141,11 +144,30 @@ class BatchRunner:
     including across *different* problems (a coreness job and an orientation
     job on the same graph reuse one λ=0 trajectory).  Graphs are treated as
     immutable while a runner holds them.
+
+    ``max_sessions`` bounds the open sessions: beyond it the least recently
+    used one is evicted (``None``, the default, keeps every session for the
+    runner's lifetime, which a one-shot ``repro batch`` wants).  An evicted
+    session still counts in :meth:`aggregate_stats`, including work a job
+    still running on it does after the eviction, so the totals never
+    decrease; its link to its parent version turns weak.  A later job on
+    the same graph re-opens a session, which reloads its trajectories from
+    the store as disk hits (without a store it solves cold again, so bound
+    only a store-backed runner).  A delta version re-opens as the same
+    version (:meth:`~repro.session.Session.restore_link`): a delta derived
+    from it again mints the same lineage address, and its first solve at a
+    new λ still seeds its frontier from the parent's live or stored
+    trajectory.  The map is locked: threads that miss on one graph at once
+    get one session.
     """
 
     def __init__(self, engine: EngineLike = "vectorized", *, store=None,
                  max_cached_results: Optional[int] = None,
+                 max_sessions: Optional[int] = None,
                  **engine_options) -> None:
+        if max_sessions is not None and max_sessions < 1:
+            raise AlgorithmError(
+                f"max_sessions must be >= 1 or None, got {max_sessions}")
         self.engine: Engine = get_engine(engine, **engine_options)
         #: persistent artifact store handed to every opened session (optional;
         #: an :class:`~repro.store.ArtifactStore` or its root directory), so
@@ -156,17 +178,36 @@ class BatchRunner:
         #: over mapped files under ``<store>/<fingerprint>/csr/``.
         self.store = store
         self.max_cached_results = max_cached_results
+        self.max_sessions = max_sessions
+        self._lock = threading.Lock()
         # id() keys require keeping the graph alive; the Session holds it.
-        self._sessions: Dict[int, Session] = {}
+        # Least recently used first.
+        self._sessions: "OrderedDict[int, Session]" = OrderedDict()
+        #: counters of the sessions dropped from the map: folded totals of
+        #: the collected ones, and the live stats of those still alive (a
+        #: job may still run on one), folded once they are collected
+        self._retired: Dict[str, int] = {}
+        self._dropped: List[Tuple["weakref.ref[Session]", SessionStats]] = []
+        self._evicted = 0
+        #: the delta links of evicted versions, while their graphs live
+        self._links: "weakref.WeakKeyDictionary[Graph, DeltaLink]" = \
+            weakref.WeakKeyDictionary()
 
     # ------------------------------------------------------------------ caches
     def session(self, graph: Graph) -> Session:
         """The (cached) :class:`Session` owning the artifacts of ``graph``."""
         key = id(graph)
-        hit = self._sessions.get(key)
-        if hit is None:
-            hit = self._sessions[key] = self.new_session(graph)
-        return hit
+        with self._lock:
+            hit = self._sessions.get(key)
+            if hit is not None:
+                self._sessions.move_to_end(key)
+                return hit
+            hit = self.new_session(graph)
+            link = self._links.pop(graph, None)
+            if link is not None:
+                hit.restore_link(link)
+            self._admit_locked(key, hit)
+            return hit
 
     def new_session(self, graph: Graph) -> Session:
         """A fresh :class:`Session` on ``graph`` with the runner's engine,
@@ -183,10 +224,49 @@ class BatchRunner:
         adopting it here routes every later job on the child graph through
         the incremental state instead of a fresh cold session.  The adopted
         session replaces any session previously opened for the same graph
-        object.
+        object (whose counters stay in :meth:`aggregate_stats`).
         """
-        self._sessions[id(session.graph)] = session
+        key = id(session.graph)
+        with self._lock:
+            held = self._sessions.get(key)
+            if held is not None and held is not session:
+                self._drop_locked(held)
+            # Counted from here on as an open session, not a dropped one.
+            self._dropped = [(ref, stats) for ref, stats in self._dropped
+                             if ref() is not session]
+            self._links.pop(session.graph, None)
+            self._admit_locked(key, session)
         return session
+
+    def _admit_locked(self, key: int, session: Session) -> None:
+        """Put ``session`` at the recent end, evicting beyond the bound."""
+        self._sessions[key] = session
+        self._sessions.move_to_end(key)
+        while self.max_sessions is not None \
+                and len(self._sessions) > self.max_sessions:
+            self._evict_locked(self._sessions.popitem(last=False)[1])
+
+    def _evict_locked(self, old: Session) -> None:
+        """Drop ``old`` from the map, keeping its counters and, for a delta
+        version, its link (now weak) for the session re-opened on its
+        graph."""
+        self._drop_locked(old)
+        self._evicted += 1
+        link = old.release_link()
+        if link is not None:
+            self._links[old.graph] = link
+
+    def _drop_locked(self, old: Session) -> None:
+        """Keep counting ``old``'s stats, and fold those of dropped
+        sessions that were collected since (their counts are final)."""
+        self._dropped.append((weakref.ref(old), old.stats))
+        alive = []
+        for ref, stats in self._dropped:
+            if ref() is None:
+                SessionStats.merge(self._retired, stats.to_dict())
+            else:
+                alive.append((ref, stats))
+        self._dropped = alive
 
     def csr_view(self, graph: Graph) -> CSRAdjacency:
         """The (cached) CSR view of ``graph`` (owned by its session)."""
@@ -199,19 +279,30 @@ class BatchRunner:
     @property
     def cached_graphs(self) -> int:
         """Number of distinct graphs with an open session."""
-        return len(self._sessions)
+        with self._lock:
+            return len(self._sessions)
+
+    @property
+    def evicted_sessions(self) -> int:
+        """Sessions dropped by the ``max_sessions`` bound so far."""
+        with self._lock:
+            return self._evicted
 
     def aggregate_stats(self) -> dict:
-        """Summed :class:`~repro.session.SessionStats` across every session.
+        """:class:`~repro.session.SessionStats` across every session the
+        runner has held, evicted ones included.
 
         One JSON-ready dict with the same counter keys as
         ``SessionStats.to_dict()`` — what the CLI and the serving layer report
         for a whole batch (cache hits, disk traffic, executed/reused rounds).
+        Counts are summed; peaks (``SessionStats.PEAKS``) take the max.
         """
-        totals: Dict[str, int] = {}
-        for session in self._sessions.values():
-            for key, value in session.stats.to_dict().items():
-                totals[key] = totals.get(key, 0) + value
+        with self._lock:
+            totals = dict(self._retired)
+            for _, stats in self._dropped:
+                SessionStats.merge(totals, stats.to_dict())
+            for session in self._sessions.values():
+                SessionStats.merge(totals, session.stats.to_dict())
         return totals
 
     # -------------------------------------------------------------------- runs

@@ -41,7 +41,20 @@ tenant, duration; job id + dedup flag on submissions).  Default stderr
 request logging stays suppressed either way.  Job records keep a by-status
 count updated on completion (no full scan under the state lock) and finished
 records are garbage-collected beyond ``max_finished_jobs`` — polling an
-evicted id answers 404 like a never-issued one.
+evicted id answers 404 like a never-issued one.  A finished record keeps
+its stats row and a copy of the result without the surviving numbers, so a
+retained record pins no trajectory.
+
+Bounded sessions
+----------------
+A store-backed server's runner keeps at most :data:`MAX_SESSIONS` sessions
+open, least recently used first out.  A job on an evicted version re-opens
+its session from the store (a disk hit, not a cold run); a re-opened delta
+version is the same version, so replaying a delta POST on it still answers
+``created: false`` and its first job at a new λ still re-solves only the
+frontier.  Without a store a re-open would be a cold solve, so a store-less
+server keeps every session.  ``/metrics`` reports the open sessions and the
+evictions; session counters keep counting what evicted sessions did.
 
 Admission control
 -----------------
@@ -78,13 +91,13 @@ import threading
 import time
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Iterable, List, Optional, Tuple
 from urllib.parse import parse_qs, unquote, urlsplit
 
 from repro._version import __version__
-from repro.engine.batch import BatchJob, BatchResult
+from repro.engine.batch import BatchJob, BatchResult, BatchRunner
 from repro.errors import (
     AlgorithmError,
     GraphError,
@@ -102,15 +115,9 @@ from repro.graph.graph import Graph
 from repro.graph.io import from_dict as graph_from_dict
 from repro.graph.io import parse_edge_list
 from repro.obs import trace as obs_trace
-from repro.obs.metrics import (
-    MetricsRegistry,
-    counter_families,
-    family,
-    gauge_family,
-    get_registry,
-)
+from repro.obs.metrics import MetricsRegistry, family, gauge_family, get_registry
 from repro.serve.queue import JobQueue
-from repro.session import check_frontier_fraction
+from repro.session import SessionStats, check_frontier_fraction
 from repro.store import ArtifactStore
 
 #: Longest long-poll a single ``?wait=`` request may hold a handler thread
@@ -121,6 +128,11 @@ MAX_WAIT_SECONDS = 30.0
 #: ``Content-Length`` answers 413 before a byte of the body is read; a
 #: 200k-node Barabási–Albert upload is about 17 MB of JSON.
 MAX_BODY_BYTES = 256 * 1024 * 1024
+
+#: Sessions a store-backed server's runner keeps open (least recently used
+#: evicted first).  Each holds a graph version's CSR view, trajectories and
+#: cached answers; an evicted one re-opens from the store on its next job.
+MAX_SESSIONS = 32
 
 #: BatchJob fields a wire submission may set (everything else is 400), with
 #: the JSON type each must carry.  A bool is never a number here, and the
@@ -198,7 +210,8 @@ class TokenBucket:
 @dataclass
 class _GraphRecord:
     """One registered graph (the server always serves the *first* upload's
-    object, so every job on a fingerprint shares one session)."""
+    object, so every job on a fingerprint goes to the runner's one open
+    session on it, re-opened if the session bound evicted it)."""
 
     fingerprint: str
     graph: Graph
@@ -211,7 +224,11 @@ class _GraphRecord:
 
 @dataclass
 class _JobRecord:
-    """One issued job id and the future that answers it."""
+    """One issued job id and the future that answers it.
+
+    Once the job is done, ``future`` is swapped for a completed one holding
+    the result without its surviving numbers (:func:`_retained`).
+    """
 
     id: str
     fingerprint: str
@@ -221,6 +238,19 @@ class _JobRecord:
     future: "Future[BatchResult]"
     submitted_unix: float = field(default_factory=time.time)
     status: str = "pending"            #: "pending" | "done" | "error"
+
+
+def _retained(batch: BatchResult) -> "Future[BatchResult]":
+    """A completed future of ``batch`` with its stats row and a shallow copy
+    of its problem result, both without the surviving numbers (whose
+    trajectory is a view of the session's), so a retained job record pins
+    no trajectory."""
+    result = batch.result
+    if is_dataclass(result) and "surviving" in {f.name for f in fields(result)}:
+        result = replace(result, surviving=None)
+    retained: "Future[BatchResult]" = Future()
+    retained.set_result(replace(batch, surviving=None, result=result))
+    return retained
 
 
 class ReproHTTPServer(ThreadingHTTPServer):
@@ -234,7 +264,8 @@ class ReproHTTPServer(ThreadingHTTPServer):
     engine, store, workers, max_pending, engine_options:
         Forwarded to the owned :class:`~repro.serve.JobQueue` /
         :class:`~repro.engine.batch.BatchRunner` (``store`` also registers
-        the artifact store the metrics report on).
+        the artifact store the metrics report on).  With a store, the
+        runner keeps at most :data:`MAX_SESSIONS` sessions open.
     quota_rate, quota_burst:
         Per-tenant token bucket (requests/s refill and bucket size); ``None``
         disables quotas.  Tenants are named by the ``X-Repro-Tenant`` header
@@ -263,9 +294,12 @@ class ReproHTTPServer(ThreadingHTTPServer):
         self.store: Optional[ArtifactStore] = (
             ArtifactStore(store) if store is not None
             and not isinstance(store, ArtifactStore) else store)
-        self.queue = JobQueue(engine=engine, store=self.store,
-                              max_workers=workers, max_pending=max_pending,
-                              **engine_options)
+        runner = BatchRunner(engine, store=self.store,
+                             max_sessions=(None if self.store is None
+                                           else MAX_SESSIONS),
+                             **engine_options)
+        self.queue = JobQueue(runner, max_workers=workers,
+                              max_pending=max_pending)
         self.quota_rate = quota_rate
         self.quota_burst = (quota_burst if quota_burst is not None
                             else max(1.0, float(quota_rate or 0.0)))
@@ -385,11 +419,12 @@ class ReproHTTPServer(ThreadingHTTPServer):
         """Register ``graph`` under its content fingerprint.
 
         Returns ``(fingerprint, created)``; re-uploading identical content
-        keeps serving the first object (one session per graph in the shared
-        runner) and merely bumps its upload counter.  The fingerprint is read
-        from a runner session on ``graph``: a new graph's session is adopted
-        by the runner, so its jobs and deltas reuse the CSR view built here,
-        and a duplicate's session is dropped.
+        keeps serving the first object (at most one open session per graph
+        in the shared runner) and merely bumps its upload counter.  The
+        fingerprint is read from a runner session on ``graph``: a new
+        graph's session is adopted by the runner, so its jobs and deltas
+        reuse the CSR view built here, and a duplicate's session is
+        dropped.
         """
         if graph.num_nodes == 0:
             raise GraphError("an uploaded graph needs at least one node")
@@ -567,8 +602,11 @@ class ReproHTTPServer(ThreadingHTTPServer):
             record = self._by_future.pop(future, None)
             if record is None or record.status != "pending":
                 return
-            record.status = ("error" if future.exception() is not None
-                             else "done")
+            if future.exception() is not None:
+                record.status = "error"
+            else:
+                record.status = "done"
+                record.future = _retained(future.result())
             self._jobs_by_status["pending"] -= 1
             self._jobs_by_status[record.status] += 1
             self._evict_finished_locked()
@@ -712,6 +750,7 @@ class ReproHTTPServer(ThreadingHTTPServer):
             rejected_backpressure = self._rejected_backpressure
             evicted_jobs = self._evicted_jobs
             applied_deltas = self._applied_deltas
+        runner = self.queue.runner
         document = {
             "server": {"version": __version__, "graphs": graphs,
                        "draining": self._draining,
@@ -719,10 +758,12 @@ class ReproHTTPServer(ThreadingHTTPServer):
                        "rejected_quota": rejected_quota,
                        "rejected_backpressure": rejected_backpressure,
                        "evicted_jobs": evicted_jobs,
+                       "sessions": runner.cached_graphs,
+                       "evicted_sessions": runner.evicted_sessions,
                        "quota_rate": self.quota_rate,
                        "max_pending": self.queue.max_pending},
             "serve": self.queue.stats.to_dict(),
-            "session": self.queue.runner.aggregate_stats(),
+            "session": runner.aggregate_stats(),
             "jobs": {"total": total_jobs, **by_status},
         }
         if self.store is not None:
@@ -744,6 +785,7 @@ class ReproHTTPServer(ThreadingHTTPServer):
             rejected_backpressure = self._rejected_backpressure
             evicted_jobs = self._evicted_jobs
             draining = self._draining
+        runner = self.queue.runner
         families = [
             gauge_family("repro_http_graphs", "Registered graphs",
                          float(graphs)),
@@ -764,11 +806,15 @@ class ReproHTTPServer(ThreadingHTTPServer):
                    [("", {"reason": "backpressure"},
                      float(rejected_backpressure)),
                     ("", {"reason": "quota"}, float(rejected_quota))]),
+            gauge_family("repro_runner_sessions", "Open runner sessions",
+                         float(runner.cached_graphs)),
+            family("repro_runner_sessions_evicted_total", "counter",
+                   "Runner sessions evicted by the session bound",
+                   [("", {}, float(runner.evicted_sessions))]),
         ]
         families.extend(self.queue.stats.metric_families())
-        families.extend(counter_families(
-            "repro_session", self.queue.runner.aggregate_stats(),
-            "Aggregated session counter"))
+        families.extend(SessionStats.families(
+            runner.aggregate_stats(), help_prefix="Aggregated session counter"))
         if self.store is not None:
             info = self.store.info()
             families.append(gauge_family(

@@ -23,9 +23,10 @@ Three serving behaviours, shared by both:
   :meth:`~JobQueue.map` streams results in submission order while the window
   keeps at most ``N`` jobs in flight, so arbitrarily long job streams keep a
   bounded number of pending results.  (Per-*graph* state — one session with
-  its CSR view and caches — lives for the runner's lifetime by design, the
-  amortisation trade; bound it with ``max_cached_results`` and a bounded set
-  of graphs, not with ``max_pending``.)
+  its CSR view and caches — is bounded by the runner, not by
+  ``max_pending``: ``BatchRunner(max_sessions=N)`` keeps the ``N`` most
+  recently used sessions and re-opens an evicted one from the store on its
+  next job, and ``max_cached_results`` bounds each session's caches.)
 * **session safety** — sessions are single-threaded by design (their caches
   are plain dicts), so execution is serialised per graph; concurrency comes
   from distinct graphs, from in-flight dedup, and from the engines themselves
@@ -345,8 +346,8 @@ class JobQueue(_AsyncFrontend):
 
         With ``max_pending`` set, at most that many jobs are in flight while
         the input iterator is consumed lazily, so pending results stay
-        bounded for arbitrarily long job streams (per-graph session state
-        persists for the runner's lifetime — see the module docstring).
+        bounded for arbitrarily long job streams (per-graph session state is
+        bounded by the runner's ``max_sessions`` — see the module docstring).
         Exceptions from a job surface at its position in the stream.
         """
         return self._stream(self.submit(job) for job in jobs)

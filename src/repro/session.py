@@ -40,10 +40,11 @@ tests and ``scripts/bench_session.py`` observe.
 from __future__ import annotations
 
 import time
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import ClassVar, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -60,7 +61,7 @@ from repro.graph.delta import (GraphDelta, apply_delta as apply_graph_delta,
                                changed_labels)
 from repro.graph.graph import Graph
 from repro.obs import trace as obs_trace
-from repro.obs.metrics import counter_families, get_registry
+from repro.obs.metrics import counter_families, gauge_family, get_registry
 from repro.problems import Problem, ProblemLike, get_problem
 from repro.store import ArtifactStore
 from repro.utils.numeric import canonical_lam
@@ -108,20 +109,59 @@ class SessionStats:
     frontier_nodes_recomputed: int = 0  #: node-rounds recomputed incrementally
     frontier_peak_nodes: int = 0  #: widest dirty frontier across incremental runs
 
+    #: Fields that record a peak, not a count: they aggregate by max and
+    #: export as gauges.
+    PEAKS: ClassVar[Tuple[str, ...]] = ("frontier_peak_nodes",)
+
     def to_dict(self) -> dict:
         """JSON-serializable snapshot of the counters."""
         return dict(vars(self))
 
-    def metric_families(self, prefix: str = "repro_session") -> List[tuple]:
-        """These counters as metric families (``<prefix>_<name>_total``).
+    @classmethod
+    def merge(cls, totals: Dict[str, int], counters: Dict[str, int]) -> None:
+        """Fold one session's ``to_dict()`` into ``totals`` in place: counts
+        add up, :attr:`PEAKS` take the max."""
+        for key, value in counters.items():
+            held = totals.get(key, 0)
+            totals[key] = max(held, value) if key in cls.PEAKS else held + value
 
-        The adapter that registers session counters into a
-        :class:`repro.obs.metrics.MetricsRegistry` (via
-        ``register_collector``) instead of being hand-merged into a JSON
-        document; works on aggregated totals too via
-        :func:`repro.obs.metrics.counter_families`.
-        """
-        return counter_families(prefix, self.to_dict(), "Session counter")
+    @classmethod
+    def families(cls, totals: Dict[str, int], prefix: str = "repro_session",
+                 help_prefix: str = "Session counter") -> List[tuple]:
+        """Counters (one session's ``to_dict()`` or :meth:`merge`\\ d
+        totals) as metric families for a
+        :class:`repro.obs.metrics.MetricsRegistry` collector:
+        ``<prefix>_<name>_total`` counters, and a ``<prefix>_<name>`` gauge
+        per :attr:`PEAKS` field."""
+        counts = {k: v for k, v in totals.items() if k not in cls.PEAKS}
+        return counter_families(prefix, counts, help_prefix) + [
+            gauge_family(f"{prefix}_{key}", f"{help_prefix}: {key} (peak)",
+                         totals[key])
+            for key in cls.PEAKS if key in totals]
+
+
+@dataclass(frozen=True)
+class DeltaLink:
+    """What makes a session a delta version of another (see
+    :meth:`Session.apply_delta`): the parent session, held weakly, with its
+    node count and, when a store is bound, its content fingerprint (to read
+    its stored trajectory once it is collected); the delta that derived the
+    graph from it; the chained lineage fingerprint; and the fallback policy
+    of the frontier-restricted re-solve.
+
+    :meth:`Session.release_link` hands it out and
+    :meth:`Session.restore_link` puts it on a new session over the same
+    graph, which then is the same version: same lineage address, and the
+    same frontier warm start while the parent or its stored trajectory is
+    there.
+    """
+
+    parent: "weakref.ref[Session]"
+    parent_nodes: int
+    parent_fingerprint: Optional[str]
+    delta: GraphDelta
+    chain_fingerprint: str
+    max_frontier_fraction: float
 
 
 class Session:
@@ -198,14 +238,11 @@ class Session:
         self._problem_results: "OrderedDict[tuple, object]" = OrderedDict()
         #: rounds known to be on disk per λ (-1: known empty, absent: unknown).
         self._disk_rounds: Dict[float, int] = {}
-        # Incremental state (set by apply_delta on the child session): the
-        # parent session, the delta that derived this graph from it, the
-        # chained lineage fingerprint, and the fallback policy for the
-        # frontier-restricted re-solve.  All None/default on root sessions.
-        self._parent: Optional["Session"] = None
-        self._delta: Optional[GraphDelta] = None
-        self._chain_fingerprint: Optional[str] = None
-        self._max_frontier_fraction: float = 0.25
+        # Incremental state (set by apply_delta on the child session, None
+        # on root sessions): the link to the parent version, plus a strong
+        # pin on the parent until the first solve.
+        self._link: Optional[DeltaLink] = None
+        self._parent_pin: Optional["Session"] = None
         self._frontier_seed: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._array_engine = isinstance(self.engine, TrajectoryEngine)
 
@@ -233,20 +270,23 @@ class Session:
     def csr(self) -> CSRAdjacency:
         """The session's CSR view of the graph (built on first use, once).
 
-        A session minted by :meth:`apply_delta` whose parent already holds
-        its view splices this one from the parent's arrays, re-reading only
-        the rows of the nodes the delta touched (see
+        A session minted by :meth:`apply_delta` whose parent is live and
+        already holds its view splices this one from the parent's arrays,
+        re-reading only the rows of the nodes the delta touched (see
         :func:`~repro.graph.csr.graph_to_csr`); the view, and so the
         fingerprint, equals a full build's.  A parent without a view is not
-        made to build one: the child then builds in full.
+        made to build one, and a collected parent has none: the child then
+        builds in full.
         """
         if self._csr is None:
             self.stats.csr_builds += 1
-            if self._parent is None:
+            parent = self.parent
+            if parent is None:
                 self._csr = graph_to_csr(self.graph)
             else:
-                self._csr = graph_to_csr(self.graph, parent=self._parent._csr,
-                                         touched=changed_labels(self._delta))
+                self._csr = graph_to_csr(
+                    self.graph, parent=parent._csr,
+                    touched=changed_labels(self._link.delta))
         return self._csr
 
     def grid(self, lam: Optional[float] = None) -> LambdaGrid:
@@ -279,20 +319,46 @@ class Session:
         session it is simply the content :attr:`fingerprint`, so every
         session has a lineage address and chains can start anywhere.
         """
-        if self._chain_fingerprint is not None:
-            return self._chain_fingerprint
+        if self._link is not None:
+            return self._link.chain_fingerprint
         return self.fingerprint
 
     @property
     def parent(self) -> Optional["Session"]:
-        """The session this one was derived from via :meth:`apply_delta`
-        (None for root sessions)."""
-        return self._parent
+        """The session this one was derived from via :meth:`apply_delta`,
+        while it is live; None for root sessions and once it was collected.
+
+        A child pins its parent only until the child's first solve (the
+        frontier re-solve reads the parent's trajectory then); after that
+        the link is weak, so a chain of versions keeps alive only the
+        versions its callers still hold.
+        """
+        return None if self._link is None else self._link.parent()
+
+    def release_link(self) -> Optional[DeltaLink]:
+        """Turn the link to the parent weak and return it (None for a root
+        session).
+
+        The first solve turns the link weak on its own.  A
+        :class:`~repro.engine.batch.BatchRunner` calls this when it evicts
+        the session, so an evicted version that never solved stops pinning
+        its chain, and keeps the link to :meth:`restore_link` on the session
+        it re-opens for the same graph.
+        """
+        self._parent_pin = None
+        return self._link
+
+    def restore_link(self, link: DeltaLink) -> None:
+        """Make this fresh session the delta version ``link`` describes (a
+        :meth:`release_link` of an earlier session over the same graph): it
+        answers the same :attr:`chain_fingerprint` and seeds its frontier as
+        that session would have, holding the parent weakly."""
+        self._link = link
 
     @property
     def delta(self) -> Optional[GraphDelta]:
         """The delta that derived this session's graph (None for roots)."""
-        return self._delta
+        return None if self._link is None else self._link.delta
 
     # -------------------------------------------------------------- incremental
     def apply_delta(self, delta: GraphDelta, *,
@@ -311,13 +377,22 @@ class Session:
         under its content fingerprint, so later requests and restarts never
         depend on the parent again.
 
+        The child holds this session strongly until its own first solve and
+        weakly after that (see :attr:`parent`), so a caller that keeps only
+        the latest versions of a chain lets the older ones be collected.  A
+        first solve at a λ the child has not solved yet then seeds its
+        frontier from the parent while it is live, else from the parent's
+        stored trajectory when a store is bound, else solves cold; every
+        path answers bit-identically.
+
         With a bound store, the lineage edge
         ``chain_fingerprint -> (parent, delta)`` is recorded via
         :meth:`repro.store.ArtifactStore.record_lineage`, making the chain
         reconstructable (and the delta re-playable) after a restart.
 
         Chains compose: ``session.apply_delta(d1).apply_delta(d2)`` walks two
-        frontier-restricted solves, each against its immediate parent.
+        frontier-restricted solves, each against its immediate parent; the
+        unnamed middle version lives until the last one's first solve.
         """
         if not isinstance(delta, GraphDelta):
             raise AlgorithmError(
@@ -327,14 +402,18 @@ class Session:
         child = Session(child_graph, engine=self.engine, lam=self._default_lam,
                         store=self.store,
                         max_cached_results=self.max_cached_results)
-        child._parent = self
-        child._delta = delta
-        child._max_frontier_fraction = fraction
-        child._chain_fingerprint = delta_chain_fingerprint(
-            self.chain_fingerprint, delta)
+        child._link = DeltaLink(
+            parent=weakref.ref(self), parent_nodes=self.graph.num_nodes,
+            parent_fingerprint=(None if self.store is None
+                                else self.fingerprint),
+            delta=delta,
+            chain_fingerprint=delta_chain_fingerprint(self.chain_fingerprint,
+                                                      delta),
+            max_frontier_fraction=fraction)
+        child._parent_pin = self
         if self.store is not None:
             self.store.record_lineage(
-                child._chain_fingerprint, self.chain_fingerprint, delta,
+                child.chain_fingerprint, self.chain_fingerprint, delta,
                 content_fingerprint=child.fingerprint,
                 parent_content_fingerprint=self.fingerprint)
         return child
@@ -345,23 +424,17 @@ class Session:
         ``parent_ids[i]`` is the parent CSR id of child node ``i`` (-1 for
         delta-introduced nodes); ``changed`` is the sorted child ids of every
         node the delta touched.  Node order is insertion order and
-        :func:`repro.graph.delta.apply_delta` appends new nodes, so the
-        common case is the identity prefix — detected with one tuple
-        comparison instead of a per-node dict walk.
+        :func:`repro.graph.delta.apply_delta` keeps the parent's nodes in
+        their order and appends new ones, so the parent's ids are the
+        identity on the first ``parent_nodes`` child ids: the seed needs no
+        parent session.
         """
         if self._frontier_seed is not None:
             return self._frontier_seed
-        child_labels = self.csr.labels()
-        parent_labels = self._parent.csr.labels()
-        pn, n = len(parent_labels), len(child_labels)
-        parent_ids = np.full(n, -1, dtype=np.int64)
-        if child_labels[:pn] == parent_labels:
-            parent_ids[:pn] = np.arange(pn, dtype=np.int64)
-        else:  # pragma: no cover - defensive: apply_delta preserves order
-            index = {lab: i for i, lab in enumerate(parent_labels)}
-            for i, lab in enumerate(child_labels):
-                parent_ids[i] = index.get(lab, -1)
-        labels = changed_labels(self._delta)
+        pn = self._link.parent_nodes
+        parent_ids = np.full(self.csr.num_nodes, -1, dtype=np.int64)
+        parent_ids[:pn] = np.arange(pn, dtype=np.int64)
+        labels = changed_labels(self._link.delta)
         index = self.csr.label_index()
         changed = np.sort(np.fromiter(
             labels if index is None else map(index.__getitem__, labels),
@@ -374,18 +447,30 @@ class Session:
         or None when the incremental path cannot apply.
 
         Requires a parent trajectory at this λ covering ``T`` rounds (or a
-        converged shorter one) — pulled from the parent's memory cache or,
-        after a restart, from its artifact store.  The engine must be a
+        converged shorter one) — pulled from the live parent's memory cache
+        or its artifact store, or, once the parent was collected, straight
+        from the store under the parent's content fingerprint.  The engine
+        (shared with the parent) must be a
         :class:`~repro.engine.vectorized.TrajectoryEngine` (they all share
         the frontier branch in ``run``); anything else solves cold.
         """
-        parent = self._parent
-        if parent is None or not self._array_engine \
-                or not parent.supports_trajectories:
+        link = self._link
+        if link is None or not self._array_engine:
             return None
-        ptraj = parent._trajectories.get(lam)
-        if parent.store is not None:
-            ptraj = parent._adopt_stored_trajectory(lam, T, ptraj)
+        parent = link.parent()
+        if parent is not None:
+            ptraj = parent._trajectories.get(lam)
+            if parent.store is not None:
+                ptraj = parent._adopt_stored_trajectory(lam, T, ptraj)
+        elif link.parent_fingerprint is not None and self.store is not None:
+            ptraj = self.store.load_trajectory(link.parent_fingerprint, lam,
+                                               num_nodes=link.parent_nodes)
+            if ptraj is None:
+                self.stats.disk_misses += 1
+            else:
+                self.stats.disk_hits += 1
+        else:
+            return None
         if ptraj is None or ptraj.shape[0] < 2:
             return None
         P = ptraj.shape[0] - 1
@@ -397,7 +482,7 @@ class Session:
         parent_ids, changed = self._delta_frontier_seed()
         return FrontierWarmStart(
             ptraj, parent_ids, changed,
-            max_frontier_fraction=self._max_frontier_fraction)
+            max_frontier_fraction=link.max_frontier_fraction)
 
     def _cache_put(self, cache: OrderedDict, key, value) -> None:
         """Insert into an LRU-bounded result cache, evicting the oldest."""
@@ -482,6 +567,7 @@ class Session:
                                                       track_kept=track_kept)
                     if loaded is not None:
                         self._cache_put(self._results, key, loaded)
+                        self._parent_pin = None
                         return loaded
                 # The documented Engine.run hints: csr/grid are only built
                 # for engines that consume them (the faithful simulator opts
@@ -515,6 +601,7 @@ class Session:
             self._persist(lam, result, tie_break=tie_break,
                           track_kept=track_kept)
             self._cache_put(self._results, key, result)
+            self._parent_pin = None
             return result
 
     # ------------------------------------------------------------- persistence
@@ -654,7 +741,8 @@ class Session:
             params = {**params, "lam": None}
         key = self._request_key(prob, params,
                                 caller_instance=isinstance(problem, Problem),
-                                lineage=self._chain_fingerprint)
+                                lineage=(None if self._link is None
+                                         else self._link.chain_fingerprint))
         if key is not None:
             hit = self._cache_get(self._problem_results, key)
             if hit is not None:
@@ -665,6 +753,7 @@ class Session:
                             n=self.graph.num_nodes):
             result = prob.solve(self, **params)
         SOLVE_SECONDS.observe(time.perf_counter() - start, problem=prob.name)
+        self._parent_pin = None
         if key is not None:
             self._cache_put(self._problem_results, key, result)
         return result

@@ -60,6 +60,184 @@ class TestBatchRunnerCaching:
         assert runner.cached_graphs == 2
 
 
+class TestSessionBound:
+    """``max_sessions``: a locked LRU whose evicted sessions fold their
+    counters into retired totals and re-open on demand."""
+
+    def test_bound_must_be_positive(self):
+        for bad in (0, -1):
+            with pytest.raises(AlgorithmError, match="max_sessions"):
+                BatchRunner(max_sessions=bad)
+
+    def test_least_recently_used_session_is_evicted(self, k6, cycle8, path5):
+        runner = BatchRunner(max_sessions=2)
+        first = runner.session(k6)
+        runner.session(cycle8)
+        assert runner.session(k6) is first       # k6 is now the most recent
+        runner.session(path5)                    # evicts cycle8
+        assert (runner.cached_graphs, runner.evicted_sessions) == (2, 1)
+        assert runner.session(k6) is first
+        assert runner.evicted_sessions == 1
+        runner.session(cycle8)                   # re-opens, evicts path5
+        assert (runner.cached_graphs, runner.evicted_sessions) == (2, 2)
+
+    def test_unbounded_by_default(self, k6, cycle8, path5):
+        runner = BatchRunner()
+        for graph in (k6, cycle8, path5):
+            runner.session(graph)
+        assert (runner.cached_graphs, runner.evicted_sessions) == (3, 0)
+
+    def test_evicted_counters_stay_in_the_aggregate(self, k6, cycle8, path5,
+                                                    tmp_path):
+        runner = BatchRunner(max_sessions=1, store=tmp_path / "store")
+        seen = []
+        for graph in (k6, cycle8, path5, k6):
+            runner.run_job(BatchJob(graph=graph, rounds=3))
+            totals = runner.aggregate_stats()
+            assert all(totals[key] >= value
+                       for key, value in (seen[-1] if seen else {}).items())
+            seen.append(totals)
+        # Three cold runs, then k6 re-opened from the store: a disk hit.
+        assert seen[-1]["cold_runs"] == 3
+        assert seen[-1]["disk_hits"] == seen[-2]["disk_hits"] + 1
+        assert seen[-1]["rounds_executed"] == 9
+        assert runner.evicted_sessions == 3
+
+    def test_peaks_aggregate_by_max(self, k6, cycle8):
+        runner = BatchRunner(max_sessions=1)
+        runner.session(k6).stats.frontier_peak_nodes = 5
+        runner.session(cycle8).stats.frontier_peak_nodes = 7  # evicts k6
+        runner.session(k6).stats.frontier_peak_nodes = 2      # evicts cycle8
+        assert runner.aggregate_stats()["frontier_peak_nodes"] == 7
+
+    def test_a_reopened_delta_version_keeps_its_chain_fingerprint(
+            self, k6, cycle8):
+        from repro.graph.delta import GraphDelta
+
+        runner = BatchRunner(max_sessions=1)
+        child = runner.adopt_session(runner.session(k6).apply_delta(
+            GraphDelta(remove_edges=[(0, 1)])))
+        address = child.chain_fingerprint
+        assert address != child.fingerprint
+        runner.session(cycle8)                    # evicts the child
+        reopened = runner.session(child.graph)
+        assert reopened is not child and reopened.delta is child.delta
+        assert reopened.chain_fingerprint == address
+        assert reopened.fingerprint == child.fingerprint
+        # A root re-opens under its content fingerprint, as before.
+        root = runner.session(cycle8)
+        assert root.chain_fingerprint == root.fingerprint
+
+    def test_a_reopened_delta_version_still_solves_by_frontier(self, k6,
+                                                               tmp_path):
+        """Evicted before its first job, and again before a job at a new λ:
+        both jobs re-solve only the frontier, seeded from the collected
+        parent's stored trajectory, as they would with no eviction."""
+        from repro.graph.delta import GraphDelta
+        from repro.graph.generators.random_graphs import barabasi_albert
+        from repro.session import Session
+
+        graph = barabasi_albert(300, 3, seed=3)
+        edge = next(iter(graph.edges()))[:2]
+        runner = BatchRunner(max_sessions=1, store=tmp_path / "store")
+        for lam in (0.0, 0.5):
+            runner.run_job(BatchJob(graph=graph, rounds=6, lam=lam))
+        child = runner.session(graph).apply_delta(
+            GraphDelta(remove_edges=[edge]), max_frontier_fraction=1.0)
+        version = runner.adopt_session(child).graph   # evicts the root
+        del child
+        for lam in (0.0, 0.5):
+            runner.session(k6)                     # evicts the version
+            before = runner.aggregate_stats()
+            got = runner.run_job(BatchJob(graph=version, rounds=6, lam=lam))
+            after = runner.aggregate_stats()
+            assert after["incremental_runs"] == before["incremental_runs"] + 1
+            assert after["cold_runs"] == before["cold_runs"]
+            cold = Session(version).surviving(rounds=6, lam=lam)
+            assert got.surviving.trajectory.tobytes() == \
+                cold.trajectory.tobytes()
+        assert runner.evicted_sessions == 5
+
+    def test_work_on_an_evicted_session_is_counted(self, k6, cycle8):
+        """A job still running on a session when it is evicted keeps
+        counting, before and after the session is collected."""
+        import gc
+
+        runner = BatchRunner(max_sessions=1)
+        running = runner.session(k6)
+        runner.session(cycle8)                     # evicts it mid-"job"
+        running.coreness(rounds=3)
+        assert runner.aggregate_stats()["cold_runs"] == 1
+        assert runner.aggregate_stats()["rounds_executed"] == 3
+        del running
+        gc.collect()
+        runner.session(k6)                         # sweeps the collected one
+        assert runner.aggregate_stats()["cold_runs"] == 1
+        assert runner.aggregate_stats()["rounds_executed"] == 3
+
+    def test_a_readopted_session_counts_once(self, k6, cycle8):
+        runner = BatchRunner(max_sessions=1)
+        session = runner.session(k6)
+        session.coreness(rounds=3)
+        runner.session(cycle8)                     # evicts it
+        runner.adopt_session(session)              # and takes it back
+        assert runner.aggregate_stats()["cold_runs"] == 1
+
+    def test_threads_hammering_the_map_lose_no_session(self):
+        import sys
+        import threading
+
+        graphs = [complete_graph(n) for n in range(3, 11)]
+        runner = BatchRunner(max_sessions=3)
+        opened = runner.new_session
+        count_lock, counts = threading.Lock(), {"opened": 0}
+
+        def counting_open(graph):
+            with count_lock:
+                counts["opened"] += 1
+            return opened(graph)
+
+        runner.new_session = counting_open
+
+        def work(seed):
+            for i in range(2000):
+                runner.session(graphs[(seed * 7 + i * 3) % len(graphs)])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,))
+                       for seed in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert runner.cached_graphs == 3
+        assert runner.evicted_sessions + 3 == counts["opened"]
+
+    def test_eviction_releases_an_unsolved_childs_parent(self, k6, cycle8):
+        import gc
+        import weakref
+
+        from repro.graph.delta import GraphDelta
+
+        runner = BatchRunner(max_sessions=1)
+        parent = runner.session(k6)
+        child = parent.apply_delta(GraphDelta(remove_edges=[(0, 1)]))
+        runner.adopt_session(child)               # evicts the parent
+        grandchild = child.apply_delta(GraphDelta(remove_edges=[(0, 2)]))
+        runner.adopt_session(grandchild)          # evicts the child
+        collected = weakref.ref(parent)
+        del parent, child
+        gc.collect()
+        # The unsolved grandchild still pins its parent, but the evicted
+        # child no longer pins the root.
+        assert grandchild.parent is not None and collected() is None
+
+
 class TestBatchRunnerExecution:
     def test_results_match_direct_api(self, two_communities):
         runner = BatchRunner("sharded:3")

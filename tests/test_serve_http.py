@@ -201,6 +201,171 @@ class TestReplayedDelta:
             assert cli.graph(first["fingerprint"])["uploads"] == 2
 
 
+def _prometheus_samples(text: str, prefix: str) -> dict:
+    return {name: float(value) for name, value in
+            (line.split(" ", 1) for line in text.splitlines()
+             if line.startswith(prefix))}
+
+
+class TestSessionBound:
+    """The server's runner keeps at most ``MAX_SESSIONS`` sessions; an
+    evicted version re-opens from the store under its chain fingerprint."""
+
+    VERSIONS = 100
+
+    def test_retained_heap_stops_growing_with_versions(self, tmp_path):
+        import gc
+        import tracemalloc
+
+        import repro.serve.http as http_module
+
+        from repro.graph.generators.random_graphs import barabasi_albert
+
+        graph = barabasi_albert(5000, 3, seed=1)
+        edges = [(u, v) for u, v, _ in graph.edges()]
+        deltas = [GraphDelta(remove_edges=[edges[2 * i]],
+                             set_weights=[(*edges[2 * i + 1], 2.0)]).to_dict()
+                  for i in range(self.VERSIONS)]
+        job = {"problem": "coreness", "rounds": 6}
+        with ReproHTTPServer(workers=2, store=tmp_path / "store") as srv:
+            runner = srv.queue.runner
+            versions = [srv.register_graph(graph, source="json")[0]]
+            first, retained = None, {}
+            totals = runner.aggregate_stats()   # /metrics' "session" section
+            tracemalloc.start()
+            try:
+                for i, delta in enumerate(deltas, start=1):
+                    versions.append(srv.apply_delta(
+                        versions[-1], {"delta": delta})["fingerprint"])
+                    record = srv.job_record(
+                        srv.submit_job(versions[-1], job)["job"])
+                    srv.wait_job(record, 30)
+                    if first is None:
+                        first = srv.job_document(record, include_result=True)
+                    now = runner.aggregate_stats()
+                    assert all(now[key] >= value
+                               for key, value in totals.items()), i
+                    totals = now
+                    if i in (self.VERSIONS // 2, self.VERSIONS):
+                        gc.collect()
+                        retained[i] = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            per_version = ((retained[self.VERSIONS]
+                            - retained[self.VERSIONS // 2])
+                           / (self.VERSIONS - self.VERSIONS // 2))
+            assert per_version < 0.5 * 2 ** 20, per_version
+            assert runner.cached_graphs <= http_module.MAX_SESSIONS
+            assert srv.metrics()["server"]["evicted_sessions"] > 0
+
+            # The first version was evicted long ago: its job re-opens it
+            # from the store, bit-identically and without a cold run.
+            scrape = _prometheus_samples(srv.render_prometheus(),
+                                         "repro_session_")
+            record = srv.job_record(srv.submit_job(versions[1], job)["job"])
+            srv.wait_job(record, 30)
+            again = srv.job_document(record, include_result=True)
+            assert again["result"] == first["result"]
+            now = srv.metrics()["session"]
+            assert now["disk_hits"] == totals["disk_hits"] + 1
+            assert now["cold_runs"] == totals["cold_runs"]
+            rescrape = _prometheus_samples(srv.render_prometheus(),
+                                           "repro_session_")
+            assert all(rescrape[name] >= value
+                       for name, value in scrape.items()
+                       if name.endswith("_total"))
+
+            # Replaying the delta that derived the second version mints the
+            # same key on the re-opened first version.
+            replay = srv.apply_delta(versions[1], {"delta": deltas[1]})
+            assert replay["created"] is False
+            assert replay["fingerprint"] == versions[2]
+
+            # Two threads that miss on one evicted version get one session.
+            missed = srv.graph_record(versions[3]).graph
+            opened = runner.new_session
+            barrier = threading.Barrier(2)
+
+            def slow_open(graph):
+                session = opened(graph)
+                time.sleep(0.05)
+                return session
+
+            runner.new_session = slow_open
+            got = []
+
+            def miss():
+                barrier.wait(timeout=10)
+                got.append(runner.session(missed))
+
+            threads = [threading.Thread(target=miss) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+            assert len(got) == 2 and got[0] is got[1]
+
+
+    def test_versions_evicted_before_their_jobs_solve_by_frontier(
+            self, tmp_path, monkeypatch):
+        """``MAX_SESSIONS + 4`` deltas POSTed with no job in between: the
+        first version's session is long evicted when its jobs come, yet
+        each (one per λ, with an eviction between them) re-solves only the
+        frontier from the root's stored trajectory, as it would unevicted."""
+        import repro.serve.http as http_module
+
+        from repro.graph.delta import apply_delta
+        from repro.graph.generators.random_graphs import barabasi_albert
+
+        monkeypatch.setattr(http_module, "MAX_SESSIONS", 3)
+        graph = barabasi_albert(300, 3, seed=3)
+        edges = [(u, v) for u, v, _ in graph.edges()]
+        deltas = [GraphDelta(remove_edges=[edges[3 * i]]) for i in range(7)]
+        with ReproHTTPServer(workers=2, store=tmp_path / "store") as srv:
+            runner = srv.queue.runner
+
+            def job(version, lam):
+                record = srv.job_record(srv.submit_job(
+                    version, {"problem": "coreness", "rounds": 6,
+                              "lam": lam})["job"])
+                srv.wait_job(record, 30)
+                return srv.job_document(record, include_result=True)
+
+            versions = [srv.register_graph(graph, source="json")[0]]
+            for lam in (0.0, 0.5):
+                job(versions[0], lam)
+            for delta in deltas:
+                versions.append(srv.apply_delta(
+                    versions[-1], {"delta": delta.to_dict(),
+                                   "max_frontier_fraction": 1.0})
+                    ["fingerprint"])
+            assert runner.evicted_sessions == len(deltas) + 1 - 3
+            first = apply_delta(graph, deltas[0])
+            for lam in (0.0, 0.5):
+                before = srv.metrics()["session"]
+                doc = job(versions[1], lam)
+                after = srv.metrics()["session"]
+                assert after["incremental_runs"] == \
+                    before["incremental_runs"] + 1
+                assert after["cold_runs"] == before["cold_runs"]
+                cold = Session(first).coreness(rounds=6, lam=lam)
+                assert json.dumps(doc["result"]) == json.dumps(cold.to_dict())
+                for version in versions[-3:]:        # evict it again
+                    runner.session(srv.graph_record(version).graph)
+
+    def test_a_server_without_a_store_keeps_every_session(self, monkeypatch):
+        """Without a store a re-open would solve cold: no bound."""
+        import repro.serve.http as http_module
+
+        monkeypatch.setattr(http_module, "MAX_SESSIONS", 1)
+        with ReproHTTPServer(workers=1) as srv:
+            for name in ("caveman", "communities"):
+                srv.register_graph(load_dataset(name), source="json")
+            assert srv.queue.runner.max_sessions is None
+            server = srv.metrics()["server"]
+        assert (server["sessions"], server["evicted_sessions"]) == (2, 0)
+
+
 class TestJobLifecycle:
     def test_submit_poll_result(self, client):
         fp = client.upload_dataset("caveman")
@@ -520,6 +685,35 @@ class TestMetricsDocument:
         assert metrics["store"] is None          # no store configured
         assert metrics["session"]["result_hits"] >= 0
         assert metrics["session"]["disk_hits"] == 0
+
+    def test_frontier_peak_is_a_max_gauge(self, monkeypatch, tmp_path):
+        import repro.serve.http as http_module
+
+        graphs = {5: load_dataset("caveman"), 7: load_dataset("communities")}
+        with ReproHTTPServer(workers=1) as srv:
+            for peak, graph in graphs.items():
+                srv.register_graph(graph, source="json")
+                srv.queue.runner.session(graph).stats.frontier_peak_nodes = peak
+            assert srv.metrics()["session"]["frontier_peak_nodes"] == 7
+            text = srv.render_prometheus()
+        assert "# TYPE repro_session_frontier_peak_nodes gauge" in text
+        assert "repro_session_frontier_peak_nodes 7" in text.splitlines()
+        assert "repro_session_frontier_peak_nodes_total" not in text
+
+        # An evicted session's peak still counts, and the bound shows.
+        monkeypatch.setattr(http_module, "MAX_SESSIONS", 1)
+        with ReproHTTPServer(workers=1, store=tmp_path / "store") as srv:
+            for peak, graph in sorted(graphs.items(), reverse=True):
+                srv.register_graph(graph, source="json")
+                srv.queue.runner.session(graph).stats.frontier_peak_nodes = peak
+            metrics = srv.metrics()
+            lines = srv.render_prometheus().splitlines()
+        assert metrics["session"]["frontier_peak_nodes"] == 7
+        assert (metrics["server"]["sessions"],
+                metrics["server"]["evicted_sessions"]) == (1, 1)
+        assert "repro_runner_sessions 1" in lines
+        assert "# TYPE repro_runner_sessions_evicted_total counter" in lines
+        assert "repro_runner_sessions_evicted_total 1" in lines
 
     def test_health(self, client):
         assert client.health()["status"] == "ok"

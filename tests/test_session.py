@@ -591,3 +591,129 @@ class TestNonFiniteLambdaRejection:
         assert session.stats.cold_runs == 0
         assert session.stats.disk_writes == 0
         assert not store.fingerprints()
+
+
+class TestParentLink:
+    """A delta child pins its parent only until its own first solve; after
+    that the link is weak, and a later first solve at a new λ seeds its
+    frontier from the live parent, else from the parent's stored trajectory,
+    else solves cold — bit-identically on every path."""
+
+    ROUNDS = 6
+
+    @staticmethod
+    def _graph() -> Graph:
+        from repro.graph.generators.random_graphs import barabasi_albert
+        return barabasi_albert(300, 3, seed=3)
+
+    @staticmethod
+    def _deltas(graph: Graph, count: int):
+        from repro.graph.delta import GraphDelta
+        edges = [(u, v) for u, v, _ in graph.edges()]
+        return [GraphDelta(remove_edges=[edges[3 * i]],
+                           set_weights=[(*edges[3 * i + 1], 2.0)])
+                for i in range(count)]
+
+    def _assert_cold_equal(self, session: Session, answer, lam: float = 0.0):
+        cold = Session(session.graph).coreness(rounds=self.ROUNDS, lam=lam)
+        assert answer.values.array.tobytes() == cold.values.array.tobytes()
+        assert answer.surviving.trajectory.tobytes() == \
+            cold.surviving.trajectory.tobytes()
+
+    def test_a_chain_keeps_only_the_versions_its_caller_holds(self):
+        import gc
+        import weakref
+
+        graph = self._graph()
+        root = Session(graph)
+        root.coreness(rounds=self.ROUNDS)
+        refs = []
+        older, newer = None, root
+        for delta in self._deltas(graph, 12):
+            older, newer = newer, newer.apply_delta(delta)
+            answer = newer.coreness(rounds=self.ROUNDS)
+            assert newer.stats.incremental_runs == 1
+            refs.append(weakref.ref(newer))
+        gc.collect()
+        assert [i for i, ref in enumerate(refs) if ref() is not None] \
+            == [10, 11]
+        assert newer.parent is older and older.parent is None
+        self._assert_cold_equal(newer, answer)
+
+    def test_an_unsolved_child_pins_its_parent(self):
+        graph = self._graph()
+        d1, d2 = self._deltas(graph, 2)
+        root = Session(graph)
+        root.coreness(rounds=self.ROUNDS)
+        # The middle version has no name: only the last one holds it.
+        last = root.apply_delta(d1).apply_delta(d2)
+        assert last.parent is not None and last.parent.parent is root
+        answer = last.coreness(rounds=self.ROUNDS)
+        # The middle version never solved, so there is nothing to re-solve
+        # against: the same cold run as when the link was always strong.
+        assert (last.stats.incremental_runs, last.stats.cold_runs) == (0, 1)
+        self._assert_cold_equal(last, answer)
+
+        middle = root.apply_delta(d1)
+        middle.coreness(rounds=self.ROUNDS)
+        last = middle.apply_delta(d2)
+        del middle
+        answer = last.coreness(rounds=self.ROUNDS)
+        assert (last.stats.incremental_runs, last.stats.cold_runs) == (1, 0)
+        self._assert_cold_equal(last, answer)
+
+    def _child_of_a_collected_parent(self, store):
+        import gc
+        import weakref
+
+        graph = self._graph()
+        d1, d2 = self._deltas(graph, 2)
+        root = Session(graph, store=store)
+        root.coreness(rounds=self.ROUNDS)
+        parent = root.apply_delta(d1, max_frontier_fraction=1.0)
+        parent.coreness(rounds=self.ROUNDS)
+        parent.coreness(rounds=self.ROUNDS, lam=0.5)
+        child = parent.apply_delta(d2, max_frontier_fraction=1.0)
+        child.coreness(rounds=self.ROUNDS)
+        assert child.stats.incremental_runs == 1
+        collected = weakref.ref(parent)
+        del parent
+        gc.collect()
+        assert collected() is None and child.parent is None
+        return child
+
+    def test_a_collected_parent_seeds_from_the_store(self, tmp_path):
+        from repro.store import ArtifactStore
+
+        child = self._child_of_a_collected_parent(
+            ArtifactStore(tmp_path / "store"))
+        hits = child.stats.disk_hits
+        answer = child.coreness(rounds=self.ROUNDS, lam=0.5)
+        assert (child.stats.incremental_runs, child.stats.cold_runs) == (2, 0)
+        assert child.stats.disk_hits == hits + 1
+        self._assert_cold_equal(child, answer, lam=0.5)
+
+    def test_a_collected_parent_without_a_store_solves_cold(self):
+        child = self._child_of_a_collected_parent(None)
+        answer = child.coreness(rounds=self.ROUNDS, lam=0.5)
+        assert (child.stats.incremental_runs, child.stats.cold_runs) == (1, 1)
+        self._assert_cold_equal(child, answer, lam=0.5)
+
+    def test_a_restored_link_is_the_same_version(self, tmp_path):
+        from repro.store import ArtifactStore
+
+        graph = self._graph()
+        (d1,) = self._deltas(graph, 1)
+        root = Session(graph, store=ArtifactStore(tmp_path / "store"))
+        root.coreness(rounds=self.ROUNDS)
+        assert root.release_link() is None
+        child = root.apply_delta(d1, max_frontier_fraction=1.0)
+        link = child.release_link()
+        again = Session(child.graph, store=root.store)
+        again.restore_link(link)
+        del child
+        assert again.chain_fingerprint == link.chain_fingerprint
+        assert again.parent is root and again.delta is d1
+        answer = again.coreness(rounds=self.ROUNDS)
+        assert (again.stats.incremental_runs, again.stats.cold_runs) == (1, 0)
+        self._assert_cold_equal(again, answer)
