@@ -1,34 +1,32 @@
 #!/usr/bin/env bash
-# CI / pre-merge check: tier-1 tests, smoke runs of every example, the
-# out-of-core mmap smoke (small graph forced through storage=mmap,
-# bit-identical to in-memory), the mmap-trajectory smoke (trajectory spilled
-# to the append-only .traj buffer, bit-identical and prefix-resumable), the
-# warm-session throughput benchmark (>= 2x over cold per-call on repeated
-# mixed requests), the persistent-store smoke (the cold run leaves one
-# append-only trajectory-lam0.0.traj/ and no .npz; second run served from
-# disk, bit-identical; a resumed 2x-rounds run appends without rewriting
-# the stored rows of rows.bin; then a chain of three delta versions, each
-# restarted by a fresh session whose full CSR build must find the artifacts
-# stored under the spliced view's fingerprint, and isolated: writing to the
-# last version's graph in place, on a row it shares copy-on-write with the
-# root, leaves every earlier version's fingerprint unchanged; and a solved
-# chain whose earlier versions are collected once dropped, the last one still
-# answering bit-identically from its collected parent's stored trajectory),
-# the `repro cache` CLI smoke, the HTTP serve smoke (`repro serve` as a
-# subprocess on an ephemeral port: jobs over a real socket, each answer
-# fetched with include=result and compared with the same request's
-# to_dict() in-process, /metrics in both JSON and Prometheus exposition, a
-# chain of MAX_SESSIONS + 8 delta versions past the server's session bound
-# whose first version re-opens as a disk hit with the same answer and
-# replays its delta without minting a new key while no session counter
-# falls, and a second such chain posted with no job whose evicted first
-# version still solves by frontier, graceful SIGTERM drain with no staging
-# files left in the store),
-# the densest fast-path smoke (phases 2-4 on the CSR kernels, bit-identical
-# to the faithful 4-phase simulator pipeline), the observability smoke (a traced
-# solve exported to Chrome trace format plus a non-empty `repro trace
-# summarize` per-span table), and the bench/ smoke (each BENCHMARK.json
-# workload once, traced, on tiny inputs).
+# CI / pre-merge check: tier-1 tests, the slow and bench tests (the lineage
+# machine's long profile among them), smoke runs of every example, the
+# mmap-trajectory smoke (trajectory spilled to the append-only .traj buffer,
+# bit-identical and prefix-resumable), the warm-session throughput benchmark
+# (>= 2x over cold per-call on repeated mixed requests), the persistent-store
+# smoke (the cold run leaves one append-only trajectory-lam0.0.traj/ and no
+# .npz; second run served from disk, bit-identical; a resumed 2x-rounds run
+# appends without rewriting the stored rows of rows.bin; then a chain of
+# three delta versions, each restarted by a fresh session whose full CSR
+# build must find the artifacts stored under the spliced view's fingerprint,
+# and isolated: writing to the last version's graph in place, on a row it
+# shares copy-on-write with the root, leaves every earlier version's
+# fingerprint unchanged; and a solved chain whose earlier versions are
+# collected once dropped, the last one still answering bit-identically from
+# its collected parent's stored trajectory), the `repro cache` CLI smoke, the
+# HTTP serve smoke (`repro serve` as a subprocess on an ephemeral port: jobs
+# over a real socket, each answer fetched with include=result and compared
+# with the same request's to_dict() in-process, /metrics in both JSON and
+# Prometheus exposition, a chain of MAX_SESSIONS + 8 delta versions past the
+# server's session bound whose first version re-opens as a disk hit with the
+# same answer and replays its delta without minting a new key while no
+# session counter falls, and a second such chain posted with no job whose
+# evicted first version still solves by frontier, graceful SIGTERM drain with
+# no staging files left in the store), the densest fast-path smoke (phases
+# 2-4 on the CSR kernels, bit-identical to the faithful 4-phase simulator
+# pipeline), the observability smoke (a traced solve exported to Chrome trace
+# format plus a non-empty `repro trace summarize` per-span table), and the
+# bench/ smoke (each BENCHMARK.json workload once, traced, on tiny inputs).
 #
 # Usage:  ./scripts/check.sh            (from anywhere; repo root is inferred)
 set -euo pipefail
@@ -66,23 +64,6 @@ echo "== benchmark smoke (bench/: every workload once, traced, tiny inputs) =="
 python -m pytest bench -q
 
 echo
-echo "== out-of-core mmap smoke (storage=mmap bit-identical to in-memory) =="
-python - <<'PY'
-import numpy as np
-from repro.engine import get_engine
-from repro.graph.generators.random_graphs import barabasi_albert
-
-graph = barabasi_albert(2000, 3, seed=21)
-memory = get_engine("sharded:4").run(graph, 8, track_kept=True)
-mapped = get_engine("sharded:shards=4,storage=mmap").run(graph, 8, track_kept=True)
-assert mapped.values == memory.values, "mmap values differ from in-memory"
-assert mapped.kept == memory.kept, "mmap kept sets differ from in-memory"
-assert np.array_equal(mapped.trajectory, memory.trajectory), \
-    "mmap trajectory is not bit-identical"
-print("mmap smoke: storage=mmap bit-identical on n=2000 (8 rounds)")
-PY
-
-echo
 echo "== mmap-trajectory smoke (traj=mmap bit-identical, prefix-resumable) =="
 python - <<'PY'
 import tempfile
@@ -96,8 +77,8 @@ from repro.graph.generators.random_graphs import barabasi_albert
 graph = barabasi_albert(2000, 3, seed=21)
 memory = get_engine("sharded:4").run(graph, 8, track_kept=True)
 with tempfile.TemporaryDirectory(prefix="repro-traj-smoke-") as tmp:
-    engine = ShardedEngine(num_shards=4, storage="mmap",
-                           trajectory_storage="mmap", storage_dir=tmp)
+    engine = ShardedEngine(num_shards=4, trajectory_storage="mmap",
+                           storage_dir=tmp)
     spilled = engine.run(graph, 8, track_kept=True)
     assert spilled.values == memory.values, "traj values differ from in-memory"
     assert spilled.kept == memory.kept, "traj kept sets differ from in-memory"
@@ -107,8 +88,8 @@ with tempfile.TemporaryDirectory(prefix="repro-traj-smoke-") as tmp:
         "trajectory did not spill to disk"
     engine.close()
     # A fresh engine must resume from the on-disk prefix, bit-identically.
-    resumed = ShardedEngine(num_shards=4, storage="mmap",
-                            trajectory_storage="mmap", storage_dir=tmp)
+    resumed = ShardedEngine(num_shards=4, trajectory_storage="mmap",
+                            storage_dir=tmp)
     longer = resumed.run(graph, 12, track_kept=False)
     reference = get_engine("sharded:4").run(graph, 12, track_kept=False)
     assert np.array_equal(longer.trajectory, reference.trajectory), \

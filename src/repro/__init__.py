@@ -63,7 +63,6 @@ from repro.errors import (
 )
 from repro.graph.csr import csr_fingerprint, graph_fingerprint
 from repro.graph.datasets import list_datasets, load_dataset
-from repro.graph.mmap_csr import MappedCSR, mmap_csr
 from repro.graph.graph import Graph
 from repro.problems import (
     Problem,
@@ -104,8 +103,6 @@ __all__ = [
     "available_engines",
     "BatchRunner",
     "BatchJob",
-    "MappedCSR",
-    "mmap_csr",
     "ArtifactStore",
     "AsyncSession",
     "JobQueue",

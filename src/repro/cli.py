@@ -7,7 +7,7 @@ dataset) without writing Python::
     python -m repro coreness --input graph.edges --rounds 8 --output values.tsv
     python -m repro coreness --dataset social-ba --epsilon 0.5 --engine sharded:4
     python -m repro coreness --dataset social-ba --epsilon 0.5 --engine sharded --workers 4
-    python -m repro coreness --dataset social-ba --epsilon 0.5 --engine sharded --storage mmap
+    python -m repro coreness --dataset social-ba --epsilon 0.5 --engine sharded --trajectory-storage mmap
     python -m repro orientation --dataset caveman --weighted --epsilon 0.5
     python -m repro densest --input graph.edges --epsilon 1.0
     python -m repro batch --dataset caveman --dataset communities --epsilon 0.5 --rounds 4
@@ -96,12 +96,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--workers", type=int, default=None, metavar="N",
                          help="run the sharded engine's shards on N threads "
                               "(default: in sequence)")
-        sub.add_argument("--storage", choices=("memory", "mmap", "auto"),
-                         default=None,
-                         help="where the sharded engine keeps the CSR arrays: "
-                              "'mmap' streams them from memory-mapped files "
-                              "(out-of-core), 'auto' spills only when a --store "
-                              "is set and the graph exceeds the threshold")
         sub.add_argument("--trajectory-storage",
                          choices=("memory", "mmap", "auto"), default=None,
                          help="where the sharded engine keeps the elimination "
@@ -273,16 +267,14 @@ def _load_graph(args: argparse.Namespace) -> Graph:
 def _resolve_engine(args: argparse.Namespace):
     """The engine instance for an engine-taking command.
 
-    ``--workers`` / ``--storage`` / ``--trajectory-storage`` are forwarded as
-    engine options, so they compose with any spec (``--engine sharded:8
-    --workers 2``); engines that do not take them fail with the registry's
-    invalid-option error.
+    ``--workers`` / ``--trajectory-storage`` are forwarded as engine options,
+    so they compose with any spec (``--engine sharded:8 --workers 2``);
+    engines that do not take them fail with the registry's invalid-option
+    error.
     """
     options = {}
     if args.workers is not None:
         options["max_workers"] = args.workers
-    if getattr(args, "storage", None) is not None:
-        options["storage"] = args.storage
     if getattr(args, "trajectory_storage", None) is not None:
         options["trajectory_storage"] = args.trajectory_storage
     return get_engine(args.engine, **options)
@@ -308,8 +300,8 @@ def _command_engines(out) -> int:
     rows = [[name, get_engine(name).describe()] for name in available_engines()]
     print(format_table(["name", "description"], rows), file=out)
     print("# specs may carry options, e.g. 'sharded:4', 'sharded:shards=4,workers=2'\n"
-          "# (shards on 2 threads) or 'sharded:storage=mmap' (out-of-core;\n"
-          "# also: --workers/--storage flags)",
+          "# (shards on 2 threads) or 'sharded:traj=mmap' (trajectory appended\n"
+          "# to disk; also: --workers/--trajectory-storage flags)",
           file=out)
     return 0
 
@@ -333,12 +325,11 @@ def _command_cache(args: argparse.Namespace, out) -> int:
         # Full fingerprints: `purge`/`info --fingerprint` require the exact
         # 64-char address, so ls must print something copy-pasteable.
         rows = [[row["fingerprint"], row["files"], row["bytes"],
-                 row.get("csr_bytes", 0), row.get("traj_bytes", 0),
-                 ",".join(row["kinds"])]
+                 row["traj_bytes"], ",".join(row["kinds"])]
                 for row in info["graphs"]]
         if rows:
-            print(format_table(["fingerprint", "files", "bytes", "csr_bytes",
-                                "traj_bytes", "kinds"], rows), file=out)
+            print(format_table(["fingerprint", "files", "bytes", "traj_bytes",
+                                "kinds"], rows), file=out)
         else:
             print("(store is empty)", file=out)
     print(f"# store={info['root']} graphs={len(info['graphs'])} "

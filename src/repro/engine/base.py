@@ -16,17 +16,14 @@ name          implementation
 ``sharded``   the same kernels executed shard-by-shard over contiguous node
               ranges, bounding peak memory to one shard's frontier arrays;
               with ``workers=N`` each round's shards run on an ``N``-thread
-              pool; with ``storage=mmap`` the CSR arrays stream from
-              memory-mapped files on disk (out-of-core; see
-              :mod:`repro.graph.mmap_csr`), and with
-              ``trajectory_storage=mmap`` (alias ``traj=mmap``) the output
-              trajectory is appended to an on-disk ``.traj`` buffer (see
-              :mod:`repro.store.traj`)
+              pool, and with ``trajectory_storage=mmap`` (alias
+              ``traj=mmap``) the output trajectory is appended to an on-disk
+              ``.traj`` buffer (see :mod:`repro.store.traj`)
 ============  ===============================================================
 
 Engines are resolved by name through :func:`get_engine`, which also accepts an
 *engine spec* carrying inline options, e.g. ``"sharded:4"`` (4 shards),
-``"sharded:shards=4,workers=2"`` or ``"sharded:storage=mmap"``.  Third-party
+``"sharded:shards=4,workers=2"`` or ``"sharded:traj=mmap"``.  Third-party
 backends can hook in with :func:`register_engine`; the registry is the
 extension point for every other execution backend.
 """
@@ -216,8 +213,7 @@ def _make_vectorized(**options) -> Engine:
 
 #: Friendly spelling aliases accepted in sharded engine specs.
 _SHARDED_OPTION_ALIASES = {"shards": "num_shards", "workers": "max_workers",
-                           "dir": "storage_dir", "spill": "spill_bytes",
-                           "traj": "trajectory_storage"}
+                           "dir": "storage_dir", "traj": "trajectory_storage"}
 
 
 def _make_sharded(**options) -> Engine:

@@ -172,10 +172,9 @@ class BatchRunner:
         #: persistent artifact store handed to every opened session (optional;
         #: an :class:`~repro.store.ArtifactStore` or its root directory), so
         #: batch runs resume from — and extend — the on-disk cache.  When the
-        #: engine supports memory-mapped storage (the sharded engine), the
-        #: sessions also bind the store root for out-of-core auto-spill:
-        #: graphs whose edge arrays exceed the engine's ``spill_bytes`` run
-        #: over mapped files under ``<store>/<fingerprint>/csr/``.
+        #: engine can spill its trajectory (the sharded engine), the sessions
+        #: also bind the store root, so a spilled run appends to the store's
+        #: own ``.traj`` files.
         self.store = store
         self.max_cached_results = max_cached_results
         self.max_sessions = max_sessions

@@ -17,25 +17,13 @@ instead of the whole graph.
   sort and reduction kernels, so threads give partial parallelism without
   copying the CSR arrays); the GIL still serialises the Python-level parts.
 
-Orthogonally, ``storage`` selects where the CSR arrays *live* during the run:
-
-* ``None`` (auto) — in memory, unless a storage directory has been bound (a
-  :class:`~repro.session.Session` with a persistent store binds its root) and
-  the edge arrays exceed ``spill_bytes``, in which case the run spills;
-* ``"memory"`` — always in memory, never spills;
-* ``"mmap"`` — the out-of-core mode: the arrays are materialised once under
-  ``<storage_dir>/<fingerprint>/csr/`` (:mod:`repro.graph.mmap_csr` — the
-  artifact store's per-fingerprint layout, written atomically and revalidated
-  by content fingerprint) and the round kernels execute over read-only
-  ``np.memmap`` views, so resident memory stays O(n + shard frontier) while
-  the O(m) arrays page in from disk on demand.
-
-A third axis, ``trajectory_storage``, selects where the *output* — the
+Orthogonally, ``trajectory_storage`` selects where the *output* — the
 ``(T+1) × n`` elimination trajectory, the single largest allocation at scale —
 lives during the run:
 
-* ``None`` (auto) — in memory, unless a storage directory is bound and the
-  full trajectory would exceed ``spill_bytes``;
+* ``None`` (auto) — in memory, unless a storage directory has been bound (a
+  :class:`~repro.session.Session` with a persistent store binds its root) and
+  the full trajectory would reach :data:`SPILL_BYTES`;
 * ``"memory"`` — always a RAM array;
 * ``"mmap"`` — completed rounds are *appended* to
   ``<storage_dir>/<fingerprint>/trajectory-lam<λ>.traj/`` (the append-only
@@ -48,16 +36,15 @@ lives during the run:
   round is lost, never a readable prefix).
 
 All modes produce bit-identical trajectories: the kernels run the same float64
-operations in the same order whether their operands are in RAM or a mapped
-file (the cross-engine equivalence suite pins this down to the float64
-representation).
+operations in the same order whether the rows they write are in RAM or
+appended to the file (the cross-engine equivalence suite pins this down to the
+float64 representation).
 """
 
 from __future__ import annotations
 
 import tempfile
 import weakref
-from collections import OrderedDict
 from pathlib import Path
 from typing import Optional
 
@@ -66,29 +53,21 @@ import numpy as np
 from repro.engine.kernels import compact_trajectory, shard_plan
 from repro.engine.vectorized import TrajectoryEngine
 from repro.errors import AlgorithmError
+from repro.graph.csr import csr_fingerprint
 from repro.obs import trace as obs_trace
 
 #: Target number of nodes per shard when ``num_shards`` is not given.
 DEFAULT_SHARD_NODES = 16384
 
-#: Accepted values of the ``storage`` option (``None`` = auto: spill to a
-#: bound directory only when the edge arrays exceed the threshold).
-STORAGE_MODES = (None, "memory", "mmap")
-
 #: Accepted values of the ``trajectory_storage`` option (``None`` = auto:
-#: spill to a bound directory only when the full trajectory exceeds the
-#: threshold).
+#: spill to a bound directory only when the full trajectory reaches
+#: :data:`SPILL_BYTES`).
 TRAJECTORY_STORAGE_MODES = (None, "memory", "mmap")
 
-#: Auto-spill threshold: edge arrays (indices + weights) beyond this many
-#: bytes run memory-mapped when a storage directory is bound (256 MiB).
-DEFAULT_SPILL_BYTES = 256 * 1024 * 1024
-
-#: Most-recently-used mapped graphs an engine keeps open at once.  Each
-#: cached view pins four ``np.memmap`` file descriptors, so an engine shared
-#: across many graphs (a long-lived BatchRunner) must not grow unboundedly;
-#: an evicted view simply re-opens (cheap revalidation) on its next request.
-MAX_MAPPED_GRAPHS = 8
+#: Auto-spill threshold: a ``(T+1) × n`` float64 trajectory of this many
+#: bytes or more is appended to the store's ``.traj`` file when a storage
+#: directory is bound (256 MiB).  Read when a run decides whether to spill.
+SPILL_BYTES = 256 * 1024 * 1024
 
 
 class ShardedEngine(TrajectoryEngine):
@@ -105,18 +84,11 @@ class ShardedEngine(TrajectoryEngine):
         Size of the thread pool that runs each round's shards; ``None`` (the
         memory-bounded default) runs them in sequence — see the module
         docstring.
-    storage:
-        ``None`` (auto-spill when a directory is bound and the graph is big),
-        ``"memory"`` (never spill) or ``"mmap"`` (always run over mapped
-        arrays) — see the module docstring.
     storage_dir:
-        Root directory for the mapped arrays (the artifact-store root when a
-        session binds one).  ``storage="mmap"`` without a directory maps into
-        a private temporary directory owned by the engine instance.
-    spill_bytes:
-        Auto-spill threshold in bytes (default :data:`DEFAULT_SPILL_BYTES`);
-        consulted by the auto modes of both ``storage`` (against the edge
-        arrays) and ``trajectory_storage`` (against the full trajectory).
+        Root directory for spilled ``.traj`` files (the artifact-store root
+        when a session binds one).  ``trajectory_storage="mmap"`` without a
+        directory spills into a private temporary directory owned by the
+        engine instance.
     trajectory_storage:
         ``None`` (auto-spill when a directory is bound and the trajectory is
         big), ``"memory"`` (always a RAM array) or ``"mmap"`` (append rounds
@@ -130,27 +102,18 @@ class ShardedEngine(TrajectoryEngine):
 
     def __init__(self, num_shards: Optional[int] = None,
                  max_workers: Optional[int] = None,
-                 storage: Optional[str] = None,
                  storage_dir=None,
-                 spill_bytes: Optional[int] = None,
                  trajectory_storage: Optional[str] = None,
                  **unknown) -> None:
         if unknown:
             raise AlgorithmError(
-                f"invalid options {sorted(unknown)} for engine 'sharded'; "
-                f"shards run in sequence, or on max_workers=N threads")
+                f"invalid options {sorted(unknown)} for engine 'sharded'; it "
+                f"takes num_shards, max_workers, storage_dir and "
+                f"trajectory_storage")
         if num_shards is not None and num_shards < 1:
             raise AlgorithmError(f"num_shards must be >= 1, got {num_shards}")
         if max_workers is not None and max_workers < 1:
             raise AlgorithmError(f"max_workers must be >= 1, got {max_workers}")
-        if isinstance(storage, str):
-            storage = storage.strip().lower() or None
-            if storage in ("none", "auto"):
-                storage = None
-        if storage not in STORAGE_MODES:
-            raise AlgorithmError(
-                f"unknown storage mode {storage!r}; expected one of "
-                f"'memory', 'mmap' or 'auto'")
         if isinstance(trajectory_storage, str):
             trajectory_storage = trajectory_storage.strip().lower() or None
             if trajectory_storage in ("none", "auto"):
@@ -159,29 +122,15 @@ class ShardedEngine(TrajectoryEngine):
             raise AlgorithmError(
                 f"unknown trajectory_storage mode {trajectory_storage!r}; "
                 f"expected one of 'memory', 'mmap' or 'auto'")
-        if spill_bytes is not None and spill_bytes < 0:
-            raise AlgorithmError(f"spill_bytes must be >= 0, got {spill_bytes}")
         self.num_shards = num_shards
         self.max_workers = max_workers
-        self.storage = storage
         self.trajectory_storage = trajectory_storage
         self.storage_dir = Path(storage_dir) if storage_dir is not None else None
-        self.spill_bytes = DEFAULT_SPILL_BYTES if spill_bytes is None \
-            else int(spill_bytes)
         self._private_dir: Optional[tempfile.TemporaryDirectory] = None
         #: whether storage_dir came from bind_storage (a session's store)
         #: rather than the constructor — rebinding to a *different* store is
         #: then a configuration error, not something to silently ignore.
         self._bound_dir = False
-        #: fingerprint -> MappedCSR views this engine already opened (LRU,
-        #: at most MAX_MAPPED_GRAPHS); the revalidation in materialize_csr is
-        #: cheap but re-opening maps per round-loop call is not free, and
-        #: repeated requests on one graph are the session layer's whole shape.
-        self._mapped_cache: "OrderedDict[str, object]" = OrderedDict()
-        #: id(csr) -> (weakref to the csr, fingerprint): hashing the O(m)
-        #: arrays once per *graph* instead of once per call.  The weakref
-        #: guards against id() reuse after a graph is collected.
-        self._fingerprints: dict = {}
         #: lazily created thread pool, reused across trajectory() calls (a
         #: fresh pool per call pays thread spawn/teardown on every warm
         #: request); close() or garbage collection shuts it down.
@@ -189,16 +138,16 @@ class ShardedEngine(TrajectoryEngine):
         self._pool_finalizer = None
 
     # ------------------------------------------------------------------ storage
-    def bind_storage(self, root, *, spill_bytes: Optional[int] = None) -> None:
-        """Give the engine a directory for memory-mapped CSR arrays.
+    def bind_storage(self, root) -> None:
+        """Give the engine a directory for spilled trajectories.
 
         Called by :class:`~repro.session.Session` when a persistent store is
-        configured, so out-of-core runs spill into the store's own
-        per-fingerprint layout.  An explicitly constructed ``storage_dir``
-        wins — binding never overrides it — but binding one engine instance
-        to *two different* stores is a configuration error (the second
-        store's sessions would silently spill into the first store's root,
-        which its ``purge``/``evict`` then own) and raises.
+        configured, so spilled runs append to the store's own ``.traj``
+        files.  An explicitly constructed ``storage_dir`` wins — binding
+        never overrides it — but binding one engine instance to *two
+        different* stores is a configuration error (the second store's
+        sessions would silently spill into the first store's root, which its
+        ``purge``/``evict`` then own) and raises.
         """
         root = Path(root)
         if self.storage_dir is None:
@@ -209,28 +158,15 @@ class ShardedEngine(TrajectoryEngine):
                 f"engine already spills into {self.storage_dir}; one engine "
                 f"instance cannot serve a second store at {root} — construct "
                 f"a separate engine (or pass storage_dir=) per store")
-        if spill_bytes is not None:
-            self.spill_bytes = int(spill_bytes)
 
     def _storage_root(self) -> Path:
-        """The directory mapped arrays live under (private tmp as last resort)."""
+        """The directory spilled trajectories live under (a private temporary
+        directory when none is set or bound)."""
         if self.storage_dir is not None:
             return self.storage_dir
         if self._private_dir is None:
             self._private_dir = tempfile.TemporaryDirectory(prefix="repro-mmap-")
         return Path(self._private_dir.name)
-
-    def _uses_mmap(self, csr) -> bool:
-        """Whether this run executes over mapped arrays (see module docstring)."""
-        if self.storage == "mmap":
-            return True
-        if self.storage == "memory":
-            return False
-        if self.storage_dir is None:
-            return False
-        from repro.graph.mmap_csr import csr_edge_bytes
-
-        return csr_edge_bytes(csr) >= self.spill_bytes
 
     def _uses_traj_mmap(self, csr, rounds: int) -> bool:
         """Whether this run appends its trajectory to a mapped ``.traj`` file."""
@@ -240,60 +176,21 @@ class ShardedEngine(TrajectoryEngine):
             return False
         if self.storage_dir is None:
             return False
-        return (int(rounds) + 1) * csr.num_nodes * 8 >= self.spill_bytes
+        return (int(rounds) + 1) * csr.num_nodes * 8 >= SPILL_BYTES
 
     def _trajectory_sink(self, csr, rounds: int, lam: float):
         """The :class:`~repro.store.traj.AppendTrajectory` sink, or None.
 
-        Keyed by the CSR content fingerprint and canonical λ under the same
-        per-fingerprint root the mapped CSR arrays use, so a session's store
-        and the engine read/write the very same file.
+        Keyed by the CSR content fingerprint (memoised on the view) and
+        canonical λ under the store's per-fingerprint layout, so a session's
+        store and the engine read/write the very same file.
         """
         if csr.num_nodes < 1 or not self._uses_traj_mmap(csr, rounds):
             return None
         from repro.store.traj import AppendTrajectory
 
-        fingerprint = getattr(csr, "fingerprint", None) or self._fingerprint_of(csr)
-        return AppendTrajectory.open(self._storage_root(), fingerprint, lam,
-                                     num_nodes=csr.num_nodes)
-
-    def _fingerprint_of(self, csr) -> str:
-        """The (memoised) content fingerprint of ``csr``.
-
-        Hashing the O(m) arrays every call would dominate warm requests on
-        exactly the graphs this mode targets, so the digest is computed once
-        per live CSR object; a weakref detects id() reuse after collection.
-        """
-        from repro.graph.csr import csr_fingerprint
-
-        key = id(csr)
-        hit = self._fingerprints.get(key)
-        if hit is not None and hit[0]() is csr:
-            return hit[1]
-        fingerprint = csr_fingerprint(csr)
-        # Opportunistically drop entries whose csr was collected (their ids
-        # may be reused by unrelated objects, and the dict must not grow
-        # with every graph the engine ever saw).
-        dead = [k for k, (ref, _) in self._fingerprints.items() if ref() is None]
-        for k in dead:
-            del self._fingerprints[k]
-        self._fingerprints[key] = (weakref.ref(csr), fingerprint)
-        return fingerprint
-
-    def _mapped_view(self, csr):
-        """The (LRU-cached) :class:`~repro.graph.mmap_csr.MappedCSR` of ``csr``."""
-        from repro.graph.mmap_csr import mmap_csr
-
-        fingerprint = self._fingerprint_of(csr)
-        hit = self._mapped_cache.get(fingerprint)
-        if hit is None:
-            hit = mmap_csr(csr, self._storage_root(), fingerprint=fingerprint)
-            self._mapped_cache[fingerprint] = hit
-            while len(self._mapped_cache) > MAX_MAPPED_GRAPHS:
-                self._mapped_cache.popitem(last=False)  # drops 4 memmap fds
-        else:
-            self._mapped_cache.move_to_end(fingerprint)
-        return hit
+        return AppendTrajectory.open(self._storage_root(), csr_fingerprint(csr),
+                                     lam, num_nodes=csr.num_nodes)
 
     # ---------------------------------------------------------------- execution
     def plan_for(self, num_nodes: int):
@@ -340,15 +237,13 @@ class ShardedEngine(TrajectoryEngine):
         shard_map = None
         if self.max_workers is not None and len(plan) > 1:
             shard_map = self._ensure_thread_pool().map
-        view = self._mapped_view(csr) if self._uses_mmap(csr) else csr
-        sink = self._trajectory_sink(view, rounds, lam)
+        sink = self._trajectory_sink(csr, rounds, lam)
         try:
             with obs_trace.span(
                     "engine.trajectory", shards=len(plan),
                     workers=self.max_workers or 1,
-                    storage="mmap" if view is not csr else "memory",
                     trajectory="mmap" if sink is not None else "memory"):
-                return compact_trajectory(view, rounds, lam=lam, plan=plan,
+                return compact_trajectory(csr, rounds, lam=lam, plan=plan,
                                           shard_map=shard_map, prefix=prefix,
                                           out=sink)
         finally:
@@ -360,9 +255,7 @@ class ShardedEngine(TrajectoryEngine):
             else f"auto(~{DEFAULT_SHARD_NODES} nodes)"
         workers = "sequential" if self.max_workers is None \
             else f"{self.max_workers} threads"
-        storage = self.storage or (
-            "auto" if self.storage_dir is not None else "memory")
         trajectory = self.trajectory_storage or (
             "auto" if self.storage_dir is not None else "memory")
         return (f"sharded (shards={shards}, workers={workers}, "
-                f"storage={storage}, trajectory={trajectory})")
+                f"trajectory={trajectory})")

@@ -23,13 +23,6 @@ from repro.graph.delta import (
     chain_fingerprint,
     changed_labels,
 )
-from repro.graph.mmap_csr import (
-    MappedCSR,
-    csr_edge_bytes,
-    materialize_csr,
-    mmap_csr,
-    open_mapped_csr,
-)
 from repro.graph.graph import Graph
 from repro.graph.io import (
     from_dict,
@@ -62,11 +55,6 @@ __all__ = [
     "apply_delta",
     "chain_fingerprint",
     "changed_labels",
-    "MappedCSR",
-    "csr_edge_bytes",
-    "materialize_csr",
-    "mmap_csr",
-    "open_mapped_csr",
     "graph_from_adjacency_matrix",
     "graph_from_edges",
     "graph_from_networkx",

@@ -18,15 +18,17 @@ Arrays that are pure functions of a view — the entry order
 :meth:`CSRAdjacency.twin`, the identity ranks of
 :func:`repro.core.bfs.identity_ranks`, the label block of
 :func:`csr_fingerprint` — are computed at most once per view through
-:meth:`CSRAdjacency.cached` and handed out read-only.
+:meth:`CSRAdjacency.cached` and handed out read-only; the fingerprint itself
+is memoised on the view too.
 
 A graph derived from another by a :class:`~repro.graph.delta.GraphDelta`
 differs only in the rows of the nodes the delta touched, so
 ``graph_to_csr(child, parent=view, touched=labels)`` splices the child's
 view: untouched rows are copied from the parent's arrays and only the touched
 and new rows are read from the child's adjacency dicts.  A spliced view
-whose delta appends no node has its parent's labels, so it takes the parent's
-label-only memos (:data:`LABEL_MEMOS`) as they are.
+whose delta appends no node has its parent's labels, so it shares the
+parent's labels tuple and takes the parent's label-only memos
+(:data:`LABEL_MEMOS`) as they are.
 """
 
 from __future__ import annotations
@@ -45,7 +47,9 @@ from repro.graph.graph import Graph
 #: :meth:`CSRAdjacency.cached` keys (and the :meth:`CSRAdjacency.label_index`
 #: memo) whose values depend on ``node_order`` alone: the label -> id dict,
 #: the fingerprint's label block, :func:`repro.core.bfs.identity_ranks` and
-#: the repr ranks of :mod:`repro.core.orientation`.
+#: the repr ranks of :mod:`repro.core.orientation`.  The memoised fingerprint
+#: (``"fingerprint"``) hashes the arrays too, so it is not one of them: a
+#: spliced view never inherits its parent's.
 LABEL_MEMOS = ("label_index", "label_block", "identity_ranks", "repr_ranks")
 
 
@@ -203,8 +207,9 @@ def graph_to_csr(graph: Graph, *, parent: Optional[CSRAdjacency] = None,
     :class:`~repro.errors.GraphError`; a touched label that is not a node of
     ``graph`` raises it too.  The spliced view inherits the parent's
     memoised label block (:func:`csr_fingerprint`) with the appended labels
-    encoded after it; when no label is appended it inherits every memo named
-    in :data:`LABEL_MEMOS` as it is.
+    encoded after it; when no label is appended it shares the parent's
+    ``node_order`` tuple and inherits every memo named in
+    :data:`LABEL_MEMOS` as it is.
     """
     nodes: Tuple[Hashable, ...] = tuple(graph.nodes())
     if parent is not None and nodes[:parent.num_nodes] == parent.node_order:
@@ -307,7 +312,8 @@ def _splice(graph: Graph, nodes: Tuple[Hashable, ...], parent: CSRAdjacency,
     loops[reread] = np.where(loop_weights != 0.0, loop_weights, 0.0)
 
     csr = CSRAdjacency(indptr=indptr, indices=indices, weights=weights,
-                       loops=loops, node_order=nodes)
+                       loops=loops,
+                       node_order=nodes if added else parent.node_order)
     if not added:
         csr._memo.update((name, parent._memo[name]) for name in LABEL_MEMOS
                          if name in parent._memo)
@@ -346,18 +352,22 @@ def csr_fingerprint(csr: CSRAdjacency) -> str:
     interpreter runs — the store then treats the graph as new, which costs a
     cold run but never serves wrong artifacts.
 
-    The encoded labels (the label block) are memoised on the view through
-    :meth:`CSRAdjacency.cached`; a view spliced from a parent by
+    The hex digest is memoised on the view, so every caller holding one view
+    hashes it once.  The encoded labels (the label block) are memoised
+    through :meth:`CSRAdjacency.cached`; a view spliced from a parent by
     :func:`graph_to_csr` starts with its parent's block, so a chain of delta
     versions encodes only the labels each delta appends.
     """
-    digest = hashlib.sha256()
-    digest.update(_FINGERPRINT_VERSION)
-    for array, dtype in ((csr.indptr, np.int64), (csr.indices, np.int64),
-                         (csr.weights, np.float64), (csr.loops, np.float64)):
-        digest.update(np.ascontiguousarray(array, dtype=dtype))
-    digest.update(csr.cached("label_block", _label_block))
-    return digest.hexdigest()
+    fingerprint = csr._memo.get("fingerprint")
+    if fingerprint is None:
+        digest = hashlib.sha256()
+        digest.update(_FINGERPRINT_VERSION)
+        for array, dtype in ((csr.indptr, np.int64), (csr.indices, np.int64),
+                             (csr.weights, np.float64), (csr.loops, np.float64)):
+            digest.update(np.ascontiguousarray(array, dtype=dtype))
+        digest.update(csr.cached("label_block", _label_block))
+        fingerprint = csr._memo["fingerprint"] = digest.hexdigest()
+    return fingerprint
 
 
 def _encode_labels(labels: Iterable[Hashable]) -> np.ndarray:

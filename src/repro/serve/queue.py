@@ -285,12 +285,12 @@ class JobQueue(_AsyncFrontend):
         self.runner = runner if runner is not None else BatchRunner(
             engine if engine is not None else "vectorized",
             store=store, **engine_options)
-        #: id(graph) -> (weakref to the graph, its serialisation lock).  Like
-        #: ShardedEngine._fingerprints: the weakref detects id() reuse after a
-        #: graph is collected (an aliased lock would serialise unrelated
-        #: graphs — or worse, hand a recycled id a lock some thread holds),
-        #: and dead entries are pruned so a long-lived queue's lock map does
-        #: not grow with every graph it ever served.
+        #: id(graph) -> (weakref to the graph, its serialisation lock).  The
+        #: weakref detects id() reuse after a graph is collected (an aliased
+        #: lock would serialise unrelated graphs — or worse, hand a recycled
+        #: id a lock some thread holds), and dead entries are pruned so a
+        #: long-lived queue's lock map does not grow with every graph it
+        #: ever served.
         self._graph_locks: Dict[int, Tuple[weakref.ref, threading.Lock]] = {}
 
     def _job_key(self, job: BatchJob,

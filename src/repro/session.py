@@ -192,12 +192,11 @@ class Session:
         Disk traffic is counted in :attr:`stats` (``disk_hits`` /
         ``disk_misses`` / ``disk_writes``).  Opening a store builds the CSR
         view once even for the faithful engine (the content fingerprint
-        hashes it).  An engine that supports memory-mapped
-        storage (the sharded engine) is additionally bound to the store root:
-        graphs whose edge arrays exceed its spill threshold — or any graph
-        under ``storage="mmap"`` — execute over arrays mapped from
-        ``<store>/<fingerprint>/csr/`` instead of RAM (out-of-core mode,
-        bit-identical results).
+        hashes it).  An engine that can spill its trajectory (the sharded
+        engine) is additionally bound to the store root: a run whose
+        trajectory reaches the spill threshold — or any run under
+        ``trajectory_storage="mmap"`` — appends its rounds to the store's
+        ``.traj`` file as it goes (bit-identical results).
     max_cached_results:
         Optional bound on the in-memory result caches (surviving-number and
         problem results each keep at most this many entries, evicting the
@@ -222,10 +221,10 @@ class Session:
         self.store: Optional[ArtifactStore] = (
             ArtifactStore(store) if isinstance(store, (str, Path)) else store)
         if self.store is not None and getattr(self.engine, "supports_mmap", False):
-            # Out-of-core wiring: an engine that can run over memory-mapped
-            # CSR arrays spills into the store's per-fingerprint layout when
-            # the graph outgrows its auto-spill threshold (or always, for
-            # storage="mmap").  An explicitly configured storage_dir wins.
+            # An engine that spills its trajectory appends to the store's
+            # own .traj files when the trajectory outgrows the auto-spill
+            # threshold (or always, for trajectory_storage="mmap").  An
+            # explicitly configured storage_dir wins.
             self.engine.bind_storage(self.store.root)
         self.max_cached_results = max_cached_results
         self.stats = SessionStats()

@@ -14,8 +14,6 @@ One directory per graph, addressed by its CSR content fingerprint
                                          # atomic header replace; row t at
                                          # offset t*n*8
         result-T<T>-lam<λ>-<rule>-k<0|1>.npz   # full SurvivingNumbers (see below)
-        csr/                             # memory-mapped CSR arrays, written by
-          meta.json, *.bin               # repro.graph.mmap_csr for out-of-core runs
 
 Trajectories have one on-disk format, the ``.traj`` directory of
 :mod:`repro.store.traj`.  :meth:`ArtifactStore.save_trajectory` appends only
@@ -26,14 +24,15 @@ An engine running with ``trajectory_storage="mmap"`` appends into the very
 same file round by round, so persisting its run appends nothing.  A crash
 loses at most the un-published round; readers always see a complete round
 prefix (clamped to what the file actually holds).  ``info``/``purge``/
-``evict`` account the directory like the ``csr/`` arrays, with
+``evict`` account the directory's files like any other artifact, with
 ``header.json`` treated as the descriptor that is only removed when its rows
-are gone.  Trajectory ``.npz`` files written by earlier versions are no
-longer read (the graph's first request recomputes once); ``purge`` and
-``evict`` still remove them.  On decimal weights, where engines can differ in
-the last ulp, rows a second engine appends follow the first engine's prefix;
-integer and dyadic weights, which the bit-identity contract covers, are
-unaffected.
+are gone.  Trajectory ``.npz`` files and ``csr/`` directories of
+memory-mapped CSR arrays written by earlier versions are no longer read (a
+trajectory's first request recomputes once); ``info`` counts them, and
+``purge`` and ``evict`` remove them.  On decimal weights, where engines can
+differ in the last ulp, rows a second engine appends follow the first
+engine's prefix; integer and dyadic weights, which the bit-identity contract
+covers, are unaffected.
 
 λ is spelled canonically in filenames (:func:`repro.utils.numeric.canonical_lam`:
 ``-0.0`` and ``0.0`` are one artifact, matching the in-memory caches that
@@ -72,14 +71,18 @@ from repro.core.orientation import KeptSets, NodeValues
 from repro.core.rounding import LambdaGrid
 from repro.core.surviving import SurvivingNumbers
 from repro.errors import StoreError
-from repro.graph.mmap_csr import CSR_DIR_NAME, atomic_write_bytes, is_fingerprint
 from repro.obs import trace as obs_trace
 from repro.store import traj as traj_store
+from repro.store.traj import atomic_write_bytes, is_fingerprint
 from repro.utils.numeric import canonical_lam
 from repro.utils.serialize import json_node
 
 #: Schema stamp embedded in (and required of) every stored artifact.
 SCHEMA_VERSION = "repro-store/1"
+
+#: Subdirectory of memory-mapped CSR arrays that earlier versions wrote: never
+#: read, only counted by ``info`` and removed by ``purge``/``evict``.
+_LEGACY_CSR_DIR = "csr"
 
 #: Exceptions a load treats as "artifact absent" rather than a crash: anything
 #: a truncated, corrupted, foreign or concurrently-replaced file can raise
@@ -326,7 +329,7 @@ class ArtifactStore:
         node labels are not JSON scalars record ``delta: null`` — the edge
         survives, the replay does not).  ``content_fingerprint`` maps the
         chain address to the mutated graph's content address, which is where
-        the child's own artifacts (trajectories, results, CSR spills) live.
+        the child's own artifacts (trajectories, results) live.
         Idempotent overwrite: the chain fingerprint determines the content.
         """
         try:
@@ -390,15 +393,6 @@ class ArtifactStore:
             seen.add(current)
 
     # -------------------------------------------------------------- management
-    def csr_dir(self, fingerprint: str) -> Path:
-        """The subdirectory holding ``fingerprint``'s memory-mapped CSR arrays.
-
-        Written by :mod:`repro.graph.mmap_csr` when a session spills a graph
-        out of core; the store accounts for (``info``) and removes
-        (``purge``/``evict``) these files like any other artifact.
-        """
-        return self.graph_dir(fingerprint) / CSR_DIR_NAME
-
     def _artifact_files(self, fingerprint: Optional[str] = None) -> Iterator[Path]:
         # Hidden files are skipped everywhere: a ``.{name}.tmp-*`` file is an
         # in-flight atomic write, not an artifact — counting it misreports
@@ -415,7 +409,7 @@ class ArtifactStore:
                         continue
                     if path.is_file():
                         yield path
-                    elif path.is_dir() and (path.name == CSR_DIR_NAME
+                    elif path.is_dir() and (path.name == _LEGACY_CSR_DIR
                                             or traj_store.is_traj_dir(path)):
                         yield from sorted(
                             p for p in path.iterdir()
@@ -435,10 +429,6 @@ class ArtifactStore:
                             and any(p.iterdir())))
 
     @staticmethod
-    def _is_csr_file(path: Path) -> bool:
-        return path.parent.name == CSR_DIR_NAME
-
-    @staticmethod
     def _is_traj_file(path: Path) -> bool:
         return traj_store.is_traj_dir(path.parent)
 
@@ -446,11 +436,10 @@ class ArtifactStore:
         """Totals (and per-graph rows) for the CLI and tests.
 
         Returns ``{"root", "graphs": [{"fingerprint", "files", "bytes",
-        "csr_bytes", "traj_bytes", "kinds"}, ...], "files", "bytes"}``;
-        ``csr_bytes`` / ``traj_bytes`` are the slices of ``bytes`` held by
-        memory-mapped CSR arrays and append-only trajectories (the
-        out-of-core footprint ``repro cache ls`` reports per graph).  A file
-        vanishing between the directory scan and its ``stat`` (a concurrent
+        "traj_bytes", "kinds"}, ...], "files", "bytes"}``; ``traj_bytes`` is
+        the slice of ``bytes`` held by append-only trajectories, and a file
+        in a subdirectory takes the subdirectory's kind.  A file vanishing
+        between the directory scan and its ``stat`` (a concurrent
         ``purge``/``evict``/replace) is skipped, not a crash.
         """
         graphs = []
@@ -464,15 +453,13 @@ class ArtifactStore:
                 except OSError:
                     continue  # deleted/replaced mid-scan: not an artifact now
             size = sum(sizes.values())
-            csr_bytes = sum(s for p, s in sizes.items() if self._is_csr_file(p))
             traj_bytes = sum(s for p, s in sizes.items() if self._is_traj_file(p))
-            kinds = sorted({"csr" if self._is_csr_file(p)
-                            else "trajectory" if self._is_traj_file(p)
-                            else p.name.split("-")[0].removesuffix(".json")
+            kinds = sorted({(p if p.parent.name == fp else p.parent).name
+                            .split("-")[0].removesuffix(".json")
                             for p in sizes})
             graphs.append({"fingerprint": fp, "files": len(sizes),
-                           "bytes": size, "csr_bytes": csr_bytes,
-                           "traj_bytes": traj_bytes, "kinds": kinds})
+                           "bytes": size, "traj_bytes": traj_bytes,
+                           "kinds": kinds})
             total_files += len(sizes)
             total_bytes += size
         return {"root": str(self.root), "graphs": graphs,
@@ -508,20 +495,18 @@ class ArtifactStore:
     def evict(self, max_bytes: int) -> int:
         """Remove oldest-modified artifacts until the store fits ``max_bytes``.
 
-        Memory-mapped CSR arrays and append-only trajectories are evictable
-        like any other artifact (a later out-of-core run re-materialises /
-        recomputes them — the revalidation in :mod:`repro.graph.mmap_csr` and
-        the header clamp in :mod:`repro.store.traj` treat a torn set as
-        absent).  The ``graph.json`` / ``csr/meta.json`` / ``.traj``
-        ``header.json`` descriptors are only removed when their directory has
-        no artifacts left.  Returns the number of files removed.
+        Append-only trajectory rows are evictable like any other artifact (a
+        later run recomputes them — the header clamp in
+        :mod:`repro.store.traj` treats a torn file as absent).  The
+        ``graph.json`` and ``.traj`` ``header.json`` descriptors are only
+        removed when their directory has no artifacts left.  Returns the
+        number of files removed.
         """
         if max_bytes < 0:
             raise StoreError(f"max_bytes must be >= 0, got {max_bytes}")
         entries = []
         for path in self._artifact_files():
             if path.name in ("graph.json", "lineage.json") or (
-                    self._is_csr_file(path) and path.name == "meta.json") or (
                     self._is_traj_file(path)
                     and path.name == traj_store.HEADER_NAME):
                 continue
@@ -545,19 +530,14 @@ class ArtifactStore:
                            if p.is_dir() and is_fingerprint(p.name)]
                           if self.root.is_dir() else []):
             for subdir in [p for p in directory.iterdir() if p.is_dir()]:
-                if subdir.name == CSR_DIR_NAME:
-                    descriptor = "meta.json"
-                elif traj_store.is_traj_dir(subdir):
-                    descriptor = traj_store.HEADER_NAME
-                else:
-                    continue
-                if not any(p for p in subdir.iterdir()
-                           if p.name != descriptor):
-                    (subdir / descriptor).unlink(missing_ok=True)
-                    try:
-                        subdir.rmdir()
-                    except OSError:  # pragma: no cover - concurrent write
-                        pass
+                if traj_store.is_traj_dir(subdir) and not any(
+                        p.name != traj_store.HEADER_NAME
+                        for p in subdir.iterdir()):
+                    (subdir / traj_store.HEADER_NAME).unlink(missing_ok=True)
+                try:
+                    subdir.rmdir()
+                except OSError:  # not empty, or a concurrent write
+                    pass
             # graph.json is a descriptor (goes when nothing is left to
             # describe); lineage.json is a *record* — a few hundred bytes
             # whose loss would orphan a whole chain of versions, so evict

@@ -1,12 +1,12 @@
 """Append-only elimination trajectories (``.traj`` artifacts).
 
 The elimination trajectory — the ``(T+1) × n`` float64 array at the heart of
-Algorithm 2 — is the single largest allocation at scale, dwarfing the CSR
-arrays that :mod:`repro.graph.mmap_csr` already spills.  This module is the
-artifact store's only on-disk trajectory format: an *append-only* buffer, so
-the round loop of a spilling engine keeps only a sliding window of rows
-resident, and prefix-resume, ``Session`` restart and the artifact store all
-read and extend the same file::
+Algorithm 2 — is the single largest allocation at scale: it grows with the
+round budget, while each round reads only the row before it.  This module is
+the artifact store's only on-disk trajectory format: an *append-only*
+buffer, so the round loop of a spilling engine keeps only a sliding window of
+rows resident, and prefix-resume, ``Session`` restart and the artifact store
+all read and extend the same file::
 
     <root>/
       <fingerprint>/                       # the store's content address
@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import time
 from pathlib import Path
 from typing import Optional
@@ -61,7 +62,6 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import StoreError
-from repro.graph.mmap_csr import atomic_write_bytes, is_fingerprint
 from repro.obs import trace as obs_trace
 from repro.utils.numeric import canonical_lam
 
@@ -80,6 +80,38 @@ TRAJ_DTYPE = "<f8"
 
 #: Bytes of fixed-point rows materialised at a time by :meth:`AppendTrajectory.fill_to`.
 _FILL_CHUNK_BYTES = 8 << 20
+
+_HEX_DIGITS = frozenset("0123456789abcdef")
+
+
+def is_fingerprint(fingerprint) -> bool:
+    """Whether ``fingerprint`` is a well-formed content address.
+
+    Exactly 64 lowercase hex characters — the output shape of
+    :func:`repro.graph.csr.csr_fingerprint`.  Anything else (prefixes,
+    uppercase spellings, arbitrary strings) must be rejected before it touches
+    the filesystem, or stray directories pollute the store layout.
+    """
+    return (isinstance(fingerprint, str) and len(fingerprint) == 64
+            and set(fingerprint) <= _HEX_DIGITS)
+
+
+def atomic_write_bytes(path: Path, payload: bytes) -> None:
+    """Publish ``payload`` at ``path`` with a temp write and ``os.replace``.
+
+    The temp file sits in the same directory, hidden (a leading ``.``) so the
+    artifact store's ``info``/``purge``/``evict`` never see an in-flight
+    write, and unique per process *and* thread, so concurrent writers of one
+    artifact never share a temp file (``os.replace`` could otherwise publish
+    torn bytes).
+    """
+    tmp = path.with_name(
+        f".{path.name}.tmp-{os.getpid()}-{threading.get_ident()}")
+    try:
+        tmp.write_bytes(payload)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def format_lam(lam: float) -> str:
@@ -214,7 +246,7 @@ class AppendTrajectory:
             self.rounds = _clamped_rounds(self.directory, header)
         else:
             # Foreign, corrupt or absent: start over (costs a recompute,
-            # never a wrong answer — the mmap_csr revalidation contract).
+            # never a wrong answer).
             (self.directory / ROWS_NAME).unlink(missing_ok=True)
             (self.directory / HEADER_NAME).unlink(missing_ok=True)
             self.rounds = -1

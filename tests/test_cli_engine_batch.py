@@ -41,15 +41,15 @@ class TestEngineFlag:
                      "--engine", "quantum"], out=io.StringIO())
         assert code == 2
 
-    def test_storage_mmap_flag_runs_out_of_core(self, k6_file):
+    def test_trajectory_storage_mmap_flag_runs_out_of_core(self, k6_file):
         baseline, mapped, threaded = io.StringIO(), io.StringIO(), io.StringIO()
         assert main(["coreness", "--input", str(k6_file), "--rounds", "3",
                      "--engine", "sharded:2", "--top", "3"], out=baseline) == 0
         assert main(["coreness", "--input", str(k6_file), "--rounds", "3",
-                     "--engine", "sharded:2", "--storage", "mmap",
+                     "--engine", "sharded:2", "--trajectory-storage", "mmap",
                      "--top", "3"], out=mapped) == 0
         assert main(["coreness", "--input", str(k6_file), "--rounds", "3",
-                     "--engine", "sharded:2", "--storage", "mmap",
+                     "--engine", "sharded:2", "--trajectory-storage", "mmap",
                      "--workers", "2", "--top", "3"], out=threaded) == 0
         assert mapped.getvalue() == baseline.getvalue()
         assert threaded.getvalue() == baseline.getvalue()
@@ -63,9 +63,19 @@ class TestEngineFlag:
         assert excinfo.value.code == 2
         assert "--parallel" in capsys.readouterr().err
 
-    def test_storage_flag_rejected_for_non_sharded_engines(self, k6_file):
+    def test_storage_flag_is_rejected(self, k6_file, capsys):
+        # The CSR arrays always live in memory; only the trajectory spills.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["coreness", "--input", str(k6_file), "--rounds", "2",
+                  "--engine", "sharded:2", "--storage", "mmap"],
+                 out=io.StringIO())
+        assert excinfo.value.code == 2
+        assert "--storage" in capsys.readouterr().err
+
+    def test_trajectory_storage_flag_rejected_for_non_sharded_engines(
+            self, k6_file):
         code = main(["coreness", "--input", str(k6_file), "--rounds", "2",
-                     "--engine", "vectorized", "--storage", "mmap"],
+                     "--engine", "vectorized", "--trajectory-storage", "mmap"],
                     out=io.StringIO())
         assert code == 2
 

@@ -145,11 +145,11 @@ SHARD_COUNTS = (1, 2, 5, 10_000)
 def _shard_variants(graph):
     return [ShardedEngine(num_shards=k) for k in SHARD_COUNTS] + \
         [ShardedEngine(num_shards=3, max_workers=2),
-         # Out-of-core: the same kernels over memory-mapped CSR files (a
+         # Out-of-core output: rounds appended to an on-disk .traj buffer (a
          # private temp dir per engine), sequential and threaded — the
          # bit-identity contract covers every storage backend too.
-         ShardedEngine(num_shards=3, storage="mmap"),
-         ShardedEngine(num_shards=3, max_workers=2, storage="mmap")]
+         ShardedEngine(num_shards=3, trajectory_storage="mmap"),
+         ShardedEngine(num_shards=3, max_workers=2, trajectory_storage="mmap")]
 
 
 class TestCorpusSize:

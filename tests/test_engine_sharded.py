@@ -22,6 +22,7 @@ from repro.errors import AlgorithmError
 from repro.graph.generators.random_graphs import barabasi_albert
 from repro.graph.generators.structured import complete_graph, path_graph
 from repro.graph.graph import Graph
+from repro.session import Session
 
 
 class TestShardPlanEdgeCases:
@@ -83,6 +84,21 @@ class TestShardedEngineOptions:
         lambda: ShardedEngine(parallel="thread"),
     ], ids=["spec-process", "spec-thread-with-workers", "keyword-thread"])
     def test_parallel_option_is_rejected(self, make):
+        with pytest.raises(AlgorithmError, match="invalid options"):
+            make()
+
+    @pytest.mark.parametrize("make", [
+        lambda: get_engine("sharded:storage=mmap"),
+        lambda: get_engine("sharded:shards=3,storage=memory"),
+        lambda: ShardedEngine(storage="mmap"),
+        lambda: get_engine("sharded:spill=0"),
+        lambda: ShardedEngine(spill_bytes=1 << 20),
+        lambda: Session(path_graph(4), engine="sharded", spill_bytes=1),
+    ], ids=["spec-storage-mmap", "spec-storage-memory", "keyword-storage",
+            "spec-spill", "keyword-spill-bytes", "session-spill-bytes"])
+    def test_csr_storage_and_spill_options_are_rejected(self, make):
+        # The CSR arrays always live in memory, and the trajectory's spill
+        # threshold is the module constant SPILL_BYTES.
         with pytest.raises(AlgorithmError, match="invalid options"):
             make()
 

@@ -217,6 +217,41 @@ class TestPerViewMemo:
         assert csr_fingerprint(view) == first
         assert len(calls) == 1 and calls[0] is view
 
+    def test_fingerprint_is_hashed_once_per_view(self, monkeypatch):
+        import hashlib
+        import types
+
+        hashes = []
+
+        def counting_sha256(*args):
+            hashes.append(args)
+            return hashlib.sha256(*args)
+
+        monkeypatch.setattr(csr_module, "hashlib",
+                            types.SimpleNamespace(sha256=counting_sha256))
+        view = graph_to_csr(_strings_edge_readded())
+        first = csr_fingerprint(view)
+        assert csr_fingerprint(view) is first
+        assert len(hashes) == 1
+        other = graph_to_csr(_strings_edge_readded())
+        assert csr_fingerprint(other) == first
+        assert len(hashes) == 2  # the memo lives on the view, not the content
+
+    def test_a_spliced_view_never_inherits_its_parents_digest(self):
+        # A child without new nodes takes the label-only memos as they are;
+        # the digest also hashes the arrays, so it must be computed afresh.
+        graph = _strings_edge_readded()
+        view = graph_to_csr(graph)
+        parent_digest = csr_fingerprint(view)
+        delta = GraphDelta(add_edges=[("a", "d", 1.0)])
+        child = apply_delta(graph, delta)
+        spliced = graph_to_csr(child, parent=view,
+                               touched=changed_labels(delta))
+        assert "label_block" in spliced._memo
+        assert "fingerprint" not in spliced._memo
+        assert csr_fingerprint(spliced) == csr_fingerprint(graph_to_csr(child))
+        assert csr_fingerprint(spliced) != parent_digest
+
 
 class TestCSRSubsetDensity:
     def test_matches_graph_subset_density(self, k6):
@@ -395,6 +430,22 @@ class TestSplicedView:
         assert identity_ranks(spliced).tobytes() == identity_ranks(fresh).tobytes()
         assert _repr_ranks(spliced).tobytes() == _repr_ranks(fresh).tobytes()
         assert identity_ranks(spliced).tolist() != ranks.tolist() + [4]
+
+    def test_a_child_without_new_nodes_shares_its_parents_labels(self):
+        # Every answer on a view keeps its labels tuple alive, so a chain of
+        # versions must not hold one equal copy per version.
+        graph = _strings_edge_readded()
+        view = graph_to_csr(graph)
+        delta = GraphDelta(add_edges=[("a", "d", 1.0)])
+        spliced = graph_to_csr(apply_delta(graph, delta), parent=view,
+                               touched=changed_labels(delta))
+        assert spliced.node_order is view.node_order
+
+        delta = GraphDelta(add_edges=[("a", "z", 1.0)])
+        grown = graph_to_csr(apply_delta(graph, delta), parent=view,
+                             touched=changed_labels(delta))
+        assert grown.node_order is not view.node_order
+        assert grown.node_order == view.node_order + ("z",)
 
     @given(delta_chains())
     @settings(max_examples=40, deadline=None,

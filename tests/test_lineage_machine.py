@@ -5,8 +5,11 @@ One ``hypothesis.stateful`` machine drives an in-process
 :class:`~repro.serve.http.ReproHTTPServer` whose session bound is patched to
 2, so most steps evict a session and most jobs re-open one, next to chains
 of plain :class:`~repro.session.Session` versions that the machine drops at
-random (their children then seed from the store or solve cold).  After every
-step:
+random (their children then seed from the store or solve cold).  Each plain
+chain runs on an engine drawn at its root and inherited by its children:
+``vectorized``, sequential or threaded ``sharded``, or ``sharded`` appending
+its trajectory to a ``.traj`` file (the shared store's, beside the server's
+appends, when the root is stored).  After every step:
 
 * every answer equals a cold ``vectorized`` solve of its version's graph:
   the answer's JSON, the trajectory rows and, for orientations, the
@@ -30,9 +33,11 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize,
-                                 invariant, precondition, rule)
+                                 invariant, precondition, rule,
+                                 run_state_machine_as_test)
 
 import repro.serve.http as http_module
 from repro.graph.csr import graph_fingerprint
@@ -48,6 +53,10 @@ _PROBLEMS = st.sampled_from(("coreness", "orientation"))
 #: parents have answered (the frontier re-solve's precondition).
 _ROUNDS = st.sampled_from((2, 4, 7))
 _LAMS = st.sampled_from((0.0, 0.5))
+#: Engines a plain chain runs on; every one must answer as cold vectorized.
+_ENGINES = st.sampled_from(("vectorized", "sharded:3",
+                            "sharded:shards=3,workers=2",
+                            "sharded:shards=3,traj=mmap"))
 
 
 def _newest_first(items):
@@ -202,10 +211,10 @@ class LineageMachine(RuleBasedStateMachine):
 
     # ------------------------------------------------------- plain sessions
     @precondition(lambda self: self.expected)
-    @rule(data=st.data(), stored=st.booleans())
-    def plain_root(self, data, stored):
+    @rule(data=st.data(), stored=st.booleans(), engine=_ENGINES)
+    def plain_root(self, data, stored, engine):
         graph = self.expected[data.draw(_newest_first(self.expected))]
-        self.plain.append(Session(copy.deepcopy(graph),
+        self.plain.append(Session(copy.deepcopy(graph), engine=engine,
                                   store=self.store if stored else None))
 
     @precondition(lambda self: self.plain)
@@ -270,8 +279,19 @@ class LineageMachine(RuleBasedStateMachine):
         self.totals = now
 
 
-LineageMachine.TestCase.settings = settings(
-    max_examples=40, stateful_step_count=30, deadline=None,
-    suppress_health_check=[HealthCheck.too_slow,
-                           HealthCheck.filter_too_much])
+def _profile(max_examples: int) -> settings:
+    return settings(max_examples=max_examples, stateful_step_count=30,
+                    deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow,
+                                           HealthCheck.filter_too_much])
+
+
+LineageMachine.TestCase.settings = _profile(40)
 TestLineageMachine = LineageMachine.TestCase
+
+
+@pytest.mark.slow
+def test_lineage_machine_long_profile():
+    """Five times the tier-1 examples; ``scripts/check.sh`` runs it in its
+    ``slow`` step."""
+    run_state_machine_as_test(LineageMachine, settings=_profile(200))

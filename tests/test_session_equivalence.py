@@ -27,15 +27,14 @@ SUITE = CORPUS[::4]
 
 ENGINES = ("vectorized", "sharded:3", "faithful",
            "sharded:shards=3,workers=2",
-           # Out-of-core: CSR arrays stream from memory-mapped files; with a
-           # store (the restart matrix below) they live in the store's own
-           # per-fingerprint csr/ layout — cold, warm and restarted requests
-           # must stay bit-identical to the in-memory engines.
-           "sharded:shards=3,storage=mmap",
            # Out-of-core output: the trajectory itself is appended to an
            # on-disk .traj buffer (see repro.store.traj) instead of being
-           # held as one (T+1) x n allocation.
-           "sharded:shards=3,storage=mmap,traj=mmap")
+           # held as one (T+1) x n allocation, from threaded shards and from
+           # sequential ones; with a store (the restart matrix below) it is
+           # the store's own file — cold, warm and restarted requests must
+           # stay bit-identical to the in-memory engines.
+           "sharded:shards=3,workers=2,traj=mmap",
+           "sharded:shards=3,traj=mmap")
 
 
 def _skip_if_faithful_cannot_run(engine, graph):
@@ -358,7 +357,7 @@ class TestDeltaEquivalence:
         assert incremental.orientation.in_weight == cold.orientation.in_weight
 
     @pytest.mark.parametrize("engine", ("vectorized", "sharded:3",
-                                        "sharded:shards=3,storage=mmap"))
+                                        "sharded:shards=3,traj=mmap"))
     def test_restart_along_lineage_chain(self, engine, tmp_path,
                                          two_communities):
         from repro.graph import apply_delta, chain_fingerprint

@@ -466,30 +466,32 @@ class TestInFlightVisibility:
         assert info["graphs"][0]["fingerprint"] == fingerprint
 
 
-class TestCsrAccounting:
-    """The store accounts for (and removes) the out-of-core csr/ arrays."""
+class TestLegacyCsrDirectory:
+    """Stores written by earlier versions may hold memory-mapped CSR arrays
+    under ``<fingerprint>/csr/``: never read, but counted and removed."""
 
     @pytest.fixture
-    def spilled(self, store, csr, fingerprint):
-        from repro.graph.mmap_csr import materialize_csr
-
+    def legacy(self, store, csr, fingerprint):
         store.save_trajectory(fingerprint, 0.0, np.zeros((3, 4)),
                               labels=csr.labels())
-        materialize_csr(csr, store.root, fingerprint=fingerprint)
+        directory = store.graph_dir(fingerprint) / "csr"
+        directory.mkdir()
+        (directory / "meta.json").write_text("{}\n", encoding="utf-8")
+        for name in ("indptr", "indices", "weights", "loops"):
+            (directory / f"{name}.bin").write_bytes(b"\x00" * 16)
         return fingerprint
 
-    def test_info_reports_csr_kind_and_bytes(self, store, spilled):
-        row = store.info(spilled)["graphs"][0]
-        assert "csr" in row["kinds"]
-        assert row["csr_bytes"] > 0
-        assert row["bytes"] >= row["csr_bytes"]
+    def test_info_counts_the_legacy_files(self, store, legacy):
+        row = store.info(legacy)["graphs"][0]
         assert row["files"] == 8  # graph.json + 2 trajectory + meta + 4 arrays
+        assert row["bytes"] >= 4 * 16 + row["traj_bytes"]
+        assert "csr_bytes" not in row
 
-    def test_purge_removes_the_csr_directory(self, store, spilled):
-        assert store.purge(spilled) == 8
-        assert not store.graph_dir(spilled).exists()
+    def test_purge_removes_the_csr_directory(self, store, legacy):
+        assert store.purge(legacy) == 8
+        assert not store.graph_dir(legacy).exists()
 
-    def test_evict_to_zero_clears_csr_arrays_too(self, store, spilled):
-        assert store.evict(max_bytes=0) >= 5
+    def test_evict_to_zero_clears_the_csr_directory_too(self, store, legacy):
+        assert store.evict(max_bytes=0) == 6  # rows.bin + meta + 4 arrays
         assert store.fingerprints() == ()
-        assert not store.csr_dir(spilled).exists()
+        assert not store.graph_dir(legacy).exists()

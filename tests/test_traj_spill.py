@@ -9,35 +9,47 @@ Contract under test (see :mod:`repro.store.traj` and the
   never a wrong or unreadable prefix);
 * a foreign, corrupt or mismatching header reads as absent and a fresh writer
   starts over — corruption can cost a recompute, never a wrong answer;
-* every engine configuration (sequential or threaded; CSR in memory or
-  mapped) with ``trajectory_storage="mmap"`` produces trajectories
-  bit-identical to the in-memory engines, including after a simulated crash;
+* every engine configuration (sequential or threaded) with
+  ``trajectory_storage="mmap"`` produces trajectories bit-identical to the
+  in-memory engines, including after a simulated crash;
+* the auto mode spills only with a bound directory and a trajectory of
+  :data:`~repro.engine.sharded.SPILL_BYTES` or more, one engine binds one
+  store, and the sink hashes each live CSR view once;
 * the threaded mode reuses one pool per engine (and ``close`` shuts it
   down) instead of paying pool startup on every call;
 * a store-backed :class:`~repro.session.Session` adopts, extends, accounts
   for, and purges the ``.traj`` artifact — the store's only trajectory
   format — appending without rewriting published rows or invalidating a
-  live mapping.
+  live mapping;
+* malformed fingerprints never touch the filesystem, and
+  ``atomic_write_bytes`` publishes whole files through a hidden, per-thread
+  temp name that never survives a failed replace.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
 
+import repro.engine.sharded as sharded_module
+import repro.store.traj as traj_module
 from repro.engine import get_engine
 from repro.engine.sharded import ShardedEngine
 from repro.errors import AlgorithmError, StoreError
-from repro.graph.csr import graph_to_csr
+from repro.graph.csr import csr_fingerprint, graph_to_csr
 from repro.graph.generators.random_graphs import barabasi_albert
-from repro.graph.mmap_csr import is_fingerprint
+from repro.graph.graph import Graph
 from repro.session import Session
 from repro.store import AppendTrajectory, ArtifactStore
 from repro.store.traj import (
     HEADER_NAME,
     ROWS_NAME,
+    atomic_write_bytes,
+    is_fingerprint,
     is_traj_dir,
     open_trajectory,
     published_rounds,
@@ -52,6 +64,12 @@ FP = "ab" * 32
 @pytest.fixture
 def graph():
     return barabasi_albert(120, 3, seed=11)
+
+
+@pytest.fixture
+def spill_everything(monkeypatch):
+    """Auto mode spills every trajectory (the threshold patched to 0)."""
+    monkeypatch.setattr(sharded_module, "SPILL_BYTES", 0)
 
 
 def _rows(count, n=4):
@@ -199,6 +217,71 @@ class TestAppendFormat:
         assert not is_traj_dir(tmp_path / FP / "csr")
 
 
+class TestFingerprintHygiene:
+    @pytest.mark.parametrize("bad", ["abc", "", "A" * 64, "g" * 64,
+                                     "0" * 63, "0" * 65, None, 42])
+    def test_malformed_fingerprints_rejected(self, bad, tmp_path):
+        assert not is_fingerprint(bad)
+        with pytest.raises(StoreError, match="fingerprint"):
+            traj_dir(tmp_path, bad, 0.0)
+        assert not any(tmp_path.iterdir())  # nothing touched the filesystem
+
+    def test_real_fingerprints_accepted(self, graph):
+        assert is_fingerprint(csr_fingerprint(graph_to_csr(graph)))
+
+
+class TestAtomicWrite:
+    """``atomic_write_bytes``: the header publish and every store document."""
+
+    def test_publishes_the_payload_and_leaves_no_temp_file(self, tmp_path):
+        atomic_write_bytes(tmp_path / "doc.json", b"payload")
+        assert (tmp_path / "doc.json").read_bytes() == b"payload"
+        assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
+    def test_replaces_an_existing_file_whole(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_bytes(b"a much longer previous payload")
+        atomic_write_bytes(path, b"short")
+        assert path.read_bytes() == b"short"
+
+    def test_a_failed_replace_keeps_the_old_file_and_no_temp(self, tmp_path,
+                                                             monkeypatch):
+        path = tmp_path / "doc.json"
+        path.write_bytes(b"published")
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(traj_module.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            atomic_write_bytes(path, b"torn")
+        assert path.read_bytes() == b"published"
+        assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
+    def test_temp_name_is_hidden_and_unique_per_thread(self, tmp_path,
+                                                       monkeypatch):
+        real_replace = os.replace
+        temps = []
+
+        def recording_replace(src, dst):
+            temps.append(os.path.basename(src))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(traj_module.os, "replace", recording_replace)
+        path = tmp_path / "doc.json"
+        atomic_write_bytes(path, b"main")
+        writer = threading.Thread(target=atomic_write_bytes,
+                                  args=(path, b"thread"))
+        writer.start()
+        writer.join()
+        assert len(temps) == 2 and temps[0] != temps[1]
+        for name in temps:
+            # Hidden, so the store's info/purge/evict never see it in flight.
+            assert name.startswith(".doc.json.tmp-")
+            assert f"-{os.getpid()}-" in name
+        assert path.read_bytes() == b"thread"
+
+
 class TestEngineEquivalence:
     """trajectory_storage="mmap" engines are bit-identical to in-memory runs."""
 
@@ -206,15 +289,9 @@ class TestEngineEquivalence:
         return [
             ShardedEngine(num_shards=4, trajectory_storage="mmap",
                           storage_dir=tmp_path / "a"),
-            ShardedEngine(num_shards=4, storage="mmap",
+            ShardedEngine(num_shards=4, max_workers=2,
                           trajectory_storage="mmap",
                           storage_dir=tmp_path / "b"),
-            ShardedEngine(num_shards=4, max_workers=2,
-                          trajectory_storage="mmap",
-                          storage_dir=tmp_path / "c"),
-            ShardedEngine(num_shards=4, max_workers=2,
-                          storage="mmap", trajectory_storage="mmap",
-                          storage_dir=tmp_path / "d"),
         ]
 
     def test_all_modes_bit_identical_and_spilled(self, graph, tmp_path):
@@ -269,29 +346,160 @@ class TestEngineEquivalence:
         with pytest.raises(AlgorithmError, match="trajectory_storage"):
             ShardedEngine(trajectory_storage="bogus")
 
-    def test_memory_mode_never_spills_the_trajectory(self, graph, tmp_path):
-        engine = ShardedEngine(trajectory_storage="memory", spill_bytes=0,
+    def test_memory_mode_never_spills_the_trajectory(self, graph, tmp_path,
+                                                     spill_everything):
+        engine = ShardedEngine(trajectory_storage="memory",
                                storage_dir=tmp_path)
         assert not engine._uses_traj_mmap(graph_to_csr(graph), rounds=4)
 
-    def test_auto_spill_needs_a_directory_and_a_big_trajectory(self, graph,
-                                                               tmp_path):
+    def test_auto_spill_needs_a_directory_and_a_big_trajectory(
+            self, graph, tmp_path, monkeypatch):
         csr = graph_to_csr(graph)
-        homeless = ShardedEngine(spill_bytes=0)
+        homeless = ShardedEngine()
+        bound = ShardedEngine(storage_dir=tmp_path)
+        assert not bound._uses_traj_mmap(csr, rounds=4)  # fits in memory
+        monkeypatch.setattr(sharded_module, "SPILL_BYTES", 5 * 120 * 8)
+        assert bound._uses_traj_mmap(csr, rounds=4)  # read at decision time
+        assert not bound._uses_traj_mmap(csr, rounds=3)
         assert not homeless._uses_traj_mmap(csr, rounds=4)  # nowhere to spill
-        bound = ShardedEngine(spill_bytes=0, storage_dir=tmp_path)
-        assert bound._uses_traj_mmap(csr, rounds=4)
-        small = ShardedEngine(spill_bytes=1 << 40, storage_dir=tmp_path)
-        assert not small._uses_traj_mmap(csr, rounds=4)  # fits in memory
 
-    def test_auto_spilled_run_matches_memory(self, graph, tmp_path):
+    def test_auto_spilled_run_matches_memory(self, graph, tmp_path,
+                                             spill_everything):
         reference = get_engine("vectorized").run(graph, 5, track_kept=False)
-        engine = ShardedEngine(num_shards=4, spill_bytes=0,
-                               storage_dir=tmp_path)
+        engine = ShardedEngine(num_shards=4, storage_dir=tmp_path)
         result = engine.run(graph, 5, track_kept=False)
         assert np.array_equal(result.trajectory, reference.trajectory)
         assert isinstance(result.trajectory, np.memmap)
         engine.close()
+
+    def test_sink_uses_the_stores_per_fingerprint_layout(self, graph,
+                                                         tmp_path):
+        engine = ShardedEngine(num_shards=4, trajectory_storage="mmap",
+                               storage_dir=tmp_path)
+        engine.run(graph, 4, track_kept=False)
+        engine.close()
+        fingerprint = csr_fingerprint(graph_to_csr(graph))
+        assert [p.name for p in tmp_path.iterdir()] == [fingerprint]
+        directory = traj_dir(tmp_path, fingerprint, 0.0)
+        assert directory.name == "trajectory-lam0.0.traj"
+        assert {p.name for p in directory.iterdir()} == {HEADER_NAME,
+                                                         ROWS_NAME}
+
+    def test_each_lambda_appends_to_its_own_file(self, graph, tmp_path):
+        engine = ShardedEngine(num_shards=4, trajectory_storage="mmap",
+                               storage_dir=tmp_path)
+        fingerprint = csr_fingerprint(graph_to_csr(graph))
+        for lam, rounds in ((0.5, 5), (0.0, 3)):
+            reference = get_engine("vectorized").run(graph, rounds, lam=lam,
+                                                     track_kept=False)
+            result = engine.run(graph, rounds, lam=lam, track_kept=False)
+            assert np.array_equal(result.trajectory, reference.trajectory)
+        engine.close()
+        assert published_rounds(tmp_path, fingerprint, 0.5) == 5
+        assert published_rounds(tmp_path, fingerprint, 0.0) == 3
+
+    def test_without_a_directory_spills_into_a_private_one(self, graph):
+        reference = get_engine("vectorized").run(graph, 6, track_kept=False)
+        engine = ShardedEngine(num_shards=4, trajectory_storage="mmap")
+        result = engine.run(graph, 6, track_kept=False)
+        assert np.array_equal(result.trajectory, reference.trajectory)
+        assert isinstance(result.trajectory, np.memmap)
+        assert engine.storage_dir is None  # no store was bound ...
+        root = engine._storage_root()      # ... so the file is the engine's
+        assert os.path.commonpath([result.trajectory.filename, root]) == \
+            str(root)
+        engine.close()
+
+    def test_edgeless_graph_spills_and_matches(self, tmp_path):
+        graph = Graph(nodes=range(5))
+        reference = get_engine("vectorized").run(graph, 3, track_kept=True)
+        engine = ShardedEngine(num_shards=2, trajectory_storage="mmap",
+                               storage_dir=tmp_path)
+        result = engine.run(graph, 3, track_kept=True)
+        assert result.values == reference.values
+        assert np.array_equal(result.trajectory, reference.trajectory)
+        assert isinstance(result.trajectory, np.memmap)
+        engine.close()
+
+    def test_corrupt_header_through_the_engine_recomputes(self, graph,
+                                                          tmp_path):
+        reference = get_engine("vectorized").run(graph, 6, track_kept=False)
+        engine = ShardedEngine(num_shards=4, trajectory_storage="mmap",
+                               storage_dir=tmp_path)
+        engine.run(graph, 6, track_kept=False)
+        engine.close()
+        fingerprint = csr_fingerprint(graph_to_csr(graph))
+        (traj_dir(tmp_path, fingerprint, 0.0) / HEADER_NAME) \
+            .write_text("{not json", encoding="utf-8")
+        assert published_rounds(tmp_path, fingerprint, 0.0) is None
+        fresh = ShardedEngine(num_shards=4, trajectory_storage="mmap",
+                              storage_dir=tmp_path)
+        result = fresh.run(graph, 6, track_kept=False)
+        assert np.array_equal(result.trajectory, reference.trajectory)
+        assert published_rounds(tmp_path, fingerprint, 0.0) == 6
+        fresh.close()
+
+    def test_registry_spec_spells_the_storage_directory(self, tmp_path):
+        engine = get_engine(f"sharded:shards=2,dir={tmp_path},traj=mmap")
+        assert engine.storage_dir == tmp_path
+        assert engine.trajectory_storage == "mmap"
+
+    def test_describe_names_the_trajectory_mode(self, tmp_path):
+        engine = ShardedEngine()
+        assert "trajectory=memory" in engine.describe()  # nowhere to spill
+        engine.bind_storage(tmp_path)
+        assert "trajectory=auto" in engine.describe()
+        pinned = ShardedEngine(trajectory_storage="memory",
+                               storage_dir=tmp_path)
+        assert "trajectory=memory" in pinned.describe()
+
+
+class TestStorageBinding:
+    """One engine spills into one store, hashing each live view once."""
+
+    def test_fingerprint_hashed_once_per_live_csr(self, graph, tmp_path,
+                                                  monkeypatch):
+        import hashlib
+        import types
+
+        import repro.graph.csr as csr_module
+
+        engine = ShardedEngine(num_shards=4, trajectory_storage="mmap",
+                               storage_dir=tmp_path)
+        hashes = []
+
+        def counting_sha256(*args):
+            hashes.append(args)
+            return hashlib.sha256(*args)
+
+        monkeypatch.setattr(csr_module, "hashlib",
+                            types.SimpleNamespace(sha256=counting_sha256))
+        session_csr = graph_to_csr(graph)
+        for rounds in (2, 3, 4):
+            engine.run(graph, rounds, track_kept=False, csr=session_csr)
+        engine.close()
+        assert len(hashes) == 1  # warm requests must not re-hash O(m) arrays
+        assert published_rounds(tmp_path, csr_fingerprint(session_csr),
+                                0.0) == 4
+
+    def test_bind_storage_never_overrides_explicit_dir(self, tmp_path):
+        explicit = tmp_path / "explicit"
+        engine = ShardedEngine(trajectory_storage="mmap", storage_dir=explicit)
+        engine.bind_storage(tmp_path / "bound")
+        assert engine.storage_dir == explicit
+
+    def test_rebinding_one_engine_to_a_second_store_raises(self, tmp_path):
+        engine = ShardedEngine()
+        engine.bind_storage(tmp_path / "storeA")
+        engine.bind_storage(tmp_path / "storeA")  # same root: idempotent
+        with pytest.raises(AlgorithmError, match="second store"):
+            engine.bind_storage(tmp_path / "storeB")
+
+    def test_two_sessions_two_stores_need_two_engines(self, graph, tmp_path):
+        engine = ShardedEngine(num_shards=2)
+        Session(graph, engine=engine, store=ArtifactStore(tmp_path / "a"))
+        with pytest.raises(AlgorithmError, match="second store"):
+            Session(graph, engine=engine, store=ArtifactStore(tmp_path / "b"))
 
 
 class TestThreadPoolReuse:
@@ -387,6 +595,27 @@ class TestStoreIntegration:
 
 class TestSessionSpill:
     SPEC = "sharded:shards=4,traj=mmap"
+
+    def test_store_backed_session_auto_spills_and_matches(
+            self, graph, tmp_path, spill_everything):
+        store = ArtifactStore(tmp_path / "store")
+        reference = Session(graph).coreness(rounds=6)
+        session = Session(graph, engine="sharded:shards=4", store=store)
+        assert session.engine._uses_traj_mmap(session.csr, rounds=6)
+        result = session.coreness(rounds=6)
+        assert result.values == reference.values
+        # The engine appended to the store's own file: the result maps it.
+        assert isinstance(result.surviving.trajectory, np.memmap)
+        assert published_rounds(store.root, session.fingerprint, 0.0) == 6
+        row = store.info(session.fingerprint)["graphs"][0]
+        assert "trajectory" in row["kinds"] and row["traj_bytes"] > 0
+
+    def test_sessions_without_store_stay_in_memory(self, graph,
+                                                   spill_everything):
+        session = Session(graph, engine="sharded:shards=4")
+        assert not session.engine._uses_traj_mmap(session.csr, rounds=6)
+        result = session.coreness(rounds=6)
+        assert not isinstance(result.surviving.trajectory, np.memmap)
 
     @pytest.mark.parametrize("engine", ["vectorized", "sharded:4", SPEC])
     def test_session_spills_traj_instead_of_npz(self, graph, tmp_path, engine):

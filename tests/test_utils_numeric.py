@@ -7,9 +7,10 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.errors import AlgorithmError
+from repro.errors import AlgorithmError, InvalidLambdaError, ReproError
 from repro.utils.numeric import (
     POS_INFINITY,
+    canonical_lam,
     geometric_grid,
     harmonic_mean,
     is_close,
@@ -108,3 +109,11 @@ class TestHarmonicMeanAndIsClose:
     def test_is_close_on_nearby_values(self):
         assert is_close(1.0, 1.0 + 1e-12)
         assert not is_close(1.0, 1.1)
+
+
+class TestCanonicalLam:
+    def test_invalid_lambda_error_is_both_families(self):
+        with pytest.raises(InvalidLambdaError):
+            canonical_lam(float("nan"))
+        assert issubclass(InvalidLambdaError, ValueError)
+        assert issubclass(InvalidLambdaError, ReproError)
