@@ -2,7 +2,8 @@
 # CI / pre-merge check: tier-1 tests, the slow and bench tests (the lineage
 # machine's long profile among them), smoke runs of every example, the
 # mmap-trajectory smoke (trajectory spilled to the append-only .traj buffer,
-# bit-identical and prefix-resumable), the warm-session throughput benchmark
+# bit-identical and prefix-resumable, and so is a one-edge delta child's
+# frontier re-solve), the warm-session throughput benchmark
 # (>= 2x over cold per-call on repeated mixed requests), the persistent-store
 # smoke (the cold run leaves one append-only trajectory-lam0.0.traj/ and no
 # .npz; second run served from disk, bit-identical; a resumed 2x-rounds run
@@ -95,8 +96,26 @@ with tempfile.TemporaryDirectory(prefix="repro-traj-smoke-") as tmp:
     assert np.array_equal(longer.trajectory, reference.trajectory), \
         "resumed trajectory is not bit-identical"
     resumed.close()
+    # A one-edge delta child re-solves its frontier on the same sink: its
+    # trajectory maps its own .traj, bit-identical to the in-memory child's.
+    from repro.graph.delta import GraphDelta
+    from repro.session import Session
+
+    delta = GraphDelta(add_edges=[(0, 1999, 1.0)])
+    children = []
+    for engine in (ShardedEngine(num_shards=4, trajectory_storage="mmap",
+                                 storage_dir=tmp), "sharded:4"):
+        parent = Session(graph, engine=engine)
+        parent.surviving(rounds=8)
+        child = parent.apply_delta(delta)
+        children.append(child.surviving(rounds=8).trajectory)
+        assert child.stats.incremental_runs == 1, "child did not re-solve by frontier"
+    mapped, in_memory = children
+    assert isinstance(mapped, np.memmap), "delta child did not spill to disk"
+    assert mapped.tobytes() == in_memory.tobytes(), \
+        "spilled delta child is not bit-identical"
 print("traj smoke: trajectory_storage=mmap bit-identical and resumable "
-      "on n=2000 (8 -> 12 rounds)")
+      "on n=2000 (8 -> 12 rounds), and a delta child's frontier spills")
 PY
 
 echo

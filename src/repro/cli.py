@@ -230,7 +230,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                    "see GraphDelta.to_dict)")
     delta_parser.add_argument("--max-frontier-fraction", type=float,
                               default=None, metavar="F",
-                              help="fall back to a cold solve when the dirty "
+                              help="finish with full rounds once the dirty "
                                    "frontier exceeds F*n nodes "
                                    "(default: the server's 0.25)")
     delta_parser.add_argument("--tenant", default=None,

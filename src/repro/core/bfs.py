@@ -68,10 +68,8 @@ def _identity_ranks(csr: CSRAdjacency) -> np.ndarray:
     n = len(labels)
     if (set(map(type, labels)) == {int}
             and -2**63 <= min(labels) and max(labels) < 2**63):
-        # The key is ("int", repr(label)) for every label, i.e. the string
-        # order of the decimal spellings: a C-speed unicode argsort.
-        spelled = np.fromiter(labels, dtype=np.int64, count=n).astype("U")
-        order = np.argsort(spelled, kind="stable")
+        order = _decimal_string_order(
+            np.fromiter(labels, dtype=np.int64, count=n))
     else:
         keys = list(map(comparable_identity, labels))
         order = np.fromiter(sorted(range(n), key=keys.__getitem__),
@@ -79,6 +77,25 @@ def _identity_ranks(csr: CSRAdjacency) -> np.ndarray:
     ranks = np.empty(n, dtype=np.int64)
     ranks[order] = np.arange(n, dtype=np.int64)
     return ranks
+
+
+#: ``10**k`` for every digit count ``k`` of an int64 magnitude (uint64).
+_POWERS_OF_TEN = np.uint64(10) ** np.arange(20, dtype=np.uint64)
+
+
+def _decimal_string_order(values: np.ndarray) -> np.ndarray:
+    """The stable argsort of int64 ``values`` by their decimal spellings
+    (:func:`comparable_identity`'s order on ints), without spelling them:
+    negatives first (``"-"`` sorts before digits), then the uint64
+    magnitudes left-aligned to 19 digits, then the digit count (a prefix
+    sorts first)."""
+    unsigned = values.view(np.uint64)
+    negative = values < 0
+    magnitude = np.where(negative, ~unsigned + np.uint64(1), unsigned)
+    digits = np.maximum(
+        np.searchsorted(_POWERS_OF_TEN, magnitude, side="right"), 1)
+    aligned = magnitude * _POWERS_OF_TEN[19 - digits]
+    return np.lexsort((digits, aligned, ~negative))
 
 
 @dataclass(frozen=True)

@@ -407,7 +407,7 @@ def orientation_from_kept(graph: Graph, kept: Mapping[Hashable, Sequence[Hashabl
     n = csr.num_nodes
     # CSR entries with row < col, in row-major order, are graph.edges()'s
     # non-loop edges in its order.
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(csr.indptr))
+    rows = csr.entry_rows()
     upper = rows < csr.indices
     us, vs, ws = rows[upper], csr.indices[upper], csr.weights[upper]
 
@@ -473,9 +473,8 @@ def _kept_on_view(csr: CSRAdjacency, kept: Mapping) -> KeptSets:
     n = csr.num_nodes
     by_id = KeptSets.from_mapping(kept, csr.labels())
     # The sentinel n * n exceeds every key, so a lookup is always in range.
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(csr.indptr))
     by_key = csr.sorted_entries()
-    sorted_keys = np.append((rows * n + csr.indices)[by_key], n * n)
+    sorted_keys = np.append((csr.entry_rows() * n + csr.indices)[by_key], n * n)
     claimants = np.repeat(np.arange(n, dtype=np.int64), np.diff(by_id.indptr))
     wanted = claimants * n + by_id.members
     at = np.searchsorted(sorted_keys, wanted)
@@ -600,7 +599,7 @@ def kept_sets_from_trajectory(csr: CSRAdjacency, trajectory: np.ndarray, *,
         node_rank[node_perm] = np.cumsum(boundary)
     else:
         node_rank[node_perm] = np.arange(n, dtype=np.int64)
-    rows = np.repeat(np.arange(n, dtype=np.int64), counts)
+    rows = csr.entry_rows()
     combined = rows * np.int64(n + 1) + node_rank[nbr]
     # Sorting the *reversed* entry array stably and mapping the indices back
     # resolves equal combined keys by descending adjacency position — exactly
@@ -621,7 +620,7 @@ def kept_sets_from_trajectory(csr: CSRAdjacency, trajectory: np.ndarray, *,
     starts_ne = row_starts[nonempty]
     before_row = np.zeros(n, dtype=np.float64)
     before_row[nonempty] = flat_cs[starts_ne] - sorted_w[starts_ne]
-    acc = flat_cs - np.repeat(before_row, counts) + np.repeat(csr.loops, counts)
+    acc = (flat_cs - before_row[rows]) + csr.loops[rows]
     next_vals = np.empty(total_entries, dtype=np.float64)
     next_vals[:-1] = sorted_vals[1:]
     next_vals[(csr.indptr[1:] - 1)[nonempty]] = -np.inf  # row ends (incl. the last)

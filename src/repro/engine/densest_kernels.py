@@ -131,7 +131,7 @@ def bfs_forest(csr: CSRAdjacency, values: np.ndarray, propagation_rounds: int, *
 
     src = csr.indices
     counts = np.diff(csr.indptr)
-    rows = np.repeat(ids, counts)
+    rows = csr.entry_rows()
     row_starts = csr.indptr[:-1]
     nonempty = counts > 0
 

@@ -14,7 +14,9 @@ composes the *same* kernels instead of re-implementing them:
   producing the full ``(T+1, n)`` trajectory with monotone early-stopping —
   either as a RAM array or, given an ``out=`` append-trajectory sink
   (:mod:`repro.store.traj`), appended round-by-round to a mapped file with
-  only a two-row sliding window resident.
+  only a two-row sliding window resident.  It is the only round loop: the
+  frontier re-solve of a delta-derived graph (:func:`frontier_trajectory`)
+  is the same loop given a :class:`FrontierWarmStart`.
 
 Every kernel takes an explicit ``[lo, hi)`` node range and only materialises the
 frontier arrays (gathered neighbour values, sort permutation, prefix sums) for
@@ -108,46 +110,54 @@ def compact_round_range(csr: CSRAdjacency, current: np.ndarray, lo: int, hi: int
     may live in other shards); the return value holds the new surviving numbers
     for the range only, Λ-rounded when the grid is not exact.
 
-    The sort key of an entry is ``row * L + (L - 1 - rank)``, where ``rank`` is
-    the dense rank of the neighbour's value among ``L`` distinct values: rows
-    ascend, values descend within a row, and equal values keep their adjacency
+    The sort key of an entry is ``row * L + rank``, where ``rank`` is the
+    dense rank of the neighbour's value among ``L`` distinct values in
+    descending order (the ascending rank of its negation): rows ascend,
+    values descend within a row, and equal values keep their adjacency
     order because the sort is stable.  That is the permutation of
     ``np.lexsort((-vals, rows))``, so the prefix sums below, and every float
     result, do not depend on how the ranks were computed.  The ranks come
     from whichever array is smaller: the whole ``current`` vector when the
     range holds at least ``len(current)`` entries, else the range's gathered
-    values (a frontier round over a few rows must not pay ``O(n)``).
+    values (a frontier round over a few rows must not pay ``O(n)``).  The
+    rows are a slice of the view's memoised :meth:`entry_rows`.
     """
     start, stop = int(csr.indptr[lo]), int(csr.indptr[hi])
-    local_n = hi - lo
     loops = csr.loops[lo:hi]
-    counts = np.diff(csr.indptr[lo:hi + 1])
+    if start == stop:
+        return round_values(grid, loops.copy())  # no neighbours: self-loops only
     nbr = csr.indices[start:stop]
     vals = current[nbr]
     if stop - start >= len(current):
-        levels, rank = np.unique(current, return_inverse=True)
+        levels, rank = np.unique(-current, return_inverse=True)
         rank = rank[nbr]
     else:
-        levels, rank = np.unique(vals, return_inverse=True)
-    num_levels = len(levels)
-    key = np.repeat(np.arange(local_n, dtype=np.int64) * num_levels, counts)
-    key += num_levels - 1 - rank
-    order = np.argsort(key, kind="stable")
+        levels, rank = np.unique(-vals, return_inverse=True)
+    rows = csr.entry_rows()[start:stop]
+    if lo:
+        rows = rows - lo
+    order = np.argsort(rows * len(levels) + rank, kind="stable")
     sorted_vals = vals[order]
     sorted_w = csr.weights[start:stop][order]
     # Prefix sums of weights *within* each row, offset by the node's self-loop.
     flat_cs = np.cumsum(sorted_w)
     row_starts = csr.indptr[lo:hi] - start
-    nonempty = counts > 0
-    before_row = np.zeros(local_n, dtype=np.float64)
-    before_row[nonempty] = flat_cs[row_starts[nonempty]] - sorted_w[row_starts[nonempty]]
-    within_cs = flat_cs - np.repeat(before_row, counts) + np.repeat(loops, counts)
-    candidates = np.minimum(within_cs, sorted_vals)
-    new = loops.copy()  # a node with no neighbours keeps only its self-loop weight
-    if len(candidates):
-        seg_max = np.full(local_n, -np.inf, dtype=np.float64)
-        seg_max[nonempty] = np.maximum.reduceat(candidates, row_starts[nonempty])
-        new = np.maximum(new, np.where(nonempty, seg_max, loops))
+    counts = np.diff(csr.indptr[lo:hi + 1])
+    if counts.all():
+        before_row = flat_cs[row_starts] - sorted_w[row_starts]
+    else:
+        nonempty = counts > 0
+        row_starts = row_starts[nonempty]
+        before_row = np.zeros(hi - lo, dtype=np.float64)
+        before_row[nonempty] = flat_cs[row_starts] - sorted_w[row_starts]
+    within_cs = (flat_cs - before_row[rows]) + loops[rows]
+    seg_max = np.maximum.reduceat(np.minimum(within_cs, sorted_vals), row_starts)
+    if len(seg_max) == len(loops):
+        new = np.maximum(loops, seg_max)
+    else:
+        # A node with no neighbours keeps only its self-loop weight.
+        new = loops.copy()
+        new[nonempty] = np.maximum(loops[nonempty], seg_max)
     return round_values(grid, new)
 
 
@@ -156,45 +166,12 @@ def compact_round(csr: CSRAdjacency, current: np.ndarray, grid: LambdaGrid) -> n
     return compact_round_range(csr, current, 0, csr.num_nodes, grid)
 
 
-def init_trajectory(num_nodes: int, rounds: int,
-                    prefix: Optional[np.ndarray] = None,
-                    out=None) -> Tuple[object, int]:
-    """Allocate a ``(rounds + 1, n)`` trajectory, seeded from an optional prefix.
-
-    Returns ``(trajectory, start)``: row 0 is the initial ``+inf`` state, rows
-    ``1..start`` are copied verbatim from ``prefix`` (clamped to ``rounds``),
-    and the round loop should resume at ``start + 1``.
-
-    When ``out`` is an :class:`~repro.store.traj.AppendTrajectory`, no RAM
-    array is allocated: the first element of the return value is ``out``
-    itself, seeded so its on-disk rows hold the same ``start + 1`` rows the
-    in-memory path would, and ``start`` additionally resumes from rows
-    *already published on disk* (the file is its own warm start, so a prefix
-    shorter than the file — or none at all — still skips the completed
-    rounds).
-    """
-    if rounds < 0:
-        raise AlgorithmError(f"rounds must be non-negative, got {rounds}")
-    if prefix is not None and (
-            prefix.ndim != 2 or prefix.shape[1] != num_nodes or prefix.shape[0] < 1):
-        raise AlgorithmError(
-            f"trajectory prefix of shape {getattr(prefix, 'shape', None)} does not "
-            f"match a {num_nodes}-node CSR view")
-    if out is not None:
-        return out, min(out.ensure_prefix(prefix), rounds)
-    trajectory = np.full((rounds + 1, num_nodes), np.inf, dtype=np.float64)
-    start = 0
-    if prefix is not None:
-        start = min(prefix.shape[0] - 1, rounds)
-        trajectory[:start + 1] = prefix[:start + 1]
-    return trajectory, start
-
-
 def compact_trajectory(csr: CSRAdjacency, rounds: int, *, lam: float = 0.0,
                        plan: Optional[ShardPlan] = None,
                        shard_map: Optional[Callable] = None,
                        prefix: Optional[np.ndarray] = None,
-                       out=None) -> np.ndarray:
+                       out=None,
+                       warm: Optional["FrontierWarmStart"] = None) -> np.ndarray:
     """The full Algorithm 2 trajectory of surviving numbers over a shard plan.
 
     Returns an array of shape ``(rounds + 1, n)``: row 0 is the initial ``+inf``
@@ -227,54 +204,82 @@ def compact_trajectory(csr: CSRAdjacency, rounds: int, *, lam: float = 0.0,
         RAM array, only a sliding window of two rows stays resident, and the
         return value is a read-only ``np.memmap`` over the published prefix —
         bit-identical rows, since each round runs the very same kernel calls
-        on the very same previous-row vector.
+        on the very same previous-row vector.  The rows the file already
+        publishes are its own warm start, even past a shorter ``prefix``.
+    warm:
+        Optional :class:`FrontierWarmStart`: rounds recompute only the dirty
+        rows of a delta-derived view (see :func:`frontier_trajectory`) and
+        stop before the first round ``t`` whose dirty set is too wide,
+        returning the exact rows ``0..t-1`` for a caller to pass back as
+        ``prefix``.  Rows already held (a ``prefix``, or rows ``out``
+        published before) come back as they are, with no frontier round.
     """
     n = csr.num_nodes
+    if rounds < 0:
+        raise AlgorithmError(f"rounds must be non-negative, got {rounds}")
+    if prefix is not None and (
+            prefix.ndim != 2 or prefix.shape[1] != n or prefix.shape[0] < 1):
+        raise AlgorithmError(
+            f"trajectory prefix of shape {getattr(prefix, 'shape', None)} does "
+            f"not match a {n}-node CSR view")
     grid = LambdaGrid(lam=lam)
     bounds = tuple(plan) if plan is not None else ((0, n),)
-    trajectory, start = init_trajectory(n, rounds, prefix, out=out)
-    current = out.row(start) if out is not None else trajectory[start].copy()
+    if out is not None:
+        start = min(out.ensure_prefix(prefix), rounds)
+        current = out.row(start)
+    else:
+        trajectory = np.full((rounds + 1, n), np.inf, dtype=np.float64)
+        start = 0 if prefix is None else min(prefix.shape[0] - 1, rounds)
+        if prefix is not None:
+            trajectory[:start + 1] = prefix[:start + 1]
+        current = trajectory[start].copy()
+
+    def rows_through(t: int) -> np.ndarray:
+        return out.as_array(t) if out is not None else trajectory[:t + 1]
+
+    dirty = None if warm is None else warm._begin(n, rounds, start)
+    if warm is not None and dirty is None:
+        return rows_through(start)
     # One tracer/context fetch per call; per-round work stays a None-check
     # when tracing is disabled.  Shard spans recorded from pool threads pass
     # the caller's context explicitly (thread-local stacks don't cross).
     tracer = obs_trace.active()
     parent = obs_trace.current_context() if tracer is not None else None
     for t in range(start + 1, rounds + 1):
+        if dirty is not None:
+            if dirty.size > warm.max_frontier_fraction * n:
+                return rows_through(t - 1)
+            warm.peak_frontier = max(warm.peak_frontier, int(dirty.size))
+            warm.nodes_recomputed += int(dirty.size)
         round_unix = time.time() if tracer is not None else 0.0
         round_perf = time.perf_counter()
-        if len(bounds) == 1:
-            lo, hi = bounds[0]
-            new = compact_round_range(csr, current, lo, hi, grid)
-        else:
+        if dirty is None:
+            tasks = [(lo, hi, None) for lo, hi in bounds]
             new = np.empty(n, dtype=np.float64)
-            if shard_map is not None:
-                if tracer is None:
-                    run_shard = (lambda b, _cur=current:
-                                 compact_round_range(csr, _cur, b[0], b[1], grid))
-                else:
-                    def run_shard(b, _cur=current, _t=t):
-                        shard_unix = time.time()
-                        shard_perf = time.perf_counter()
-                        chunk = compact_round_range(csr, _cur, b[0], b[1], grid)
-                        tracer.record_span(
-                            "kernel.shard", start_unix=shard_unix,
-                            duration=time.perf_counter() - shard_perf,
-                            parent=parent,
-                            attrs={"lo": b[0], "hi": b[1], "round": _t})
-                        return chunk
-                chunks = shard_map(run_shard, bounds)
-                for (lo, hi), chunk in zip(bounds, chunks):
-                    new[lo:hi] = chunk
+        else:  # each plan range's dirty rows, on their gathered sub-view
+            pieces = np.split(dirty, np.searchsorted(
+                dirty, [lo for lo, _ in bounds[1:]]))
+            tasks = [(lo, hi, ids) for (lo, hi), ids in zip(bounds, pieces)
+                     if ids.size]
+            new = warm._parent_row(t, n)
+        differs = []
+        for (lo, hi, ids), chunk in zip(tasks, _round_chunks(
+                csr, current, grid, tasks, shard_map, tracer, parent, t)):
+            if ids is None:
+                new[lo:hi] = chunk
             else:
-                for lo, hi in bounds:
-                    new[lo:hi] = compact_round_range(csr, current, lo, hi, grid)
+                differs.append(ids[chunk != new[ids]])
+                new[ids] = chunk
         round_seconds = time.perf_counter() - round_perf
         KERNEL_ROUND_SECONDS.observe(round_seconds)
         if tracer is not None:
             tracer.record_span(
-                "kernel.round_range", start_unix=round_unix,
-                duration=round_seconds, parent=parent,
-                attrs={"round": t, "shards": len(bounds), "n": n})
+                "kernel.round_range" if dirty is None
+                else "kernel.frontier_round",
+                start_unix=round_unix, duration=round_seconds, parent=parent,
+                attrs={"round": t, "n": n, **(
+                    {"shards": len(bounds)} if dirty is None
+                    else {"dirty": int(dirty.size)})})
         if out is not None:
             out.append_row(new)
         else:
@@ -285,181 +290,177 @@ def compact_trajectory(csr: CSRAdjacency, rounds: int, *, lam: float = 0.0,
             else:
                 trajectory[t:] = new
             break
+        if dirty is not None:
+            dirty = warm._next_dirty(csr, differs)
         current = new
+    if warm is not None:
+        warm.used = True
     return out.as_array(rounds) if out is not None else trajectory
+
+
+def _round_chunks(csr, current, grid, tasks, shard_map, tracer, parent,
+                  t: int):
+    """The kernel results of one round's ``tasks``, in order.
+
+    A task ``(lo, hi, ids)`` is the rows ``lo..hi-1`` of a plan range, or
+    only its sorted rows ``ids``, run on their gathered sub-view.  With a
+    ``shard_map`` and more than one task, the tasks run on it, each
+    recording a ``kernel.shard`` span when tracing.
+    """
+    def run(task):
+        lo, hi, ids = task
+        if ids is None:
+            return compact_round_range(csr, current, lo, hi, grid)
+        return compact_round_range(_gathered_sub_csr(csr, ids), current,
+                                   0, len(ids), grid)
+
+    def traced(task):
+        shard_unix = time.time()
+        shard_perf = time.perf_counter()
+        chunk = run(task)
+        tracer.record_span("kernel.shard", start_unix=shard_unix,
+                           duration=time.perf_counter() - shard_perf,
+                           parent=parent,
+                           attrs={"lo": task[0], "hi": task[1], "round": t})
+        return chunk
+
+    if shard_map is None or len(tasks) < 2:
+        return map(run, tasks)
+    return shard_map(run if tracer is None else traced, tasks)
+
+
+def check_frontier_fraction(value: float) -> float:
+    """``max_frontier_fraction`` as a float; :class:`AlgorithmError` unless
+    it lies in ``[0, 1]``."""
+    if not 0.0 <= float(value) <= 1.0:
+        raise AlgorithmError(
+            f"max_frontier_fraction must be in [0, 1], got {value!r}")
+    return float(value)
 
 
 class FrontierWarmStart:
     """Warm start for a delta-derived graph: recompute only the dirty frontier.
 
-    Carries everything :func:`frontier_trajectory` needs to re-solve a child
-    graph incrementally against its parent's trajectory:
+    Carries what the frontier rounds of :func:`frontier_trajectory` need to
+    re-solve a child graph against its parent's trajectory:
 
-    * ``parent_trajectory`` — the parent's ``(P + 1, parent_n)`` trajectory
-      for the same λ;
-    * ``parent_ids`` — int64 ``(n,)``: the parent integer id of every child
-      node, ``-1`` for nodes the delta introduced;
+    * ``parent_trajectory`` — the parent's ``(P + 1, parent_nodes)``
+      trajectory for the same λ.  A delta only appends nodes
+      (:func:`repro.graph.delta.apply_delta`), so the parent's nodes are the
+      child's first ``parent_nodes`` ids, in order;
     * ``changed`` — sorted int64 child ids whose update rule differs from the
       parent (delta edge endpoints, re-weighted/removed edge endpoints, new
       nodes) — the permanent seed of the frontier;
-    * ``max_frontier_fraction`` — the fallback policy: when the dirty set of
-      any round exceeds this fraction of ``n``, the incremental path bails
-      out (returns ``None``) and the caller runs a cold solve instead.
+    * ``max_frontier_fraction`` — the bound on a round's dirty set as a
+      fraction of ``n``: full rounds finish the trajectory from the first
+      round past it.
 
-    After the attempt the object reports what happened: ``used`` (the
-    incremental path produced the trajectory), ``fallback_reason`` (why it
-    did not), ``peak_frontier`` and ``nodes_recomputed`` (the work actually
-    done — the rest of the rows were copied from the parent).
+    After the attempt the object reports what happened: ``used`` (frontier
+    rounds produced the whole trajectory), ``peak_frontier`` and
+    ``nodes_recomputed`` (their work; the rest of their rows were copied).
     """
 
-    __slots__ = ("parent_trajectory", "parent_ids", "changed",
-                 "max_frontier_fraction", "used", "fallback_reason",
-                 "peak_frontier", "nodes_recomputed")
+    __slots__ = ("parent_trajectory", "changed", "max_frontier_fraction",
+                 "used", "peak_frontier", "nodes_recomputed")
 
-    def __init__(self, parent_trajectory: np.ndarray, parent_ids: np.ndarray,
-                 changed: np.ndarray, *,
+    def __init__(self, parent_trajectory: np.ndarray, changed: np.ndarray, *,
                  max_frontier_fraction: float = 0.25) -> None:
-        fraction = float(max_frontier_fraction)
-        if not 0.0 <= fraction <= 1.0:
-            raise AlgorithmError(f"max_frontier_fraction must be in [0, 1], "
-                                 f"got {fraction!r}")
         self.parent_trajectory = np.asarray(parent_trajectory)
-        self.parent_ids = np.asarray(parent_ids, dtype=np.int64)
         self.changed = np.unique(np.asarray(changed, dtype=np.int64))
-        self.max_frontier_fraction = fraction
+        self.max_frontier_fraction = check_frontier_fraction(max_frontier_fraction)
         self.used = False
-        self.fallback_reason: Optional[str] = None
         self.peak_frontier = 0
         self.nodes_recomputed = 0
 
-    def _fallback(self, reason: str) -> None:
-        self.used = False
-        self.fallback_reason = reason
+    @property
+    def parent_nodes(self) -> int:
+        """The parent's node count (the width of its trajectory)."""
+        return self.parent_trajectory.shape[1]
+
+    def covers(self, rounds: int) -> bool:
+        """Whether the parent's rows determine ``rounds`` child rounds: it
+        computed at least one round and, if fewer than ``rounds``, reached
+        its fixed point, so the rows past its last one repeat it."""
+        ptraj = self.parent_trajectory
+        P = ptraj.shape[0] - 1
+        return P >= 1 and (P >= rounds or np.array_equal(ptraj[P], ptraj[P - 1]))
+
+    def _begin(self, n: int, rounds: int, start: int) -> Optional[np.ndarray]:
+        """The first round's dirty set (the changed ids) on an ``n``-node
+        view, or None when the trajectory already holds ``start`` > 0 rounds
+        or the parent's rows do not cover ``rounds``."""
+        changed = self.changed
+        if self.parent_nodes > n or changed.size and (
+                changed[0] < 0 or changed[-1] >= n):
+            raise AlgorithmError(f"the frontier warm start does not fit a "
+                                 f"{n}-node CSR view")
+        return changed if start == 0 and self.covers(rounds) else None
+
+    def _parent_row(self, t: int, n: int) -> np.ndarray:
+        """Round ``t``'s row before its dirty rows are recomputed: the
+        parent's (its fixed point past its last row — f(x) = x, so the copy
+        stays exact), and +inf for the nodes the delta added."""
+        ptraj = self.parent_trajectory
+        row = np.empty(n, dtype=np.float64)
+        row[:self.parent_nodes] = ptraj[min(t, ptraj.shape[0] - 1)]
+        row[self.parent_nodes:] = np.inf
+        return row
+
+    def _next_dirty(self, csr: CSRAdjacency, differs: list) -> np.ndarray:
+        """``changed ∪ N(differs)``: the next round's dirty set, given the
+        arrays of ids whose recomputed value differs from the parent's."""
+        differs = np.concatenate([self.changed[:0], *differs])
+        if not differs.size:
+            return self.changed
+        neighbours = csr.indices[_row_entries(csr.indptr, differs)[1]]
+        return np.unique(np.concatenate((self.changed, neighbours)))
 
 
-def _gathered_sub_csr(csr: CSRAdjacency, ids: np.ndarray):
-    """A CSR view of just the rows ``ids``, indices still in full node space.
-
-    Per-row adjacency order is preserved, so the stable tie resolution
-    inside :func:`compact_round_range` is identical to a full-range call —
-    the gathered rows run through the *same shared kernel* as every other
-    engine path.
-    """
-    from types import SimpleNamespace
-
-    starts = np.asarray(csr.indptr)[ids]
-    counts = np.asarray(csr.indptr)[ids + 1] - starts
+def _row_entries(indptr: np.ndarray, ids: np.ndarray):
+    """``(sub_indptr, positions)``: the entry positions of the rows ``ids``,
+    in order, and the indptr of those rows gathered on their own."""
+    starts = indptr[ids]
+    counts = indptr[ids + 1] - starts
     sub_indptr = np.zeros(len(ids) + 1, dtype=np.int64)
     np.cumsum(counts, out=sub_indptr[1:])
     positions = np.repeat(starts - sub_indptr[:-1], counts) \
         + np.arange(int(sub_indptr[-1]), dtype=np.int64)
-    return SimpleNamespace(indptr=sub_indptr,
-                           indices=np.asarray(csr.indices)[positions],
-                           weights=np.asarray(csr.weights)[positions],
-                           loops=np.asarray(csr.loops)[ids])
+    return sub_indptr, positions
+
+
+def _gathered_sub_csr(csr: CSRAdjacency, ids: np.ndarray) -> CSRAdjacency:
+    """A CSR view of just the rows ``ids``, indices still in full node space
+    (so it has no labels; only the round kernel reads it).
+
+    Per-row adjacency order is preserved, so the stable tie resolution
+    inside :func:`compact_round_range` is identical to a full-range call —
+    the gathered rows run through the *same shared kernel* as every other
+    engine path, with their own :meth:`~CSRAdjacency.entry_rows`.
+    """
+    sub_indptr, positions = _row_entries(csr.indptr, ids)
+    return CSRAdjacency(indptr=sub_indptr, indices=csr.indices[positions],
+                        weights=csr.weights[positions], loops=csr.loops[ids],
+                        node_order=())
 
 
 def frontier_trajectory(csr: CSRAdjacency, rounds: int, *, lam: float = 0.0,
-                        warm: FrontierWarmStart) -> Optional[np.ndarray]:
-    """Incremental Algorithm 2 trajectory of a delta-derived graph.
+                        warm: FrontierWarmStart) -> np.ndarray:
+    """Incremental Algorithm 2 trajectory of a delta-derived graph: the
+    round loop of :func:`compact_trajectory` with ``warm=``.
 
-    Exploits the locality of the compact elimination rule: a node's round-``t``
-    value depends only on its *neighbours'* round-``t-1`` values (and its own
-    static loops/weights), never on its own previous value.  So a node whose
-    adjacency is unchanged and whose neighbours all carry parent-identical
-    values can copy the parent's row entry verbatim.  Per round the dirty set
-
-        ``dirty_t = changed ∪ N(diff_{t-1})``
-
-    is recomputed through :func:`compact_round_range` on a gathered sub-CSR
-    (full-space indices, per-row order preserved), where ``diff_{t-1}`` is the
-    set of nodes whose recomputed round-``t-1`` value actually differs from
-    the parent's; everything else is copied from ``warm.parent_trajectory``.
-
-    Returns the full ``(rounds + 1, n)`` trajectory, or ``None`` when the
-    incremental path cannot (parent trajectory too short and not converged)
-    or should not (frontier exceeded ``max_frontier_fraction·n``) run — the
-    caller then falls back to a cold solve.  ``warm`` records the outcome.
-
-    Bit-identity caveat: like the shard-plan invariance of
-    :func:`compact_round_range`, copied-vs-recomputed equality is exact for
-    integer/dyadic-rational weights (the domain the equivalence suite pins);
-    arbitrary float weights carry the usual last-ulp caveat.
+    A node's round-``t`` value depends only on its *neighbours'* round-``t-1``
+    values, so a node whose adjacency is unchanged and whose neighbours all
+    carry parent-identical values copies the parent's entry.  Round ``t``
+    recomputes ``dirty_t = changed ∪ N(diff_{t-1})``, where ``diff_{t-1}``
+    holds the nodes whose round-``t-1`` value differs from the parent's.
+    Returns the full ``(rounds + 1, n)`` trajectory, or the exact rows
+    ``0..t-1`` when round ``t``'s dirty set exceeds
+    ``max_frontier_fraction·n`` (row 0 alone when the parent's rows do not
+    cover ``rounds``), which the caller finishes with full rounds.  Like any
+    shard plan, copied-vs-recomputed equality is exact for integer/dyadic
+    weights; other float weights carry the last-ulp caveat.
     """
-    if rounds < 0:
-        raise AlgorithmError(f"rounds must be non-negative, got {rounds}")
-    n = csr.num_nodes
-    grid = LambdaGrid(lam=lam)
-    ptraj = warm.parent_trajectory
-    parent_ids = warm.parent_ids
-    if parent_ids.shape != (n,):
-        raise AlgorithmError(f"parent_ids of shape {parent_ids.shape} does "
-                             f"not match a {n}-node CSR view")
-    P = ptraj.shape[0] - 1
-    if P < 1:
-        warm._fallback("parent trajectory has no computed rounds")
-        return None
-    if rounds > P and not np.array_equal(ptraj[P], ptraj[P - 1]):
-        warm._fallback(f"parent trajectory covers {P} < {rounds} rounds "
-                       f"and has not converged")
-        return None
-    limit = int(warm.max_frontier_fraction * n)
-    changed = warm.changed
-    if changed.size and (changed[0] < 0 or changed[-1] >= n):
-        raise AlgorithmError("changed ids out of range")
-    has_parent = parent_ids >= 0
-    gather_ids = parent_ids[has_parent]
-
-    tracer = obs_trace.active()
-    parent_ctx = obs_trace.current_context() if tracer is not None else None
-    trajectory = np.full((rounds + 1, n), np.inf, dtype=np.float64)
-    dirty = changed
-    current = trajectory[0]
-    for t in range(1, rounds + 1):
-        if dirty.size > limit:
-            warm._fallback(f"frontier of {dirty.size} nodes exceeds "
-                           f"{warm.max_frontier_fraction:g} of n={n} "
-                           f"at round {t}")
-            return None
-        warm.peak_frontier = max(warm.peak_frontier, int(dirty.size))
-        round_unix = time.time() if tracer is not None else 0.0
-        round_perf = time.perf_counter()
-        row = trajectory[t]
-        # Untouched nodes: the parent's row verbatim (the fixed-point row
-        # once the parent converged — f(x) = x, so the copy stays exact).
-        row[has_parent] = ptraj[min(t, P)][gather_ids]
-        if dirty.size:
-            new_vals = compact_round_range(_gathered_sub_csr(csr, dirty),
-                                           current, 0, len(dirty), grid)
-            diff_mask = new_vals != row[dirty]
-            row[dirty] = new_vals
-            warm.nodes_recomputed += int(dirty.size)
-        else:
-            diff_mask = np.zeros(0, dtype=bool)
-        round_seconds = time.perf_counter() - round_perf
-        KERNEL_ROUND_SECONDS.observe(round_seconds)
-        if tracer is not None:
-            tracer.record_span(
-                "kernel.frontier_round", start_unix=round_unix,
-                duration=round_seconds, parent=parent_ctx,
-                attrs={"round": t, "dirty": int(dirty.size), "n": n})
-        if np.array_equal(row, current):
-            trajectory[t:] = row  # child fixed point: remaining rows repeat
-            break
-        if diff_mask.any():
-            diff_ids = dirty[diff_mask]
-            starts = np.asarray(csr.indptr)[diff_ids]
-            counts = np.asarray(csr.indptr)[diff_ids + 1] - starts
-            positions = np.repeat(
-                starts - np.concatenate(([0], np.cumsum(counts)[:-1])),
-                counts) + np.arange(int(counts.sum()), dtype=np.int64)
-            neighbours = np.asarray(csr.indices)[positions]
-            dirty = np.unique(np.concatenate((changed, neighbours)))
-        else:
-            dirty = changed
-        current = row
-    warm.used = True
-    return trajectory
+    return compact_trajectory(csr, rounds, lam=lam, warm=warm)
 
 
 def threshold_round_range(csr: CSRAdjacency, alive: np.ndarray, threshold: float,
@@ -472,11 +473,9 @@ def threshold_round_range(csr: CSRAdjacency, alive: np.ndarray, threshold: float
     at least ``threshold``.
     """
     start, stop = int(csr.indptr[lo]), int(csr.indptr[hi])
-    local_n = hi - lo
-    counts = np.diff(csr.indptr[lo:hi + 1])
-    rows = np.repeat(np.arange(local_n), counts)
+    rows = csr.entry_rows()[start:stop] - lo
     contrib = np.where(alive[csr.indices[start:stop]], csr.weights[start:stop], 0.0)
-    deg = np.zeros(local_n, dtype=np.float64)
+    deg = np.zeros(hi - lo, dtype=np.float64)
     np.add.at(deg, rows, contrib)
     deg += csr.loops[lo:hi]
     return alive[lo:hi] & (deg >= threshold)
@@ -498,13 +497,11 @@ def restricted_threshold_round_range(csr: CSRAdjacency, alive: np.ndarray,
     protocol (inactive nodes never execute the round body).
     """
     start, stop = int(csr.indptr[lo]), int(csr.indptr[hi])
-    local_n = hi - lo
-    counts = np.diff(csr.indptr[lo:hi + 1])
-    rows = np.repeat(np.arange(local_n), counts)
+    rows = csr.entry_rows()[start:stop] - lo
     src = csr.indices[start:stop]
     same = leaders[src] == leaders[lo:hi][rows]
     contrib = np.where(alive[src] & same, csr.weights[start:stop], 0.0)
-    deg = np.zeros(local_n, dtype=np.float64)
+    deg = np.zeros(hi - lo, dtype=np.float64)
     np.add.at(deg, rows, contrib)
     deg += csr.loops[lo:hi]
     alive_range = alive[lo:hi]

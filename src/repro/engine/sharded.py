@@ -33,7 +33,8 @@ lives during the run:
   rows already on disk are their own warm start: a fresh engine pointed at
   the same directory resumes after the last published round, which is also
   what makes a crash-interrupted run recoverable (at most the un-published
-  round is lost, never a readable prefix).
+  round is lost, never a readable prefix).  A delta-derived graph's
+  frontier re-solve appends to its own file the same way.
 
 All modes produce bit-identical trajectories: the kernels run the same float64
 operations in the same order whether the rows they write are in RAM or
@@ -232,7 +233,8 @@ class ShardedEngine(TrajectoryEngine):
                 self._pool_finalizer = None
             pool.shutdown(wait=True)
 
-    def trajectory(self, csr, rounds, *, lam=0.0, prefix=None) -> np.ndarray:
+    def trajectory(self, csr, rounds, *, lam=0.0, prefix=None,
+                   frontier=None) -> np.ndarray:
         plan = self.plan_for(csr.num_nodes)
         shard_map = None
         if self.max_workers is not None and len(plan) > 1:
@@ -245,7 +247,7 @@ class ShardedEngine(TrajectoryEngine):
                     trajectory="mmap" if sink is not None else "memory"):
                 return compact_trajectory(csr, rounds, lam=lam, plan=plan,
                                           shard_map=shard_map, prefix=prefix,
-                                          out=sink)
+                                          out=sink, warm=frontier)
         finally:
             if sink is not None:
                 sink.close()

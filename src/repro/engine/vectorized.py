@@ -42,21 +42,16 @@ class TrajectoryEngine(Engine):
         with obs_trace.span("engine.run", engine=self.name, rounds=rounds,
                             lam=lam, n=csr.num_nodes):
             if isinstance(warm_start, FrontierWarmStart):
-                # Delta-derived graph: try the frontier-restricted re-solve
-                # against the parent trajectory.  It shares the per-round
-                # kernel with every trajectory engine, so one branch here
-                # covers the vectorized engine and all sharded modes; a None
-                # return (parent too short, frontier too wide) falls through
-                # to the ordinary cold path below.
-                trajectory = frontier_trajectory(csr, rounds, lam=lam,
-                                                 warm=warm_start)
-                if trajectory is not None:
-                    return self.assemble(csr, trajectory, rounds, grid,
-                                         tie_break=tie_break,
-                                         track_kept=track_kept)
-                warm_start = None
-            trajectory = self.trajectory(csr, rounds, lam=lam,
-                                         prefix=warm_start)
+                # Frontier rounds stop at a too-wide frontier; full rounds
+                # resume after the exact rows they returned.
+                trajectory = self.trajectory(csr, rounds, lam=lam,
+                                             frontier=warm_start)
+                if trajectory.shape[0] <= rounds:
+                    trajectory = self.trajectory(csr, rounds, lam=lam,
+                                                 prefix=trajectory)
+            else:
+                trajectory = self.trajectory(csr, rounds, lam=lam,
+                                             prefix=warm_start)
             return self.assemble(csr, trajectory, rounds, grid,
                                  tie_break=tie_break, track_kept=track_kept)
 
@@ -89,12 +84,15 @@ class TrajectoryEngine(Engine):
                                 num_nodes=csr.num_nodes, trajectory=trajectory,
                                 node_order=labels)
 
-    def trajectory(self, csr, rounds, *, lam=0.0, prefix=None) -> np.ndarray:
+    def trajectory(self, csr, rounds, *, lam=0.0, prefix=None,
+                   frontier=None) -> np.ndarray:
         """The ``(rounds + 1, n)`` per-round surviving-number trajectory.
 
         ``prefix`` is an optional earlier trajectory of the same CSR view and λ;
         subclasses resume after its last row (see
-        :func:`repro.engine.kernels.compact_trajectory`).
+        :func:`repro.engine.kernels.compact_trajectory`).  With a
+        ``frontier`` warm start, the rows may stop short (see
+        :func:`repro.engine.kernels.frontier_trajectory`).
         """
         raise NotImplementedError
 
@@ -104,7 +102,11 @@ class VectorizedEngine(TrajectoryEngine):
 
     name = "vectorized"
 
-    def trajectory(self, csr, rounds, *, lam=0.0, prefix=None) -> np.ndarray:
+    def trajectory(self, csr, rounds, *, lam=0.0, prefix=None,
+                   frontier=None) -> np.ndarray:
+        # One loop under two names, so a trace tells frontier rounds apart.
+        if frontier is not None:
+            return frontier_trajectory(csr, rounds, lam=lam, warm=frontier)
         return compact_trajectory(csr, rounds, lam=lam, prefix=prefix)
 
     def describe(self) -> str:

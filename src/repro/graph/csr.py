@@ -13,7 +13,8 @@ The CSR view stores, for a graph relabelled to ``0..n-1``:
 * ``degrees`` — per-node weighted degree (loops counted once), precomputed because
   every protocol starts from it.
 
-Arrays that are pure functions of a view — the entry order
+Arrays that are pure functions of a view — the entry -> row map
+:meth:`CSRAdjacency.entry_rows`, the entry order
 :meth:`CSRAdjacency.sorted_entries`, the reverse-entry permutation
 :meth:`CSRAdjacency.twin`, the identity ranks of
 :func:`repro.core.bfs.identity_ranks`, the label block of
@@ -78,9 +79,8 @@ class CSRAdjacency:
 
     def degrees(self) -> np.ndarray:
         """Weighted degrees (self-loops counted once) as a float64 array."""
-        n = self.num_nodes
-        deg = np.zeros(n, dtype=np.float64)
-        np.add.at(deg, np.repeat(np.arange(n), np.diff(self.indptr)), self.weights)
+        deg = np.zeros(self.num_nodes, dtype=np.float64)
+        np.add.at(deg, self.entry_rows(), self.weights)
         return deg + self.loops
 
     def neighbors(self, v: int) -> np.ndarray:
@@ -113,6 +113,12 @@ class CSRAdjacency:
             array.flags.writeable = False
             self._memo[name] = array
         return array
+
+    def entry_rows(self) -> np.ndarray:
+        """The row of every adjacency entry (int64, aligned with ``indices``);
+        ``entry_rows()[indptr[lo]:indptr[hi]]`` covers the rows ``lo..hi-1``.
+        Memoised per view."""
+        return self.cached("entry_rows", _rows_of_entries)
 
     def sorted_entries(self) -> np.ndarray:
         """Entry ids in ``(row, column)`` order: the permutation that sorts
@@ -154,11 +160,15 @@ class CSRAdjacency:
         return g
 
 
+def _rows_of_entries(csr: CSRAdjacency) -> np.ndarray:
+    """:meth:`CSRAdjacency.entry_rows`: each row id repeated by its length."""
+    return np.repeat(np.arange(csr.num_nodes, dtype=np.int64),
+                     np.diff(csr.indptr))
+
+
 def _entries_by_key(csr: CSRAdjacency) -> np.ndarray:
     """:meth:`CSRAdjacency.sorted_entries`: one argsort over the entry keys."""
-    n = csr.num_nodes
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(csr.indptr))
-    return np.argsort(rows * n + csr.indices)
+    return np.argsort(csr.entry_rows() * csr.num_nodes + csr.indices)
 
 
 def _reverse_entries(csr: CSRAdjacency) -> np.ndarray:
@@ -169,9 +179,7 @@ def _reverse_entries(csr: CSRAdjacency) -> np.ndarray:
     position by position with their reverses (the adjacency is symmetric and
     holds no parallel entries, so every key is distinct).
     """
-    n = csr.num_nodes
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(csr.indptr))
-    by_column = np.argsort(csr.indices * n + rows)
+    by_column = np.argsort(csr.indices * csr.num_nodes + csr.entry_rows())
     twin = np.empty_like(by_column)
     twin[by_column] = csr.sorted_entries()
     return twin
@@ -421,7 +429,7 @@ def csr_subset_densities(csr: CSRAdjacency, group: np.ndarray,
     group = np.asarray(group, dtype=np.int64)
     if group.shape != (csr.num_nodes,):
         raise GraphError("group must be an int array of shape (num_nodes,)")
-    rows = np.repeat(group, np.diff(csr.indptr))
+    rows = group[csr.entry_rows()]
     internal = (rows >= 0) & (rows == group[csr.indices])
     edge_weight = np.bincount(rows[internal], weights=csr.weights[internal],
                               minlength=num_groups)

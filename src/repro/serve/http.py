@@ -98,6 +98,7 @@ from urllib.parse import parse_qs, unquote, urlsplit
 
 from repro._version import __version__
 from repro.engine.batch import BatchJob, BatchResult, BatchRunner
+from repro.engine.kernels import check_frontier_fraction
 from repro.errors import (
     AlgorithmError,
     GraphError,
@@ -117,7 +118,7 @@ from repro.graph.io import parse_edge_list
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import MetricsRegistry, family, gauge_family, get_registry
 from repro.serve.queue import JobQueue
-from repro.session import SessionStats, check_frontier_fraction
+from repro.session import SessionStats
 from repro.store import ArtifactStore
 
 #: Longest long-poll a single ``?wait=`` request may hold a handler thread

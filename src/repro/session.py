@@ -52,7 +52,7 @@ from repro.core.rounding import LambdaGrid, grid_for_graph
 from repro.core.rounds import resolve_round_budget
 from repro.core.surviving import TIE_BREAK_RULES, SurvivingNumbers
 from repro.engine.base import Engine, EngineLike, get_engine
-from repro.engine.kernels import FrontierWarmStart
+from repro.engine.kernels import FrontierWarmStart, check_frontier_fraction
 from repro.engine.vectorized import TrajectoryEngine
 from repro.errors import AlgorithmError
 from repro.graph.csr import CSRAdjacency, csr_fingerprint, graph_to_csr
@@ -77,15 +77,6 @@ SOLVE_SECONDS = get_registry().histogram(
     labelnames=("problem",))
 
 
-def check_frontier_fraction(value: float) -> float:
-    """``max_frontier_fraction`` as a float; :class:`AlgorithmError` unless
-    it lies in ``[0, 1]``."""
-    if not 0.0 <= float(value) <= 1.0:
-        raise AlgorithmError(
-            f"max_frontier_fraction must be in [0, 1], got {value!r}")
-    return float(value)
-
-
 @dataclass
 class SessionStats:
     """Counters of what a :class:`Session` built, reused and executed."""
@@ -105,7 +96,7 @@ class SessionStats:
     disk_writes: int = 0        #: artifacts persisted to the store
     evictions: int = 0          #: cached results dropped by the LRU bound
     incremental_runs: int = 0   #: runs served by the frontier-restricted path
-    incremental_fallbacks: int = 0  #: frontier attempts that fell back cold
+    incremental_fallbacks: int = 0  #: frontier attempts finished by full rounds
     frontier_nodes_recomputed: int = 0  #: node-rounds recomputed incrementally
     frontier_peak_nodes: int = 0  #: widest dirty frontier across incremental runs
 
@@ -242,7 +233,6 @@ class Session:
         # pin on the parent until the first solve.
         self._link: Optional[DeltaLink] = None
         self._parent_pin: Optional["Session"] = None
-        self._frontier_seed: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._array_engine = isinstance(self.engine, TrajectoryEngine)
 
     @property
@@ -370,11 +360,12 @@ class Session:
         the delta's endpoints, copying the parent's trajectory rows for
         untouched nodes — bit-identical to a cold solve of the mutated graph
         (the contract pinned by ``tests/test_session_equivalence.py``).  When
-        a round's frontier exceeds ``max_frontier_fraction * n`` (or the
-        parent has no usable trajectory), the child transparently falls back
-        to a cold solve; either way the child persists its own artifacts
-        under its content fingerprint, so later requests and restarts never
-        depend on the parent again.
+        a round's frontier exceeds ``max_frontier_fraction * n``, the child
+        finishes with full rounds from the first overflowing round, after
+        the exact rows the frontier computed (a parent with no usable
+        trajectory means a cold solve); either way the child persists its
+        own artifacts under its content fingerprint, so later requests and
+        restarts never depend on the parent again.
 
         The child holds this session strongly until its own first solve and
         weakly after that (see :attr:`parent`), so a caller that keeps only
@@ -417,39 +408,15 @@ class Session:
                 parent_content_fingerprint=self.fingerprint)
         return child
 
-    def _delta_frontier_seed(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(parent_ids, changed)`` for the frontier warm start (cached).
-
-        ``parent_ids[i]`` is the parent CSR id of child node ``i`` (-1 for
-        delta-introduced nodes); ``changed`` is the sorted child ids of every
-        node the delta touched.  Node order is insertion order and
-        :func:`repro.graph.delta.apply_delta` keeps the parent's nodes in
-        their order and appends new ones, so the parent's ids are the
-        identity on the first ``parent_nodes`` child ids: the seed needs no
-        parent session.
-        """
-        if self._frontier_seed is not None:
-            return self._frontier_seed
-        pn = self._link.parent_nodes
-        parent_ids = np.full(self.csr.num_nodes, -1, dtype=np.int64)
-        parent_ids[:pn] = np.arange(pn, dtype=np.int64)
-        labels = changed_labels(self._link.delta)
-        index = self.csr.label_index()
-        changed = np.sort(np.fromiter(
-            labels if index is None else map(index.__getitem__, labels),
-            dtype=np.int64, count=len(labels)))
-        self._frontier_seed = (parent_ids, changed)
-        return self._frontier_seed
-
     def _frontier_warm_start(self, lam: float, T: int):
         """A :class:`~repro.engine.kernels.FrontierWarmStart` for this request,
         or None when the incremental path cannot apply.
 
-        Requires a parent trajectory at this λ covering ``T`` rounds (or a
-        converged shorter one) — pulled from the live parent's memory cache
-        or its artifact store, or, once the parent was collected, straight
-        from the store under the parent's content fingerprint.  The engine
-        (shared with the parent) must be a
+        Requires a parent trajectory at this λ that covers ``T`` rounds
+        (:meth:`~repro.engine.kernels.FrontierWarmStart.covers`) — pulled
+        from the live parent's memory cache or its artifact store, or, once
+        the parent was collected, straight from the store under the parent's
+        content fingerprint.  The engine (shared with the parent) must be a
         :class:`~repro.engine.vectorized.TrajectoryEngine` (they all share
         the frontier branch in ``run``); anything else solves cold.
         """
@@ -470,18 +437,16 @@ class Session:
                 self.stats.disk_hits += 1
         else:
             return None
-        if ptraj is None or ptraj.shape[0] < 2:
+        if ptraj is None:
             return None
-        P = ptraj.shape[0] - 1
-        if P < T and not np.array_equal(ptraj[P], ptraj[P - 1]):
-            # Parent rounds don't cover the request and the parent hasn't
-            # reached its fixed point: rows past P are unknown, so the
-            # incremental path cannot be bit-exact.  Solve cold.
-            return None
-        parent_ids, changed = self._delta_frontier_seed()
-        return FrontierWarmStart(
-            ptraj, parent_ids, changed,
-            max_frontier_fraction=link.max_frontier_fraction)
+        labels = changed_labels(link.delta)
+        index = self.csr.label_index()
+        changed = np.fromiter(
+            labels if index is None else map(index.__getitem__, labels),
+            dtype=np.int64, count=len(labels))
+        warm = FrontierWarmStart(
+            ptraj, changed, max_frontier_fraction=link.max_frontier_fraction)
+        return warm if warm.covers(T) else None
 
     def _cache_put(self, cache: OrderedDict, key, value) -> None:
         """Insert into an LRU-bounded result cache, evicting the oldest."""
@@ -573,9 +538,9 @@ class Session:
                 # out), and every engine gets the cached prefix as its warm
                 # start.  A delta-derived session with no trajectory of its
                 # own yet hands over a frontier warm start against the
-                # parent's trajectory instead; the engine falls back to a
-                # cold run by itself when the frontier widens past the
-                # policy bound.
+                # parent's trajectory instead; the engine finishes with full
+                # rounds by itself when the frontier widens past the policy
+                # bound.
                 artifacts = ({"csr": self.csr, "grid": self.grid(lam)}
                              if self.engine.consumes_artifacts else {})
                 warm = warm_start = prefix
@@ -697,7 +662,8 @@ class Session:
         # slice or handed to the engine as its warm start) — None whenever
         # the engine ran every round itself.  ``frontier`` is the
         # FrontierWarmStart of an incremental attempt; it records whether
-        # the engine used it or fell back cold.
+        # its rounds made the whole trajectory or full rounds finished it
+        # (counted as a fallback and a cold run).
         if frontier is not None:
             if frontier.used:
                 self.stats.incremental_runs += 1

@@ -332,24 +332,24 @@ class ArtifactStore:
         the child's own artifacts (trajectories, results) live.
         Idempotent overwrite: the chain fingerprint determines the content.
         """
-        try:
-            delta_doc = delta.to_dict()
-            json.dumps(delta_doc)
-        except TypeError:
-            delta_doc = None
         doc = {"schema": SCHEMA_VERSION, "kind": "lineage",
                "fingerprint": chain_fingerprint,
                "parent": parent_fingerprint,
                "content_fingerprint": content_fingerprint,
                "parent_content_fingerprint": parent_content_fingerprint,
-               "delta": delta_doc}
+               "delta": None}
+        try:
+            doc["delta"] = delta.to_dict()
+            text = json.dumps(doc, indent=2)
+        except TypeError:
+            doc["delta"] = None
+            text = json.dumps(doc, indent=2)
         path = self.lineage_path(chain_fingerprint)
         with obs_trace.span("store.record_lineage",
                             fingerprint=chain_fingerprint,
                             parent_fingerprint=parent_fingerprint):
             path.parent.mkdir(parents=True, exist_ok=True)
-            atomic_write_bytes(path, (json.dumps(doc, indent=2) + "\n")
-                               .encode("utf-8"))
+            atomic_write_bytes(path, (text + "\n").encode("utf-8"))
         return path
 
     def load_lineage(self, chain_fingerprint: str) -> Optional[dict]:

@@ -292,7 +292,7 @@ class AppendTrajectory:
     def _write_rows(self, first_row: int, block: np.ndarray) -> None:
         block = np.ascontiguousarray(block, dtype=np.float64)
         self._file.seek(first_row * self._rowbytes)
-        self._file.write(block.tobytes())
+        self._file.write(block.data)  # the array's own buffer, not a copy
 
     def publish(self, rounds: int) -> None:
         """Atomically publish ``rounds`` as the completed round count.
@@ -337,7 +337,7 @@ class AppendTrajectory:
         rows already *are* the resume point.  A longer prefix has its missing
         rows appended verbatim (bit-identical by round determinism).  The
         return value is the published round count the round loop resumes
-        after, i.e. the ``start`` of :func:`repro.engine.kernels.init_trajectory`.
+        after in :func:`repro.engine.kernels.compact_trajectory`.
         """
         if prefix is not None and prefix.shape[1:] != (self.num_nodes,):
             raise StoreError(f"prefix of shape {prefix.shape} does not fit an "

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import bfs
-from repro.core.bfs import identity_ranks
+from repro.core.bfs import comparable_identity, identity_ranks
 from repro.core.orientation import _repr_ranks
 from repro.errors import GraphError
 from repro.graph import csr as csr_module
@@ -188,6 +188,7 @@ class TestReverseEntries:
 
 class TestPerViewMemo:
     @pytest.mark.parametrize("read, module, name", [
+        (lambda view: view.entry_rows(), csr_module, "_rows_of_entries"),
         (lambda view: view.sorted_entries(), csr_module, "_entries_by_key"),
         (lambda view: view.twin(), csr_module, "_reverse_entries"),
         (identity_ranks, bfs, "_identity_ranks")])
@@ -251,6 +252,22 @@ class TestPerViewMemo:
         assert "fingerprint" not in spliced._memo
         assert csr_fingerprint(spliced) == csr_fingerprint(graph_to_csr(child))
         assert csr_fingerprint(spliced) != parent_digest
+
+
+class TestIntegerIdentityRanks:
+    """Int labels are ranked by arithmetic on their values, in the string
+    order of their spellings that :func:`comparable_identity` defines."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.integers(-2**63, 2**63 - 1),
+                              st.integers(-1000, 1000),
+                              st.sampled_from([-2**63, 2**63 - 1, 0, -1])),
+                    min_size=1, max_size=60, unique=True))
+    def test_ranks_follow_the_spelled_order(self, labels):
+        view = graph_to_csr(Graph(nodes=labels))
+        ranks = identity_ranks(view)
+        by_rank = [view.labels()[i] for i in np.argsort(ranks)]
+        assert by_rank == sorted(labels, key=comparable_identity)
 
 
 class TestCSRSubsetDensity:

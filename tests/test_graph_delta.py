@@ -178,6 +178,17 @@ class TestStoreLineage:
         assert spans[0]["attrs"]["fingerprint"] == child.chain_fingerprint
         assert spans[0]["attrs"]["parent_fingerprint"] == parent.chain_fingerprint
 
+    def test_labels_without_a_wire_form_record_a_null_delta(self, tmp_path):
+        store = ArtifactStore(tmp_path / "store")
+        delta = GraphDelta(add_nodes=(frozenset({1}),))
+        child = chain_fingerprint(ROOT_FP, delta)
+        store.record_lineage(child, ROOT_FP, delta,
+                             content_fingerprint="a" * 64)
+        rec = store.load_lineage(child)
+        assert rec["delta"] is None
+        assert (rec["parent"], rec["content_fingerprint"]) == (ROOT_FP,
+                                                               "a" * 64)
+
     def test_lineage_survives_evict_but_not_purge(self, tmp_path):
         store = ArtifactStore(tmp_path / "store")
         child = chain_fingerprint(ROOT_FP, GraphDelta(add_nodes=(1,)))
@@ -211,6 +222,18 @@ class TestSessionApplyDeltaValidation:
         fresh = Session(child.graph, store=tmp_path / "store")
         assert fresh.coreness(rounds=3).values == expected
         assert fresh.stats.disk_hits == 1 and fresh.stats.rounds_executed == 0
+
+    def test_empty_delta_child_copies_every_parent_row(self):
+        from repro.session import Session
+
+        parent = Session(small_graph())
+        expected = parent.coreness(rounds=3)
+        child = parent.apply_delta(GraphDelta())
+        answer = child.coreness(rounds=3)
+        assert (child.stats.incremental_runs,
+                child.stats.frontier_nodes_recomputed) == (1, 0)
+        assert answer.surviving.trajectory.tobytes() == \
+            expected.surviving.trajectory.tobytes()
 
     def test_child_carries_lineage(self):
         from repro.session import Session

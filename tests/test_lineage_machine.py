@@ -13,7 +13,8 @@ appends, when the root is stored).  After every step:
 
 * every answer equals a cold ``vectorized`` solve of its version's graph:
   the answer's JSON, the trajectory rows and, for orientations, the
-  in-weights (part of that JSON);
+  in-weights (part of that JSON); on the ``.traj`` engine every plain
+  version's trajectory is a map of that file, frontier re-solves included;
 * every server record's content fingerprint equals ``graph_fingerprint`` of
   its graph, which equals the graph the machine derived on its own;
 * a delta POST answers ``chain_fingerprint(parent, delta)``, and a replayed
@@ -33,6 +34,7 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize,
@@ -251,6 +253,10 @@ class LineageMachine(RuleBasedStateMachine):
         assert json.dumps(answer.to_dict()) == json.dumps(cold.to_dict())
         assert answer.surviving.trajectory.tobytes() == \
             cold.surviving.trajectory.tobytes()
+        # A spilling engine maps every version's trajectory, whether it
+        # was solved cold, resumed or re-solved by frontier.
+        if getattr(session.engine, "trajectory_storage", None) == "mmap":
+            assert isinstance(answer.surviving.trajectory, np.memmap)
 
     @precondition(lambda self: self.plain)
     @rule(data=st.data())

@@ -717,3 +717,54 @@ class TestParentLink:
         answer = again.coreness(rounds=self.ROUNDS)
         assert (again.stats.incremental_runs, again.stats.cold_runs) == (1, 0)
         self._assert_cold_equal(again, answer)
+
+
+class TestFrontierOverflow:
+    """A delta child whose frontier outgrows ``max_frontier_fraction · n``
+    at round t keeps the t - 1 exact rows the frontier rounds made and runs
+    only the T - t + 1 rounds after them in full, on every trajectory
+    engine, bit-identically to a cold solve."""
+
+    ROUNDS = 8
+
+    @staticmethod
+    def _child(graph, engine):
+        from repro.graph.delta import GraphDelta
+
+        edges = [(u, v) for u, v, _ in graph.edges()]
+        root = Session(graph, engine=engine)
+        root.coreness(rounds=TestFrontierOverflow.ROUNDS)
+        return root.apply_delta(
+            GraphDelta(remove_edges=[edges[0]],
+                       set_weights=[(*edges[1], 2.0)]),
+            max_frontier_fraction=0.05)
+
+    @pytest.mark.parametrize("engine", ["vectorized", "sharded:3",
+                                        "sharded:shards=3,traj=mmap"])
+    @pytest.mark.parametrize("nodes, attach, seed, overflow", [
+        (300, 3, 3, 2), (600, 1, 4, 5)])
+    def test_full_rounds_resume_after_the_frontier_rows(
+            self, engine, nodes, attach, seed, overflow):
+        from repro.graph.generators.random_graphs import barabasi_albert
+        from repro.obs import trace as obs_trace
+
+        child = self._child(barabasi_albert(nodes, attach, seed=seed), engine)
+        tracer = obs_trace.enable()
+        try:
+            answer = child.coreness(rounds=self.ROUNDS)
+            names = [record["name"] for record in tracer.spans()]
+        finally:
+            obs_trace.disable()
+        assert names.count("kernel.frontier_round") == overflow - 1
+        assert names.count("kernel.round_range") == self.ROUNDS - overflow + 1
+        assert (child.stats.incremental_fallbacks, child.stats.cold_runs,
+                child.stats.rounds_executed) == (1, 1, self.ROUNDS)
+        assert (child.stats.incremental_runs,
+                child.stats.frontier_nodes_recomputed) == (0, 0)
+        cold = Session(child.graph).coreness(rounds=self.ROUNDS)
+        # No fixed point before round T, so every full round really ran.
+        assert not np.array_equal(cold.surviving.trajectory[-1],
+                                  cold.surviving.trajectory[-2])
+        assert answer.surviving.trajectory.tobytes() == \
+            cold.surviving.trajectory.tobytes()
+        assert answer.values.array.tobytes() == cold.values.array.tobytes()

@@ -660,6 +660,56 @@ class TestSessionSpill:
         assert np.array_equal(result.surviving.trajectory,
                               reference.trajectory)
 
+    @pytest.mark.parametrize("engine, stored", [
+        ("sharded:shards=3,traj=mmap", False), ("sharded:shards=3", True)])
+    def test_a_delta_childs_frontier_appends_to_its_own_traj(
+            self, graph, tmp_path, spill_everything, engine, stored):
+        """The frontier re-solve of a one-edge child runs on the engine's
+        sink: its trajectory maps the child's own ``.traj``, under
+        ``traj=mmap`` and under the auto spill of a store-backed session."""
+        from repro.graph.delta import GraphDelta
+
+        store = ArtifactStore(tmp_path / "store") if stored else None
+        parent = Session(graph, engine=engine, store=store)
+        parent.coreness(rounds=6)
+        child = parent.apply_delta(GraphDelta(add_edges=[(0, 119, 1.0)]),
+                                   max_frontier_fraction=1.0)
+        trajectory = child.coreness(rounds=6).surviving.trajectory
+        assert child.stats.incremental_runs == 1
+        assert isinstance(trajectory, np.memmap)
+        assert os.path.samefile(
+            trajectory.filename,
+            rows_path(child.engine._storage_root(), child.fingerprint, 0.0))
+        cold = get_engine("vectorized").run(child.graph, 6, track_kept=False)
+        assert trajectory.tobytes() == cold.trajectory.tobytes()
+
+    def test_a_child_whose_traj_is_published_runs_no_round(self, graph,
+                                                            tmp_path):
+        """A second session of the same child version finds the first one's
+        ``.traj`` rows in the engine's sink: they are its trajectory, and
+        no frontier or full round runs."""
+        from repro.graph.delta import GraphDelta
+        from repro.obs import trace as obs_trace
+
+        engine = ShardedEngine(num_shards=3, trajectory_storage="mmap",
+                               storage_dir=tmp_path / "traj")
+        parent = Session(graph, engine=engine)
+        parent.coreness(rounds=6)
+        delta = GraphDelta(add_edges=[(0, 119, 1.0)])
+        first = parent.apply_delta(delta, max_frontier_fraction=1.0)
+        expected = first.coreness(rounds=6).surviving.trajectory
+        again = parent.apply_delta(delta, max_frontier_fraction=1.0)
+        tracer = obs_trace.enable()
+        try:
+            trajectory = again.coreness(rounds=6).surviving.trajectory
+            names = {record["name"] for record in tracer.spans()}
+        finally:
+            obs_trace.disable()
+        assert not names & {"kernel.round_range", "kernel.frontier_round"}
+        assert isinstance(trajectory, np.memmap)
+        assert trajectory.tobytes() == expected.tobytes()
+        assert again.stats.incremental_runs == 0
+
     def test_purge_removes_the_spilled_session_artifacts(self, graph,
                                                          tmp_path):
         store = ArtifactStore(tmp_path / "store")
