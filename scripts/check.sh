@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # CI / pre-merge check: tier-1 tests, the slow and bench tests (the lineage
 # machine's long profile among them), smoke runs of every example, the
-# mmap-trajectory smoke (trajectory spilled to the append-only .traj buffer,
-# bit-identical and prefix-resumable, and so is a one-edge delta child's
-# frontier re-solve), the warm-session throughput benchmark
+# trajectory spill smoke (store-backed sessions with the spill threshold
+# patched to 0: vectorized and threaded sharded roots append to the store's
+# .traj bit-identically, a restarted session extends the stored prefix, and a
+# one-edge delta child's frontier re-solve spills), the warm-session
+# throughput benchmark
 # (>= 2x over cold per-call on repeated mixed requests), the persistent-store
 # smoke (the cold run leaves one append-only trajectory-lam0.0.traj/ and no
 # .npz; second run served from disk, bit-identical; a resumed 2x-rounds run
@@ -65,57 +67,58 @@ echo "== benchmark smoke (bench/: every workload once, traced, tiny inputs) =="
 python -m pytest bench -q
 
 echo
-echo "== mmap-trajectory smoke (traj=mmap bit-identical, prefix-resumable) =="
+echo "== trajectory spill smoke (store-backed sessions append to .traj, bit-identical) =="
 python - <<'PY'
 import tempfile
 
 import numpy as np
 
-from repro.engine import get_engine
-from repro.engine.sharded import ShardedEngine
+import repro.session as session_module
+from repro.graph.delta import GraphDelta
 from repro.graph.generators.random_graphs import barabasi_albert
+from repro.session import Session
+from repro.store import ArtifactStore
 
 graph = barabasi_albert(2000, 3, seed=21)
-memory = get_engine("sharded:4").run(graph, 8, track_kept=True)
-with tempfile.TemporaryDirectory(prefix="repro-traj-smoke-") as tmp:
-    engine = ShardedEngine(num_shards=4, trajectory_storage="mmap",
-                           storage_dir=tmp)
-    spilled = engine.run(graph, 8, track_kept=True)
-    assert spilled.values == memory.values, "traj values differ from in-memory"
-    assert spilled.kept == memory.kept, "traj kept sets differ from in-memory"
-    assert np.array_equal(spilled.trajectory, memory.trajectory), \
-        "spilled trajectory is not bit-identical"
-    assert isinstance(spilled.trajectory, np.memmap), \
-        "trajectory did not spill to disk"
-    engine.close()
-    # A fresh engine must resume from the on-disk prefix, bit-identically.
-    resumed = ShardedEngine(num_shards=4, trajectory_storage="mmap",
-                            storage_dir=tmp)
-    longer = resumed.run(graph, 12, track_kept=False)
-    reference = get_engine("sharded:4").run(graph, 12, track_kept=False)
-    assert np.array_equal(longer.trajectory, reference.trajectory), \
-        "resumed trajectory is not bit-identical"
-    resumed.close()
-    # A one-edge delta child re-solves its frontier on the same sink: its
-    # trajectory maps its own .traj, bit-identical to the in-memory child's.
-    from repro.graph.delta import GraphDelta
-    from repro.session import Session
-
-    delta = GraphDelta(add_edges=[(0, 1999, 1.0)])
-    children = []
-    for engine in (ShardedEngine(num_shards=4, trajectory_storage="mmap",
-                                 storage_dir=tmp), "sharded:4"):
-        parent = Session(graph, engine=engine)
-        parent.surviving(rounds=8)
+delta = GraphDelta(add_edges=[(0, 1999, 1.0)])
+memory = Session(graph, engine="sharded:4").surviving(rounds=8, track_kept=True)
+reference = Session(graph, engine="sharded:4").surviving(rounds=12)
+child_in_ram = Session(graph, engine="sharded:4")
+child_in_ram.surviving(rounds=8)
+child_in_ram = child_in_ram.apply_delta(delta).surviving(rounds=8).trajectory
+session_module.SPILL_BYTES = 0  # every store-backed trajectory spills
+for spec in ("vectorized", "sharded:shards=4,workers=2"):
+    with tempfile.TemporaryDirectory(prefix="repro-traj-smoke-") as tmp:
+        store = ArtifactStore(tmp)
+        parent = Session(graph, engine=spec, store=store)
+        spilled = parent.surviving(rounds=8, track_kept=True)
+        assert isinstance(spilled.trajectory, np.memmap), \
+            f"{spec}: trajectory did not spill to disk"
+        assert spilled.trajectory.tobytes() == memory.trajectory.tobytes(), \
+            f"{spec}: spilled trajectory is not bit-identical"
+        assert spilled.values == memory.values, f"{spec}: values differ"
+        assert spilled.kept == memory.kept, f"{spec}: kept sets differ"
+        # A restarted session extends the stored prefix, bit-identically.
+        restarted = Session(graph, engine=spec, store=store)
+        longer = restarted.surviving(rounds=12).trajectory
+        assert (restarted.stats.rounds_reused,
+                restarted.stats.rounds_executed) == (8, 4), restarted.stats
+        assert isinstance(longer, np.memmap), f"{spec}: resume did not spill"
+        assert longer.tobytes() == reference.trajectory.tobytes(), \
+            f"{spec}: resumed trajectory is not bit-identical"
+        # A one-edge delta child re-solves its frontier on the store's
+        # appender: its trajectory maps its own .traj.
         child = parent.apply_delta(delta)
-        children.append(child.surviving(rounds=8).trajectory)
-        assert child.stats.incremental_runs == 1, "child did not re-solve by frontier"
-    mapped, in_memory = children
-    assert isinstance(mapped, np.memmap), "delta child did not spill to disk"
-    assert mapped.tobytes() == in_memory.tobytes(), \
-        "spilled delta child is not bit-identical"
-print("traj smoke: trajectory_storage=mmap bit-identical and resumable "
-      "on n=2000 (8 -> 12 rounds), and a delta child's frontier spills")
+        mapped = child.surviving(rounds=8).trajectory
+        assert child.stats.incremental_runs == 1, \
+            f"{spec}: child did not re-solve by frontier"
+        assert isinstance(mapped, np.memmap), \
+            f"{spec}: delta child did not spill to disk"
+        assert mapped.tobytes() == child_in_ram.tobytes(), \
+            f"{spec}: spilled delta child is not bit-identical"
+print("traj smoke: vectorized and threaded sharded roots spill bit-identically "
+      "on n=2000, a restart extends 8 -> 12 rounds from the stored prefix, "
+      "and a delta child's frontier spills")
 PY
 
 echo

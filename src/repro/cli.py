@@ -6,8 +6,7 @@ dataset) without writing Python::
     python -m repro coreness --dataset collab-small --epsilon 0.5 --top 10
     python -m repro coreness --input graph.edges --rounds 8 --output values.tsv
     python -m repro coreness --dataset social-ba --epsilon 0.5 --engine sharded:4
-    python -m repro coreness --dataset social-ba --epsilon 0.5 --engine sharded --workers 4
-    python -m repro coreness --dataset social-ba --epsilon 0.5 --engine sharded --trajectory-storage mmap
+    python -m repro coreness --dataset social-ba --epsilon 0.5 --engine sharded:shards=4,workers=2
     python -m repro orientation --dataset caveman --weighted --epsilon 0.5
     python -m repro densest --input graph.edges --epsilon 1.0
     python -m repro batch --dataset caveman --dataset communities --epsilon 0.5 --rounds 4
@@ -92,18 +91,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_engine_argument(sub: argparse.ArgumentParser) -> None:
         sub.add_argument("--engine", default="vectorized", metavar="SPEC",
                          help="execution engine spec, e.g. 'vectorized', 'faithful', "
-                              "'sharded:4' (see the 'engines' subcommand)")
-        sub.add_argument("--workers", type=int, default=None, metavar="N",
-                         help="run the sharded engine's shards on N threads "
-                              "(default: in sequence)")
-        sub.add_argument("--trajectory-storage",
-                         choices=("memory", "mmap", "auto"), default=None,
-                         help="where the sharded engine keeps the elimination "
-                              "trajectory: 'mmap' appends completed rounds to "
-                              "an on-disk .traj buffer (out-of-core, "
-                              "crash-resumable), 'auto' spills only when a "
-                              "--store is set and the trajectory exceeds the "
-                              "threshold")
+                              "'sharded:4', 'sharded:shards=4,workers=2' "
+                              "(see the 'engines' subcommand)")
 
     coreness_parser = subparsers.add_parser(
         "coreness", help="approximate coreness / maximal density per node (Theorem I.1)")
@@ -264,22 +253,6 @@ def _load_graph(args: argparse.Namespace) -> Graph:
     return load_dataset(args.dataset, weighted=args.weighted)
 
 
-def _resolve_engine(args: argparse.Namespace):
-    """The engine instance for an engine-taking command.
-
-    ``--workers`` / ``--trajectory-storage`` are forwarded as engine options,
-    so they compose with any spec (``--engine sharded:8 --workers 2``);
-    engines that do not take them fail with the registry's invalid-option
-    error.
-    """
-    options = {}
-    if args.workers is not None:
-        options["max_workers"] = args.workers
-    if getattr(args, "trajectory_storage", None) is not None:
-        options["trajectory_storage"] = args.trajectory_storage
-    return get_engine(args.engine, **options)
-
-
 def _budget_kwargs(args: argparse.Namespace) -> dict:
     if args.epsilon is not None:
         return {"epsilon": args.epsilon}
@@ -299,9 +272,9 @@ def _command_datasets(out) -> int:
 def _command_engines(out) -> int:
     rows = [[name, get_engine(name).describe()] for name in available_engines()]
     print(format_table(["name", "description"], rows), file=out)
-    print("# specs may carry options, e.g. 'sharded:4', 'sharded:shards=4,workers=2'\n"
-          "# (shards on 2 threads) or 'sharded:traj=mmap' (trajectory appended\n"
-          "# to disk; also: --workers/--trajectory-storage flags)",
+    print("# specs may carry options, e.g. 'sharded:4' or "
+          "'sharded:shards=4,workers=2'\n"
+          "# (shards on 2 threads); pass them with --engine SPEC",
           file=out)
     return 0
 
@@ -389,7 +362,7 @@ def _command_batch(args: argparse.Namespace, out) -> int:
     jobs = sweep_jobs(graphs, epsilons=args.epsilon, rounds=args.rounds,
                       lams=args.lam or (0.0,), problem=args.problem)
     store = ArtifactStore(args.store) if args.store is not None else None
-    runner = BatchRunner(_resolve_engine(args), store=store)
+    runner = BatchRunner(args.engine, store=store)
     if args.use_async:
         with JobQueue(runner, max_workers=args.serve_workers) as queue:
             results = queue.run(jobs)
@@ -441,7 +414,7 @@ def _command_batch(args: argparse.Namespace, out) -> int:
 
 def _command_coreness(args: argparse.Namespace, out) -> int:
     graph = _load_graph(args)
-    result = Session(graph, engine=_resolve_engine(args), lam=args.lam).coreness(
+    result = Session(graph, engine=args.engine, lam=args.lam).coreness(
         **_budget_kwargs(args))
     print(f"# n={graph.num_nodes} m={graph.num_edges} rounds={result.rounds} "
           f"guarantee={result.guarantee:.4g}", file=out)
@@ -457,7 +430,7 @@ def _command_coreness(args: argparse.Namespace, out) -> int:
 
 def _command_orientation(args: argparse.Namespace, out) -> int:
     graph = _load_graph(args)
-    result = Session(graph, engine=_resolve_engine(args)).orientation(**_budget_kwargs(args))
+    result = Session(graph, engine=args.engine).orientation(**_budget_kwargs(args))
     print(f"# n={graph.num_nodes} m={graph.num_edges} rounds={result.rounds} "
           f"guarantee={result.guarantee:.4g}", file=out)
     print(f"max weighted in-degree: {result.max_in_weight:.6g}", file=out)

@@ -16,16 +16,20 @@ name          implementation
 ``sharded``   the same kernels executed shard-by-shard over contiguous node
               ranges, bounding peak memory to one shard's frontier arrays;
               with ``workers=N`` each round's shards run on an ``N``-thread
-              pool, and with ``trajectory_storage=mmap`` (alias
-              ``traj=mmap``) the output trajectory is appended to an on-disk
-              ``.traj`` buffer (see :mod:`repro.store.traj`)
+              pool
 ============  ===============================================================
 
+Where a trajectory engine's output lives is not an engine option: its
+``run`` takes an ``out=`` append-trajectory sink (see
+:mod:`repro.store.traj`), which a store-backed
+:class:`~repro.session.Session` opens on the store's own ``.traj`` file when
+the trajectory is large.
+
 Engines are resolved by name through :func:`get_engine`, which also accepts an
-*engine spec* carrying inline options, e.g. ``"sharded:4"`` (4 shards),
-``"sharded:shards=4,workers=2"`` or ``"sharded:traj=mmap"``.  Third-party
-backends can hook in with :func:`register_engine`; the registry is the
-extension point for every other execution backend.
+*engine spec* carrying inline options, e.g. ``"sharded:4"`` (4 shards) or
+``"sharded:shards=4,workers=2"``.  Third-party backends can hook in with
+:func:`register_engine`; the registry is the extension point for every other
+execution backend.
 """
 
 from __future__ import annotations
@@ -48,11 +52,6 @@ class Engine(ABC):
     #: canonical registry name of the engine
     name: str = "abstract"
 
-    #: whether the engine consumes precomputed csr/grid artifacts; engines
-    #: that ignore them by design (the faithful simulator) set this False so
-    #: callers like :class:`repro.session.Session` never build them in vain.
-    consumes_artifacts: bool = True
-
     @abstractmethod
     def run(self, graph: "Graph", rounds: int, *, lam: float = 0.0,
             tie_break: str = "history", track_kept: bool = True,
@@ -62,14 +61,15 @@ class Engine(ABC):
         """Run Algorithm 2 for ``rounds`` rounds and return the surviving numbers.
 
         ``csr`` and ``grid`` are optional precomputed artifacts (a CSR view of
-        ``graph`` and its Λ-grid); :class:`~repro.session.Session` and the
-        :class:`~repro.engine.batch.BatchRunner` pass them so that many requests
-        on the same graph share one CSR view and memoised grids.  ``warm_start``
-        is an optional trajectory array from an earlier run with the *same*
-        graph and λ: trajectory engines resume the round loop after its last row
-        instead of recomputing rounds ``1..T_old`` (bit-identical by round
-        determinism).  Engines that do not consume these hints ignore them —
-        they are pure optimisations, never a semantic change.
+        ``graph`` and its Λ-grid); :class:`~repro.session.Session` (and so the
+        :class:`~repro.engine.batch.BatchRunner`) passes them to trajectory
+        engines so that many requests on the same graph share one CSR view
+        and memoised grids.  ``warm_start`` is an optional trajectory array
+        from an earlier run with the *same* graph and λ: trajectory engines
+        resume the round loop after its last row instead of recomputing
+        rounds ``1..T_old`` (bit-identical by round determinism).  Engines
+        that do not consume these hints ignore them — they are pure
+        optimisations, never a semantic change.
         """
 
     def describe(self) -> str:
@@ -212,8 +212,7 @@ def _make_vectorized(**options) -> Engine:
 
 
 #: Friendly spelling aliases accepted in sharded engine specs.
-_SHARDED_OPTION_ALIASES = {"shards": "num_shards", "workers": "max_workers",
-                           "dir": "storage_dir", "traj": "trajectory_storage"}
+_SHARDED_OPTION_ALIASES = {"shards": "num_shards", "workers": "max_workers"}
 
 
 def _make_sharded(**options) -> Engine:

@@ -171,10 +171,9 @@ class BatchRunner:
         self.engine: Engine = get_engine(engine, **engine_options)
         #: persistent artifact store handed to every opened session (optional;
         #: an :class:`~repro.store.ArtifactStore` or its root directory), so
-        #: batch runs resume from — and extend — the on-disk cache.  When the
-        #: engine can spill its trajectory (the sharded engine), the sessions
-        #: also bind the store root, so a spilled run appends to the store's
-        #: own ``.traj`` files.
+        #: batch runs resume from — and extend — the on-disk cache; a large
+        #: trajectory is appended to the store's own ``.traj`` file as the
+        #: engine computes it.
         self.store = store
         self.max_cached_results = max_cached_results
         self.max_sessions = max_sessions

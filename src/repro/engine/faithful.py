@@ -18,7 +18,6 @@ class FaithfulEngine(Engine):
     """Reference engine: the faithful per-node message-passing protocol."""
 
     name = "faithful"
-    consumes_artifacts = False   # the simulator replays per node; csr/grid unused
 
     def run(self, graph, rounds, *, lam=0.0, tie_break="history", track_kept=True,
             csr=None, grid=None, warm_start=None):

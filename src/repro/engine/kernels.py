@@ -444,7 +444,7 @@ def _gathered_sub_csr(csr: CSRAdjacency, ids: np.ndarray) -> CSRAdjacency:
 
 
 def frontier_trajectory(csr: CSRAdjacency, rounds: int, *, lam: float = 0.0,
-                        warm: FrontierWarmStart) -> np.ndarray:
+                        warm: FrontierWarmStart, out=None) -> np.ndarray:
     """Incremental Algorithm 2 trajectory of a delta-derived graph: the
     round loop of :func:`compact_trajectory` with ``warm=``.
 
@@ -456,11 +456,12 @@ def frontier_trajectory(csr: CSRAdjacency, rounds: int, *, lam: float = 0.0,
     Returns the full ``(rounds + 1, n)`` trajectory, or the exact rows
     ``0..t-1`` when round ``t``'s dirty set exceeds
     ``max_frontier_fraction·n`` (row 0 alone when the parent's rows do not
-    cover ``rounds``), which the caller finishes with full rounds.  Like any
-    shard plan, copied-vs-recomputed equality is exact for integer/dyadic
-    weights; other float weights carry the last-ulp caveat.
+    cover ``rounds``), which the caller finishes with full rounds.  An
+    ``out`` sink receives the rows as :func:`compact_trajectory` appends
+    them.  Like any shard plan, copied-vs-recomputed equality is exact for
+    integer/dyadic weights; other float weights carry the last-ulp caveat.
     """
-    return compact_trajectory(csr, rounds, lam=lam, warm=warm)
+    return compact_trajectory(csr, rounds, lam=lam, warm=warm, out=out)
 
 
 def threshold_round_range(csr: CSRAdjacency, alive: np.ndarray, threshold: float,

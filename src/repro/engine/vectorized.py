@@ -25,7 +25,11 @@ class TrajectoryEngine(Engine):
     """
 
     def run(self, graph, rounds, *, lam=0.0, tie_break="history", track_kept=True,
-            csr=None, grid=None, warm_start=None):
+            csr=None, grid=None, warm_start=None, out=None):
+        """:meth:`Engine.run`, plus ``out``: an optional
+        :class:`~repro.store.traj.AppendTrajectory` sink of this view and λ
+        that every round of the run appends to (the returned trajectory then
+        maps its file); the caller opens and closes it."""
         from repro.core.rounding import grid_for_graph
         from repro.core.surviving import TIE_BREAK_RULES
         from repro.graph.csr import graph_to_csr
@@ -45,13 +49,13 @@ class TrajectoryEngine(Engine):
                 # Frontier rounds stop at a too-wide frontier; full rounds
                 # resume after the exact rows they returned.
                 trajectory = self.trajectory(csr, rounds, lam=lam,
-                                             frontier=warm_start)
+                                             frontier=warm_start, out=out)
                 if trajectory.shape[0] <= rounds:
                     trajectory = self.trajectory(csr, rounds, lam=lam,
-                                                 prefix=trajectory)
+                                                 prefix=trajectory, out=out)
             else:
                 trajectory = self.trajectory(csr, rounds, lam=lam,
-                                             prefix=warm_start)
+                                             prefix=warm_start, out=out)
             return self.assemble(csr, trajectory, rounds, grid,
                                  tie_break=tie_break, track_kept=track_kept)
 
@@ -85,14 +89,16 @@ class TrajectoryEngine(Engine):
                                 node_order=labels)
 
     def trajectory(self, csr, rounds, *, lam=0.0, prefix=None,
-                   frontier=None) -> np.ndarray:
+                   frontier=None, out=None) -> np.ndarray:
         """The ``(rounds + 1, n)`` per-round surviving-number trajectory.
 
         ``prefix`` is an optional earlier trajectory of the same CSR view and λ;
         subclasses resume after its last row (see
         :func:`repro.engine.kernels.compact_trajectory`).  With a
         ``frontier`` warm start, the rows may stop short (see
-        :func:`repro.engine.kernels.frontier_trajectory`).
+        :func:`repro.engine.kernels.frontier_trajectory`).  With an ``out``
+        sink the rows are appended to its file, and its published rows are
+        a prefix too.
         """
         raise NotImplementedError
 
@@ -103,11 +109,13 @@ class VectorizedEngine(TrajectoryEngine):
     name = "vectorized"
 
     def trajectory(self, csr, rounds, *, lam=0.0, prefix=None,
-                   frontier=None) -> np.ndarray:
+                   frontier=None, out=None) -> np.ndarray:
         # One loop under two names, so a trace tells frontier rounds apart.
         if frontier is not None:
-            return frontier_trajectory(csr, rounds, lam=lam, warm=frontier)
-        return compact_trajectory(csr, rounds, lam=lam, prefix=prefix)
+            return frontier_trajectory(csr, rounds, lam=lam, warm=frontier,
+                                       out=out)
+        return compact_trajectory(csr, rounds, lam=lam, prefix=prefix,
+                                  out=out)
 
     def describe(self) -> str:
         return "vectorized (whole-graph NumPy kernels)"

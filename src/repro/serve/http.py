@@ -117,7 +117,7 @@ from repro.graph.io import from_dict as graph_from_dict
 from repro.graph.io import parse_edge_list
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import MetricsRegistry, family, gauge_family, get_registry
-from repro.serve.queue import JobQueue
+from repro.serve.queue import JobQueue, ServeStats
 from repro.session import SessionStats
 from repro.store import ArtifactStore
 
@@ -575,23 +575,33 @@ class ReproHTTPServer(ThreadingHTTPServer):
             self._rejected_by_tenant.inc(tenant=tenant, reason="backpressure")
             raise
         self._jobs_submitted_by_tenant.inc(tenant=tenant)
-        problem_name = job.problem_name()
+        record, created = self._record_job(future, fingerprint, job, tenant)
+        return {**self.job_document(record), "deduplicated": not created}
+
+    def _record_job(self, future: Future, fingerprint: str, job: BatchJob,
+                    tenant: str) -> Tuple[_JobRecord, bool]:
+        """``(record, created)``: the job record already issued for
+        ``future`` (the submission coalesced onto it), else a new pending
+        one, looked up and registered under ``_state_lock``."""
         with self._state_lock:
             hit = self._by_future.get(future)
             if hit is not None:
-                return {**self.job_document(hit), "deduplicated": True}
+                return hit, False
             self._job_counter += 1
             record = _JobRecord(id=f"j{self._job_counter:06d}",
-                                fingerprint=fingerprint, problem=problem_name,
-                                tenant=tenant, label=job.label(), future=future)
+                                fingerprint=fingerprint,
+                                problem=job.problem_name(), tenant=tenant,
+                                label=job.label(), future=future)
             self._jobs[record.id] = record
             self._by_future[future] = record
             self._jobs_by_status["pending"] += 1
         # Once done, the future can never coalesce again (the queue forgets
         # it), so drop the reverse mapping and move the by-status counter;
-        # the job record stays pollable until retention evicts it.
+        # the job record stays pollable until retention evicts it.  Added
+        # outside the lock: a done future runs the callback synchronously,
+        # and _job_finished takes _state_lock.
         future.add_done_callback(self._job_finished)
-        return {**self.job_document(record), "deduplicated": False}
+        return record, True
 
     def _job_finished(self, future: Future) -> None:
         """Done-callback: settle the record's status and bound retention.
@@ -704,31 +714,13 @@ class ReproHTTPServer(ThreadingHTTPServer):
 
         def documents():
             pending: List[_JobRecord] = []
-            emitted = 0
             for job in jobs:
                 future = self.queue.submit(job, block=True)
-                with self._state_lock:
-                    record = self._by_future.get(future)
-                    created = record is None
-                    if created:
-                        self._job_counter += 1
-                        record = _JobRecord(
-                            id=f"j{self._job_counter:06d}",
-                            fingerprint=fingerprint,
-                            problem=job.problem_name(), tenant=tenant,
-                            label=job.label(), future=future)
-                        self._jobs[record.id] = record
-                        self._by_future[future] = record
-                        self._jobs_by_status["pending"] += 1
-                if created:
-                    # Outside the lock: a done future runs the callback
-                    # synchronously, and _job_finished takes _state_lock.
-                    future.add_done_callback(self._job_finished)
-                pending.append(record)
+                pending.append(
+                    self._record_job(future, fingerprint, job, tenant)[0])
                 while pending and pending[0].future.done():
                     yield self.job_document(pending.pop(0),
                                             include_result=include_result)
-                    emitted += 1
             for record in pending:
                 record.future.exception()  # wait without raising
                 yield self.job_document(record, include_result=include_result)
@@ -739,94 +731,86 @@ class ReproHTTPServer(ThreadingHTTPServer):
     def metrics(self) -> dict:
         """The ``/metrics`` document: ServeStats + session + store counters.
 
-        Job counts come from the by-status counters the done-callbacks
-        maintain — O(1) under the lock, not a scan of every record ever
-        issued.
+        One snapshot that both ``/metrics`` formats render (the Prometheus
+        text through :meth:`_collect_families`).  Job counts come from the
+        by-status counters the done-callbacks maintain — O(1) under the
+        lock, not a scan of every record ever issued.
         """
         with self._state_lock:
             total_jobs = len(self._jobs)
             by_status = dict(self._jobs_by_status)
-            graphs = len(self._graphs)
-            rejected_quota = self._rejected_quota
-            rejected_backpressure = self._rejected_backpressure
-            evicted_jobs = self._evicted_jobs
-            applied_deltas = self._applied_deltas
+            server = {"version": __version__, "graphs": len(self._graphs),
+                      "draining": self._draining,
+                      "applied_deltas": self._applied_deltas,
+                      "rejected_quota": self._rejected_quota,
+                      "rejected_backpressure": self._rejected_backpressure,
+                      "evicted_jobs": self._evicted_jobs}
         runner = self.queue.runner
+        server.update(sessions=runner.cached_graphs,
+                      evicted_sessions=runner.evicted_sessions,
+                      quota_rate=self.quota_rate,
+                      max_pending=self.queue.max_pending)
         document = {
-            "server": {"version": __version__, "graphs": graphs,
-                       "draining": self._draining,
-                       "applied_deltas": applied_deltas,
-                       "rejected_quota": rejected_quota,
-                       "rejected_backpressure": rejected_backpressure,
-                       "evicted_jobs": evicted_jobs,
-                       "sessions": runner.cached_graphs,
-                       "evicted_sessions": runner.evicted_sessions,
-                       "quota_rate": self.quota_rate,
-                       "max_pending": self.queue.max_pending},
+            "server": server,
             "serve": self.queue.stats.to_dict(),
             "session": runner.aggregate_stats(),
             "jobs": {"total": total_jobs, **by_status},
+            "store": None,
         }
         if self.store is not None:
             info = self.store.info()
             document["store"] = {"root": info["root"], "files": info["files"],
                                  "bytes": info["bytes"],
                                  "graphs": len(info["graphs"])}
-        else:
-            document["store"] = None
         return document
 
     def _collect_families(self) -> list:
-        """Scrape-time collector: server/serve/session/store families."""
-        with self._state_lock:
-            total_jobs = len(self._jobs)
-            by_status = dict(self._jobs_by_status)
-            graphs = len(self._graphs)
-            rejected_quota = self._rejected_quota
-            rejected_backpressure = self._rejected_backpressure
-            evicted_jobs = self._evicted_jobs
-            draining = self._draining
-        runner = self.queue.runner
+        """Scrape-time collector: the :meth:`metrics` snapshot as
+        server/serve/session/store families."""
+        document = self.metrics()
+        server, jobs = document["server"], dict(document["jobs"])
+        total_jobs = jobs.pop("total")
         families = [
             gauge_family("repro_http_graphs", "Registered graphs",
-                         float(graphs)),
+                         float(server["graphs"])),
             gauge_family("repro_http_draining",
                          "1 while the server drains, else 0",
-                         1.0 if draining else 0.0),
+                         1.0 if server["draining"] else 0.0),
             gauge_family("repro_http_jobs", "Retained job records",
                          float(total_jobs)),
             family("repro_http_jobs_by_status", "gauge",
                    "Retained job records by status",
                    [("", {"status": status}, float(count))
-                    for status, count in sorted(by_status.items())]),
+                    for status, count in sorted(jobs.items())]),
             family("repro_http_jobs_evicted_total", "counter",
                    "Finished job records dropped by bounded retention",
-                   [("", {}, float(evicted_jobs))]),
+                   [("", {}, float(server["evicted_jobs"]))]),
             family("repro_http_rejected_total", "counter",
                    "Submissions refused by admission control",
                    [("", {"reason": "backpressure"},
-                     float(rejected_backpressure)),
-                    ("", {"reason": "quota"}, float(rejected_quota))]),
+                     float(server["rejected_backpressure"])),
+                    ("", {"reason": "quota"},
+                     float(server["rejected_quota"]))]),
             gauge_family("repro_runner_sessions", "Open runner sessions",
-                         float(runner.cached_graphs)),
+                         float(server["sessions"])),
             family("repro_runner_sessions_evicted_total", "counter",
                    "Runner sessions evicted by the session bound",
-                   [("", {}, float(runner.evicted_sessions))]),
+                   [("", {}, float(server["evicted_sessions"]))]),
         ]
-        families.extend(self.queue.stats.metric_families())
+        families.extend(ServeStats.families(document["serve"]))
         families.extend(SessionStats.families(
-            runner.aggregate_stats(), help_prefix="Aggregated session counter"))
-        if self.store is not None:
-            info = self.store.info()
+            document["session"], help_prefix="Aggregated session counter"))
+        store = document["store"]
+        if store is not None:
             families.append(gauge_family(
                 "repro_store_files", "Files in the artifact store",
-                float(info["files"])))
+                float(store["files"])))
             families.append(gauge_family(
                 "repro_store_bytes", "Bytes in the artifact store",
-                float(info["bytes"])))
+                float(store["bytes"])))
             families.append(gauge_family(
                 "repro_store_graphs", "Graphs with artifacts in the store",
-                float(len(info["graphs"]))))
+                float(store["graphs"])))
         return families
 
     def render_prometheus(self) -> str:

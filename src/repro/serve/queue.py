@@ -15,9 +15,11 @@ the concurrent front-end a long-lived server needs:
 Three serving behaviours, shared by both:
 
 * **in-flight dedup** — identical requests submitted while the first is still
-  running share one future (one execution); the dedup key is the problem's own
-  :meth:`~repro.problems.Problem.request_key`, the same canonicalisation the
-  session result cache uses, so every equivalent spelling coalesces.
+  running share one future (one execution); the dedup key is built on the
+  problem's own :meth:`~repro.problems.Problem.request_key` (an
+  :class:`AsyncSession` coalesces on its session's result-cache key,
+  :meth:`~repro.session.Session.resolve_request`), so every equivalent
+  spelling coalesces.
 * **bounded backpressure** — with ``max_pending=N``, at most ``N`` jobs are
   queued-or-running; further ``submit`` calls block until capacity frees.
   :meth:`~JobQueue.map` streams results in submission order while the window
@@ -54,7 +56,6 @@ from repro.obs import trace as obs_trace
 from repro.obs.metrics import counter_families, family, gauge_family
 from repro.problems import Problem, ProblemLike, get_problem
 from repro.session import Session
-from repro.utils.numeric import canonical_lam
 
 
 @dataclass
@@ -93,8 +94,10 @@ class ServeStats:
         snapshot["dedup_hits"] = self.deduplicated
         return snapshot
 
-    def metric_families(self, prefix: str = "repro_serve") -> list:
-        """These counters as metric families for a ``MetricsRegistry``.
+    @staticmethod
+    def families(snapshot: dict, prefix: str = "repro_serve") -> list:
+        """A :meth:`to_dict` snapshot as metric families for a
+        ``MetricsRegistry`` collector.
 
         How the serving stats register into the observability layer (via
         ``register_collector``) instead of being hand-merged: the monotone
@@ -102,18 +105,18 @@ class ServeStats:
         and ``per_problem`` becomes one labelled counter family.
         """
         families = counter_families(
-            prefix,
-            {"submitted": self.submitted, "deduplicated": self.deduplicated,
-             "completed": self.completed},
+            prefix, {key: snapshot[key] for key in
+                     ("submitted", "deduplicated", "completed")},
             "Serving counter")
         families.append(gauge_family(
             f"{prefix}_queue_depth",
-            "Executions accepted and not yet completed", self.queue_depth))
+            "Executions accepted and not yet completed",
+            snapshot["queue_depth"]))
         families.append(family(
             f"{prefix}_requests_total", "counter",
             "Requests by canonical problem name (accepted + coalesced)",
             [("", {"problem": name}, float(count))
-             for name, count in sorted(self.per_problem.items())]))
+             for name, count in sorted(snapshot["per_problem"].items())]))
         return families
 
 
@@ -390,33 +393,19 @@ class AsyncSession(_AsyncFrontend):
         self.session = session
         self._session_lock = threading.Lock()
 
-    def _request_key(self, problem: ProblemLike, params: dict,
-                     prob: Optional[Problem] = None) -> Optional[tuple]:
-        prob = get_problem(problem) if prob is None else prob
-        # Mirror Session.solve's normalisation exactly: canonicalise λ before
-        # any key is derived from it (so every equivalent spelling — and in
-        # particular -0.0 vs 0.0 — coalesces onto one in-flight future, and a
-        # non-finite λ is rejected here at submit time, not inside a worker
-        # future), then collapse an explicit lam at the session default onto
-        # the omitted spelling.
-        if params.get("lam") is not None:
-            params = {**params, "lam": canonical_lam(params["lam"])}
-        if params.get("lam") == self.session.default_lam:
-            params = {**params, "lam": None}
-        base = prob.request_key(params)
-        if base is None:
-            return None
-        return (base, problem if isinstance(problem, Problem) else type(prob))
-
     def _execute(self, problem: ProblemLike, params: dict):
         with self._session_lock:
             return self.session.solve(problem, **params)
 
     def submit(self, problem: ProblemLike, **params) -> Future:
-        """Accept one request; returns a future of the problem result."""
-        prob = get_problem(problem)
-        return self._submit(self._request_key(problem, params, prob),
-                            self._execute, problem, params,
+        """Accept one request; returns a future of the problem result.
+
+        Identical requests coalesce on the session's own request key
+        (:meth:`Session.resolve_request`, the key its result cache uses), so
+        an unknown problem or a non-finite λ fails here, not in a worker.
+        """
+        prob, params, key = self.session.resolve_request(problem, params)
+        return self._submit(key, self._execute, problem, params,
                             problem=prob.name)
 
     def map(self, requests: Iterable[Tuple[ProblemLike, dict]]) -> Iterator:

@@ -63,11 +63,17 @@ from repro.graph.graph import Graph
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import counter_families, gauge_family, get_registry
 from repro.problems import Problem, ProblemLike, get_problem
-from repro.store import ArtifactStore
+from repro.store import AppendTrajectory, ArtifactStore
 from repro.utils.numeric import canonical_lam
 
 #: Something the ``store=`` parameter accepts: a store instance or its root.
 StoreLike = Union[ArtifactStore, str, Path]
+
+#: Spill threshold: a store-backed session hands a trajectory engine the
+#: store's ``.traj`` appender when the run's ``(T+1) × n`` float64 trajectory
+#: reaches this many bytes (256 MiB), so its rounds go to disk as they are
+#: computed.  Read when a run decides whether to spill.
+SPILL_BYTES = 256 * 1024 * 1024
 
 #: Always-on per-problem solve latency (process-wide default registry); one
 #: ``observe`` per executed :meth:`Session.solve` (cache hits excluded).
@@ -183,11 +189,12 @@ class Session:
         Disk traffic is counted in :attr:`stats` (``disk_hits`` /
         ``disk_misses`` / ``disk_writes``).  Opening a store builds the CSR
         view once even for the faithful engine (the content fingerprint
-        hashes it).  An engine that can spill its trajectory (the sharded
-        engine) is additionally bound to the store root: a run whose
-        trajectory reaches the spill threshold — or any run under
-        ``trajectory_storage="mmap"`` — appends its rounds to the store's
-        ``.traj`` file as it goes (bit-identical results).
+        hashes it).  A trajectory-engine run whose trajectory reaches
+        :data:`SPILL_BYTES` — a cold run, a prefix resume or a delta child's
+        frontier re-solve — appends its rounds to the store's ``.traj`` file
+        as it goes (bit-identical results, and its trajectory maps that
+        file).  The engine holds no storage of its own, so one engine
+        instance can serve sessions on any number of stores.
     max_cached_results:
         Optional bound on the in-memory result caches (surviving-number and
         problem results each keep at most this many entries, evicting the
@@ -211,12 +218,6 @@ class Session:
         self._default_lam = canonical_lam(lam)
         self.store: Optional[ArtifactStore] = (
             ArtifactStore(store) if isinstance(store, (str, Path)) else store)
-        if self.store is not None and getattr(self.engine, "supports_mmap", False):
-            # An engine that spills its trajectory appends to the store's
-            # own .traj files when the trajectory outgrows the auto-spill
-            # threshold (or always, for trajectory_storage="mmap").  An
-            # explicitly configured storage_dir wins.
-            self.engine.bind_storage(self.store.root)
         self.max_cached_results = max_cached_results
         self.stats = SessionStats()
         self._csr: Optional[CSRAdjacency] = None
@@ -523,7 +524,7 @@ class Session:
                 result = self._sliced_result(T, lam, prefix,
                                              tie_break=tie_break,
                                              track_kept=track_kept)
-                warm = prefix
+                reused = T
             else:
                 if self.store is not None and not self._array_engine:
                     loaded = self._load_stored_result(T, lam,
@@ -533,24 +534,36 @@ class Session:
                         self._cache_put(self._results, key, loaded)
                         self._parent_pin = None
                         return loaded
-                # The documented Engine.run hints: csr/grid are only built
-                # for engines that consume them (the faithful simulator opts
-                # out), and every engine gets the cached prefix as its warm
-                # start.  A delta-derived session with no trajectory of its
-                # own yet hands over a frontier warm start against the
-                # parent's trajectory instead; the engine finishes with full
-                # rounds by itself when the frontier widens past the policy
-                # bound.
-                artifacts = ({"csr": self.csr, "grid": self.grid(lam)}
-                             if self.engine.consumes_artifacts else {})
-                warm = warm_start = prefix
-                if prefix is None:
-                    warm_start = frontier = self._frontier_warm_start(lam, T)
-                result = self.engine.run(self.graph, T, lam=lam,
-                                         tie_break=tie_break,
-                                         track_kept=track_kept,
-                                         warm_start=warm_start, **artifacts)
-            self._account(T, warm, result, frontier=frontier)
+                # The documented Engine.run hints: trajectory engines get
+                # the session's csr/grid and, when the run spills, the
+                # store's .traj appender as their sink (the faithful
+                # simulator replays rounds per node and takes neither).
+                # Every engine gets the cached prefix as its warm start.  A
+                # delta-derived session with no trajectory of its own yet
+                # hands over a frontier warm start against the parent's
+                # trajectory instead; the engine finishes with full rounds
+                # by itself when the frontier widens past the policy bound.
+                # Rounds the sink already publishes are a prefix too.
+                hints = {}
+                if self._array_engine:
+                    hints = {"csr": self.csr, "grid": self.grid(lam),
+                             "out": self._spill_sink(lam, T)}
+                sink = hints.get("out")
+                try:
+                    reused = -1 if prefix is None else prefix.shape[0] - 1
+                    if sink is not None and sink.rounds > max(reused, 0):
+                        reused = sink.rounds
+                    warm_start = prefix
+                    if reused < 0:
+                        warm_start = frontier = self._frontier_warm_start(lam, T)
+                    result = self.engine.run(self.graph, T, lam=lam,
+                                             tie_break=tie_break,
+                                             track_kept=track_kept,
+                                             warm_start=warm_start, **hints)
+                finally:
+                    if sink is not None:
+                        sink.close()
+            self._account(T, reused, frontier=frontier)
             if result.trajectory is not None and (
                     prefix is None or result.trajectory.shape[0] > prefix.shape[0]):
                 self._trajectories[lam] = result.trajectory
@@ -569,6 +582,18 @@ class Session:
             return result
 
     # ------------------------------------------------------------- persistence
+    def _spill_sink(self, lam: float, T: int) -> Optional[AppendTrajectory]:
+        """The store's ``.traj`` appender for a ``T``-round run at ``λ``, or
+        None to keep the trajectory in RAM (no store, or a trajectory below
+        :data:`SPILL_BYTES`).  The engine appends every round it computes to
+        the very file :meth:`_persist` extends, so persisting the run then
+        appends nothing."""
+        n = self.csr.num_nodes
+        if self.store is None or (T + 1) * n * 8 < SPILL_BYTES:
+            return None
+        return AppendTrajectory.open(self.store.root, self.fingerprint, lam,
+                                     num_nodes=n)
+
     def _adopt_stored_trajectory(self, lam: float, T: int,
                                  prefix: Optional[np.ndarray]) -> Optional[np.ndarray]:
         """The best warm-start prefix for ``(λ, T)``: memory, or disk if longer.
@@ -626,8 +651,8 @@ class Session:
         The store appends only the rows its ``.traj`` file lacks, so the
         trajectory is saved whenever it is longer than the rounds this session
         knows are on disk (``_disk_rounds``, set by the store probe before
-        every engine run): a run the engine already spilled into that file
-        appends nothing, and an append never shortens a longer file.
+        every engine run): a run that spilled into that file appends
+        nothing, and an append never shortens a longer file.
         """
         if self.store is None:
             return
@@ -656,28 +681,28 @@ class Session:
                                          self.grid(lam), tie_break=tie_break,
                                          track_kept=track_kept)
 
-    def _account(self, T: int, warm: Optional[np.ndarray],
-                 result: SurvivingNumbers, *, frontier=None) -> None:
-        # ``warm`` is the cached trajectory that was consumed (served as a
-        # slice or handed to the engine as its warm start) — None whenever
-        # the engine ran every round itself.  ``frontier`` is the
-        # FrontierWarmStart of an incremental attempt; it records whether
-        # its rounds made the whole trajectory or full rounds finished it
-        # (counted as a fallback and a cold run).
-        if frontier is not None:
-            if frontier.used:
-                self.stats.incremental_runs += 1
-                self.stats.frontier_nodes_recomputed += frontier.nodes_recomputed
-                self.stats.frontier_peak_nodes = max(
-                    self.stats.frontier_peak_nodes, frontier.peak_frontier)
-                self.stats.rounds_executed += T
-                return
-            self.stats.incremental_fallbacks += 1
-        if result.trajectory is None or warm is None:
+    def _account(self, T: int, reused: int, *, frontier=None) -> None:
+        # ``reused`` counts the rounds the request did not compute: those of
+        # the cached trajectory it was sliced from or resumed after, or that
+        # the spill sink already published; -1 when the engine ran every
+        # round itself.  ``frontier`` is the FrontierWarmStart of an
+        # incremental attempt; it records whether its rounds made the whole
+        # trajectory or full rounds finished it (counted as a fallback and a
+        # cold run).
+        if frontier is not None and frontier.used:
+            self.stats.incremental_runs += 1
+            self.stats.frontier_nodes_recomputed += frontier.nodes_recomputed
+            self.stats.frontier_peak_nodes = max(
+                self.stats.frontier_peak_nodes, frontier.peak_frontier)
+            self.stats.rounds_executed += T
+            return
+        if reused < 0:
+            if frontier is not None:
+                self.stats.incremental_fallbacks += 1
             self.stats.cold_runs += 1
             self.stats.rounds_executed += T
             return
-        reused = min(warm.shape[0] - 1, T)
+        reused = min(reused, T)
         self.stats.rounds_reused += reused
         self.stats.rounds_executed += T - reused
         if reused >= T:
@@ -694,20 +719,7 @@ class Session:
         :class:`~repro.problems.Problem` instance).  Identical requests return
         the *same* cached result object.
         """
-        prob = get_problem(problem)
-        # Canonicalise λ before any key is derived from it (same spelling in
-        # the request cache, the surviving cache and the store) and reject
-        # non-finite values at the solve boundary, before any work runs.
-        if params.get("lam") is not None:
-            params = {**params, "lam": canonical_lam(params["lam"])}
-        # An explicit lam at the session default is the same request as an
-        # omitted one (surviving() resolves None to the default).
-        if params.get("lam") == self._default_lam:
-            params = {**params, "lam": None}
-        key = self._request_key(prob, params,
-                                caller_instance=isinstance(problem, Problem),
-                                lineage=(None if self._link is None
-                                         else self._link.chain_fingerprint))
+        prob, params, key = self.resolve_request(problem, params)
         if key is not None:
             hit = self._cache_get(self._problem_results, key)
             if hit is not None:
@@ -723,22 +735,41 @@ class Session:
             self._cache_put(self._problem_results, key, result)
         return result
 
-    @staticmethod
-    def _request_key(prob: Problem, params: dict, *, caller_instance: bool,
-                     lineage: Optional[str] = None) -> Optional[tuple]:
-        # The parameter canonicalisation (default-stripping) is the problem's
-        # own :meth:`Problem.request_key` — shared with the in-flight dedup of
-        # :mod:`repro.serve`.  None (unhashable params) skips request caching.
-        base = prob.request_key(params, lineage=lineage)
+    def resolve_request(self, problem: ProblemLike,
+                        params: dict) -> Tuple[Problem, dict, Optional[tuple]]:
+        """``(problem, params, key)`` of one :meth:`solve` request.
+
+        The resolved :class:`~repro.problems.Problem`; the params with λ
+        canonicalised and an explicit λ at the session default collapsed
+        onto the omitted spelling; and the request key, None when the
+        params are unhashable.  The one place a request's identity is
+        computed: :meth:`solve` caches results on the key, and
+        :class:`repro.serve.AsyncSession` coalesces in-flight submissions on
+        it.  An unknown problem or a non-finite λ raises here, before any
+        work runs.
+        """
+        prob = get_problem(problem)
+        # Canonical λ: the same spelling in the request cache, the surviving
+        # cache and the store.
+        if params.get("lam") is not None:
+            params = {**params, "lam": canonical_lam(params["lam"])}
+        # An explicit lam at the session default is the same request as an
+        # omitted one (surviving() resolves None to the default).
+        if params.get("lam") == self._default_lam:
+            params = {**params, "lam": None}
+        # The problem's own Problem.request_key strips default-valued params.
+        base = prob.request_key(params, lineage=(
+            None if self._link is None else self._link.chain_fingerprint))
         if base is None:
-            return None
+            return prob, params, None
         # Name-resolved problems get a fresh stateless instance per request, so
         # they dedup by class; the class token also keeps a re-registered
         # (shadowed) implementation from serving the old one's cached results.
         # A caller-supplied instance may carry its own configuration, so it
         # dedups per instance — keyed on the object itself, which also keeps
         # it alive (an id() would be reusable after collection).
-        return (base, prob if caller_instance else type(prob))
+        return prob, params, (base, prob if isinstance(problem, Problem)
+                              else type(prob))
 
     def coreness(self, *, epsilon: Optional[float] = None,
                  gamma: Optional[float] = None, rounds: Optional[int] = None,

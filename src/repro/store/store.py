@@ -20,8 +20,9 @@ Trajectories have one on-disk format, the ``.traj`` directory of
 the rows the file does not yet publish — published rows are never rewritten,
 since each round is a deterministic function of the one before — and
 :meth:`ArtifactStore.load_trajectory` maps the published prefix read-only.
-An engine running with ``trajectory_storage="mmap"`` appends into the very
-same file round by round, so persisting its run appends nothing.  A crash
+A store-backed :class:`~repro.session.Session` whose trajectory reaches its
+spill threshold hands the engine this very file's appender, so the run
+appends round by round and persisting it appends nothing.  A crash
 loses at most the un-published round; readers always see a complete round
 prefix (clamped to what the file actually holds).  ``info``/``purge``/
 ``evict`` account the directory's files like any other artifact, with

@@ -4,9 +4,10 @@ The elimination trajectory — the ``(T+1) × n`` float64 array at the heart of
 Algorithm 2 — is the single largest allocation at scale: it grows with the
 round budget, while each round reads only the row before it.  This module is
 the artifact store's only on-disk trajectory format: an *append-only*
-buffer, so the round loop of a spilling engine keeps only a sliding window of
-rows resident, and prefix-resume, ``Session`` restart and the artifact store
-all read and extend the same file::
+buffer, so a round loop handed an :class:`AppendTrajectory` as its ``out=``
+sink (a store-backed ``Session`` hands one to a large run) keeps only a
+sliding window of rows resident, and prefix-resume, ``Session`` restart and
+the artifact store all read and extend the same file::
 
     <root>/
       <fingerprint>/                       # the store's content address
@@ -220,7 +221,7 @@ class AppendTrajectory:
 
     Opens (or creates) the ``.traj`` directory and resumes from whatever
     prefix is already published — the on-disk rows *are* the warm start, so a
-    fresh engine instance pointed at the same directory continues where a
+    run handed a fresh handle on the same directory continues where a
     crashed or completed run left off.  All writes go through the append
     protocol described in the module docstring.
 

@@ -41,24 +41,36 @@ class TestEngineFlag:
                      "--engine", "quantum"], out=io.StringIO())
         assert code == 2
 
-    def test_trajectory_storage_mmap_flag_runs_out_of_core(self, k6_file):
-        baseline, mapped, threaded = io.StringIO(), io.StringIO(), io.StringIO()
+    def test_engine_spec_options_run_threaded_shards(self, k6_file):
+        baseline, threaded = io.StringIO(), io.StringIO()
         assert main(["coreness", "--input", str(k6_file), "--rounds", "3",
                      "--engine", "sharded:2", "--top", "3"], out=baseline) == 0
         assert main(["coreness", "--input", str(k6_file), "--rounds", "3",
-                     "--engine", "sharded:2", "--trajectory-storage", "mmap",
-                     "--top", "3"], out=mapped) == 0
-        assert main(["coreness", "--input", str(k6_file), "--rounds", "3",
-                     "--engine", "sharded:2", "--trajectory-storage", "mmap",
-                     "--workers", "2", "--top", "3"], out=threaded) == 0
-        assert mapped.getvalue() == baseline.getvalue()
+                     "--engine", "sharded:shards=2,workers=2", "--top", "3"],
+                    out=threaded) == 0
         assert threaded.getvalue() == baseline.getvalue()
 
+    @pytest.mark.parametrize("command", ["coreness", "orientation", "batch"])
+    @pytest.mark.parametrize("flag", [["--workers", "2"],
+                                      ["--trajectory-storage", "mmap"]],
+                             ids=["workers", "trajectory-storage"])
+    def test_engine_option_flags_are_rejected(self, k6_file, capsys, command,
+                                              flag):
+        # Engine options are spelled only in the --engine spec
+        # ('sharded:shards=4,workers=2'); where a trajectory lives is the
+        # session's choice, not an engine option.
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--input", str(k6_file), "--rounds", "2",
+                  "--engine", "sharded:2", *flag], out=io.StringIO())
+        assert excinfo.value.code == 2
+        assert flag[0] in capsys.readouterr().err
+
     def test_parallel_flag_is_rejected(self, k6_file, capsys):
-        # Threads are selected by --workers alone; there is no mode flag.
+        # Threads are selected by the spec's workers= alone; there is no
+        # mode flag.
         with pytest.raises(SystemExit) as excinfo:
             main(["coreness", "--input", str(k6_file), "--rounds", "2",
-                  "--engine", "sharded:2", "--workers", "2",
+                  "--engine", "sharded:shards=2,workers=2",
                   "--parallel", "thread"], out=io.StringIO())
         assert excinfo.value.code == 2
         assert "--parallel" in capsys.readouterr().err
@@ -71,13 +83,6 @@ class TestEngineFlag:
                  out=io.StringIO())
         assert excinfo.value.code == 2
         assert "--storage" in capsys.readouterr().err
-
-    def test_trajectory_storage_flag_rejected_for_non_sharded_engines(
-            self, k6_file):
-        code = main(["coreness", "--input", str(k6_file), "--rounds", "2",
-                     "--engine", "vectorized", "--trajectory-storage", "mmap"],
-                    out=io.StringIO())
-        assert code == 2
 
     def test_non_finite_lambda_is_reported_cleanly(self, k6_file):
         code = main(["coreness", "--input", str(k6_file), "--rounds", "2",

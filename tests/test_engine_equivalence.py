@@ -144,12 +144,31 @@ SHARD_COUNTS = (1, 2, 5, 10_000)
 
 def _shard_variants(graph):
     return [ShardedEngine(num_shards=k) for k in SHARD_COUNTS] + \
-        [ShardedEngine(num_shards=3, max_workers=2),
-         # Out-of-core output: rounds appended to an on-disk .traj buffer (a
-         # private temp dir per engine), sequential and threaded — the
-         # bit-identity contract covers every storage backend too.
-         ShardedEngine(num_shards=3, trajectory_storage="mmap"),
-         ShardedEngine(num_shards=3, max_workers=2, trajectory_storage="mmap")]
+        [ShardedEngine(num_shards=3, max_workers=2)]
+
+
+#: Out-of-core output: every trajectory engine, sequential and threaded,
+#: appending its rounds to an explicit ``out=`` .traj appender — the
+#: bit-identity contract covers the spilled trajectory too.
+SPILLED_ENGINES = ("vectorized", "sharded:3", "sharded:shards=3,workers=2")
+
+
+def _spilled_runs(graph, rounds, root):
+    """One run per :data:`SPILLED_ENGINES` spec, each appending to its own
+    appender under ``root`` (none on the empty graph: no rows to append)."""
+    from repro.graph.csr import csr_fingerprint, graph_to_csr
+    from repro.store import AppendTrajectory
+
+    csr = graph_to_csr(graph)
+    if csr.num_nodes == 0:
+        return
+    for k, spec in enumerate(SPILLED_ENGINES):
+        with AppendTrajectory.open(root / str(k), csr_fingerprint(csr), 0.0,
+                                   num_nodes=csr.num_nodes) as sink:
+            result = get_engine(spec).run(graph, rounds, track_kept=True,
+                                          out=sink)
+        assert isinstance(result.trajectory, np.memmap), spec
+        yield result
 
 
 class TestCorpusSize:
@@ -159,14 +178,17 @@ class TestCorpusSize:
 
 class TestCrossEngineEquivalence:
     @pytest.mark.parametrize("graph, rounds", CORPUS)
-    def test_values_kept_and_orientation_identical(self, graph, rounds):
+    def test_values_kept_and_orientation_identical(self, graph, rounds,
+                                                   tmp_path):
         vec = get_engine("vectorized").run(graph, rounds, track_kept=True)
         reference_orientation = orientation_from_kept(graph, vec.kept, values=vec.values)
 
-        # sharded, several shard counts (1, small, >= n) and a threaded variant:
+        # sharded, several shard counts (1, small, >= n) and a threaded
+        # variant, and every trajectory engine spilling to an appender:
         # bit-identical trajectory, values, kept sets and orientation.
-        for engine in _shard_variants(graph):
-            sharded = engine.run(graph, rounds, track_kept=True)
+        runs = [engine.run(graph, rounds, track_kept=True)
+                for engine in _shard_variants(graph)]
+        for sharded in runs + list(_spilled_runs(graph, rounds, tmp_path)):
             assert sharded.values == vec.values
             assert sharded.kept == vec.kept
             assert np.array_equal(sharded.trajectory, vec.trajectory)

@@ -94,13 +94,29 @@ class TestShardedEngineOptions:
         lambda: get_engine("sharded:spill=0"),
         lambda: ShardedEngine(spill_bytes=1 << 20),
         lambda: Session(path_graph(4), engine="sharded", spill_bytes=1),
+        lambda: get_engine("sharded:traj=mmap"),
+        lambda: get_engine("sharded:shards=2,dir=traj"),
+        lambda: ShardedEngine(trajectory_storage="mmap"),
+        lambda: ShardedEngine(storage_dir="traj"),
+        lambda: get_engine("sharded", trajectory_storage="memory"),
+        lambda: Session(path_graph(4), engine="sharded",
+                        trajectory_storage="mmap"),
     ], ids=["spec-storage-mmap", "spec-storage-memory", "keyword-storage",
-            "spec-spill", "keyword-spill-bytes", "session-spill-bytes"])
+            "spec-spill", "keyword-spill-bytes", "session-spill-bytes",
+            "spec-traj", "spec-dir", "keyword-trajectory-storage",
+            "keyword-storage-dir", "registry-trajectory-storage",
+            "session-trajectory-storage"])
     def test_csr_storage_and_spill_options_are_rejected(self, make):
-        # The CSR arrays always live in memory, and the trajectory's spill
-        # threshold is the module constant SPILL_BYTES.
+        # The engine holds no storage: the CSR arrays always live in memory,
+        # and a store-backed session chooses where a trajectory spills
+        # (repro.session.SPILL_BYTES).
         with pytest.raises(AlgorithmError, match="invalid options"):
             make()
+
+    def test_takes_only_shards_and_workers(self):
+        with pytest.raises(AlgorithmError,
+                           match="it takes num_shards and max_workers"):
+            ShardedEngine(storage_dir="traj")
 
 
 class TestThreadedExecution:

@@ -7,14 +7,19 @@ One ``hypothesis.stateful`` machine drives an in-process
 of plain :class:`~repro.session.Session` versions that the machine drops at
 random (their children then seed from the store or solve cold).  Each plain
 chain runs on an engine drawn at its root and inherited by its children:
-``vectorized``, sequential or threaded ``sharded``, or ``sharded`` appending
-its trajectory to a ``.traj`` file (the shared store's, beside the server's
-appends, when the root is stored).  After every step:
+``vectorized``, sequential or threaded ``sharded``.  The spill threshold
+:data:`repro.session.SPILL_BYTES` is patched to :data:`SPILL_AT`, so a
+store-backed version appends its larger trajectories to the shared store's
+``.traj`` files as they are computed (beside the server's appends) and keeps
+its smaller ones in RAM.  Every run starts one stored chain whose child is
+solved by frontier above the threshold, and fails unless some spilled
+version was frontier-solved.  After every step:
 
 * every answer equals a cold ``vectorized`` solve of its version's graph:
   the answer's JSON, the trajectory rows and, for orientations, the
-  in-weights (part of that JSON); on the ``.traj`` engine every plain
-  version's trajectory is a map of that file, frontier re-solves included;
+  in-weights (part of that JSON); a stored plain version whose trajectory
+  reaches the threshold maps its own ``.traj`` file, frontier re-solves
+  included;
 * every server record's content fingerprint equals ``graph_fingerprint`` of
   its graph, which equals the graph the machine derived on its own;
 * a delta POST answers ``chain_fingerprint(parent, delta)``, and a replayed
@@ -29,8 +34,11 @@ from __future__ import annotations
 import copy
 import gc
 import json
+import os
 import shutil
 import tempfile
+import unittest
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -42,12 +50,14 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize,
                                  run_state_machine_as_test)
 
 import repro.serve.http as http_module
+import repro.session as session_module
 from repro.graph.csr import graph_fingerprint
 from repro.graph.delta import GraphDelta, apply_delta, chain_fingerprint
 from repro.graph.graph import Graph
 from repro.serve.http import ReproHTTPServer
 from repro.session import Session
 from repro.store import ArtifactStore
+from repro.store.traj import rows_path
 
 _WEIGHTS = st.sampled_from((0.25, 0.5, 1.0, 2.0, 3.0))
 _PROBLEMS = st.sampled_from(("coreness", "orientation"))
@@ -57,8 +67,14 @@ _ROUNDS = st.sampled_from((2, 4, 7))
 _LAMS = st.sampled_from((0.0, 0.5))
 #: Engines a plain chain runs on; every one must answer as cold vectorized.
 _ENGINES = st.sampled_from(("vectorized", "sharded:3",
-                            "sharded:shards=3,workers=2",
-                            "sharded:shards=3,traj=mmap"))
+                            "sharded:shards=3,workers=2"))
+
+#: The patched spill threshold: a stored version spills once
+#: ``(T + 1) · n ≥ 40`` (T = 7 from 5 nodes, T = 4 from 8, T = 2 from 14).
+SPILL_AT = 40 * 8
+
+#: What the plain checks saw across one run of the machine.
+_SEEN = Counter()
 
 
 def _newest_first(items):
@@ -67,8 +83,8 @@ def _newest_first(items):
 
 
 @st.composite
-def _graphs(draw) -> Graph:
-    n = draw(st.integers(2, 12))
+def _graphs(draw, min_nodes: int = 2) -> Graph:
+    n = draw(st.integers(min_nodes, 12))
     graph = Graph(nodes=range(n))
     node = st.integers(0, n - 1)
     for u, v, w in draw(st.lists(st.tuples(node, node, _WEIGHTS),
@@ -212,6 +228,19 @@ class LineageMachine(RuleBasedStateMachine):
             assert doc["fingerprint"] == self.posted[(parent, delta)]
 
     # ------------------------------------------------------- plain sessions
+    @initialize(graph=_graphs(min_nodes=5), engine=_ENGINES, lam=_LAMS,
+                weight=_WEIGHTS)
+    def spilled_chain(self, graph, engine, lam, weight):
+        """A stored root and a child one edge (to a new node) away, both
+        solved at T = 7, so the child's frontier re-solve spills."""
+        root = Session(copy.deepcopy(graph), engine=engine, store=self.store)
+        self._plain(root, "coreness", 7, lam)
+        child = root.apply_delta(
+            GraphDelta(add_edges=[(0, graph.num_nodes, weight)]),
+            max_frontier_fraction=1.0)
+        self._plain(child, "coreness", 7, lam)
+        self.plain += [root, child]
+
     @precondition(lambda self: self.expected)
     @rule(data=st.data(), stored=st.booleans(), engine=_ENGINES)
     def plain_root(self, data, stored, engine):
@@ -244,6 +273,7 @@ class LineageMachine(RuleBasedStateMachine):
 
     @staticmethod
     def _plain(session, problem, rounds, lam):
+        frontier_runs = session.stats.incremental_runs
         if problem == "orientation":
             lam = 0.0
             answer = session.orientation(rounds=rounds)
@@ -251,12 +281,18 @@ class LineageMachine(RuleBasedStateMachine):
             answer = session.coreness(rounds=rounds, lam=lam)
         cold = _cold(session.graph, problem, rounds, lam)
         assert json.dumps(answer.to_dict()) == json.dumps(cold.to_dict())
-        assert answer.surviving.trajectory.tobytes() == \
-            cold.surviving.trajectory.tobytes()
-        # A spilling engine maps every version's trajectory, whether it
-        # was solved cold, resumed or re-solved by frontier.
-        if getattr(session.engine, "trajectory_storage", None) == "mmap":
-            assert isinstance(answer.surviving.trajectory, np.memmap)
+        trajectory = answer.surviving.trajectory
+        assert trajectory.tobytes() == cold.surviving.trajectory.tobytes()
+        # A stored version whose trajectory reaches the threshold maps its
+        # own .traj, whether it was solved cold, resumed, re-solved by
+        # frontier or read back from the store.
+        if session.store is not None and \
+                (rounds + 1) * session.graph.num_nodes * 8 >= SPILL_AT:
+            assert isinstance(trajectory, np.memmap)
+            assert os.path.samefile(trajectory.filename, rows_path(
+                session.store.root, session.fingerprint, lam))
+            if session.stats.incremental_runs > frontier_runs:
+                _SEEN["spilled frontier"] += 1
 
     @precondition(lambda self: self.plain)
     @rule(data=st.data())
@@ -285,19 +321,25 @@ class LineageMachine(RuleBasedStateMachine):
         self.totals = now
 
 
-def _profile(max_examples: int) -> settings:
-    return settings(max_examples=max_examples, stateful_step_count=30,
-                    deadline=None,
-                    suppress_health_check=[HealthCheck.too_slow,
-                                           HealthCheck.filter_too_much])
+def _run(max_examples: int) -> None:
+    """Run the machine for ``max_examples`` examples under the patched spill
+    threshold; fail unless it solved a spilled frontier child."""
+    _SEEN.clear()
+    with mock.patch.object(session_module, "SPILL_BYTES", SPILL_AT):
+        run_state_machine_as_test(LineageMachine, settings=settings(
+            max_examples=max_examples, stateful_step_count=30, deadline=None,
+            suppress_health_check=[HealthCheck.too_slow,
+                                   HealthCheck.filter_too_much]))
+    assert _SEEN["spilled frontier"] > 0, _SEEN
 
 
-LineageMachine.TestCase.settings = _profile(40)
-TestLineageMachine = LineageMachine.TestCase
+class TestLineageMachine(unittest.TestCase):
+    def runTest(self):
+        _run(40)
 
 
 @pytest.mark.slow
 def test_lineage_machine_long_profile():
     """Five times the tier-1 examples; ``scripts/check.sh`` runs it in its
     ``slow`` step."""
-    run_state_machine_as_test(LineageMachine, settings=_profile(200))
+    _run(200)

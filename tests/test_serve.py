@@ -408,8 +408,9 @@ class TestAsyncSession:
             AsyncSession(session=Session(g1), store="/tmp/nope")
 
     def test_lambda_spellings_coalesce_in_flight(self, graphs):
-        # Regression: AsyncSession._request_key skipped the λ canonicalisation
-        # Session.solve performs, so equivalent spellings of the same request
+        # Regression: AsyncSession's in-flight key skipped the λ
+        # canonicalisation Session.solve performs (both now take the key from
+        # Session.resolve_request), so equivalent spellings of the same request
         # could miss the in-flight dedup (and a bad λ only failed inside the
         # worker future).  Serve with a non-default λ so the explicit
         # spellings stay in the key and must canonicalise to coalesce.

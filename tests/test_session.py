@@ -364,8 +364,9 @@ class TestPrefixReuse:
 
     def test_direct_engine_subclass_receives_the_documented_hints(
             self, two_communities):
-        # An engine implementing the full documented run() contract — without
-        # subclassing TrajectoryEngine — must receive csr/grid/warm_start.
+        # An engine implementing the documented run() contract without
+        # subclassing TrajectoryEngine receives its own cached trajectory as
+        # warm_start; the session builds csr/grid for trajectory engines only.
         from repro.engine import get_engine
         from repro.engine.base import Engine
 
@@ -386,7 +387,7 @@ class TestPrefixReuse:
         session = Session(two_communities, engine=HintConsumer())
         session.surviving(rounds=3)
         grown = session.surviving(rounds=7)
-        assert received == [(True, True, False), (True, True, True)]
+        assert received == [(False, False, False), (False, False, True)]
         assert session.stats.prefix_resumes == 1
         cold = Session(two_communities).surviving(rounds=7)
         assert np.array_equal(grown.trajectory, cold.trajectory)
@@ -562,6 +563,19 @@ class TestLambdaCanonicalisationRegression:
         assert problem.request_key({"rounds": 4, "lam": -0.0}) == \
             problem.request_key({"rounds": 4, "lam": 0.0})
 
+    def test_resolve_request_keys_every_spelling_of_one_request(self, k6):
+        # The key Session.solve caches on and AsyncSession coalesces on.
+        session = Session(k6, lam=0.5)
+        keys = {session.resolve_request(problem, params)[2]
+                for problem, params in (
+                    ("coreness", {"rounds": 4}),
+                    ("core", {"rounds": 4, "lam": 0.5}),
+                    ("coreness", {"rounds": 4, "lam": None, "epsilon": None}))}
+        assert len(keys) == 1
+        _, params, zero = session.resolve_request("coreness",
+                                                  {"rounds": 4, "lam": -0.0})
+        assert params == {"rounds": 4, "lam": 0.0} and zero not in keys
+
 
 class TestNonFiniteLambdaRejection:
     """Regression: nan/inf λ reached the store and minted un-reloadable files."""
@@ -723,32 +737,42 @@ class TestFrontierOverflow:
     """A delta child whose frontier outgrows ``max_frontier_fraction · n``
     at round t keeps the t - 1 exact rows the frontier rounds made and runs
     only the T - t + 1 rounds after them in full, on every trajectory
-    engine, bit-identically to a cold solve."""
+    engine, in RAM or spilled to a store's ``.traj``, bit-identically to a
+    cold solve."""
 
     ROUNDS = 8
 
     @staticmethod
-    def _child(graph, engine):
+    def _child(graph, engine, store=None):
         from repro.graph.delta import GraphDelta
 
         edges = [(u, v) for u, v, _ in graph.edges()]
-        root = Session(graph, engine=engine)
+        root = Session(graph, engine=engine, store=store)
         root.coreness(rounds=TestFrontierOverflow.ROUNDS)
         return root.apply_delta(
             GraphDelta(remove_edges=[edges[0]],
                        set_weights=[(*edges[1], 2.0)]),
             max_frontier_fraction=0.05)
 
-    @pytest.mark.parametrize("engine", ["vectorized", "sharded:3",
-                                        "sharded:shards=3,traj=mmap"])
+    @pytest.mark.parametrize("engine, spill", [
+        ("vectorized", False), ("sharded:3", False), ("sharded:3", True)],
+        ids=["vectorized", "sharded:3", "spilled-sharded:3"])
     @pytest.mark.parametrize("nodes, attach, seed, overflow", [
         (300, 3, 3, 2), (600, 1, 4, 5)])
     def test_full_rounds_resume_after_the_frontier_rows(
-            self, engine, nodes, attach, seed, overflow):
+            self, engine, spill, nodes, attach, seed, overflow, tmp_path,
+            monkeypatch):
+        import repro.session as session_module
         from repro.graph.generators.random_graphs import barabasi_albert
         from repro.obs import trace as obs_trace
+        from repro.store import ArtifactStore
 
-        child = self._child(barabasi_albert(nodes, attach, seed=seed), engine)
+        store = None
+        if spill:  # every trajectory appended to the store's .traj
+            monkeypatch.setattr(session_module, "SPILL_BYTES", 0)
+            store = ArtifactStore(tmp_path / "store")
+        child = self._child(barabasi_albert(nodes, attach, seed=seed), engine,
+                            store)
         tracer = obs_trace.enable()
         try:
             answer = child.coreness(rounds=self.ROUNDS)
@@ -768,3 +792,4 @@ class TestFrontierOverflow:
         assert answer.surviving.trajectory.tobytes() == \
             cold.surviving.trajectory.tobytes()
         assert answer.values.array.tobytes() == cold.values.array.tobytes()
+        assert isinstance(answer.surviving.trajectory, np.memmap) == spill

@@ -10,11 +10,14 @@ so equality is exact, not approximate).
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
 from test_engine_equivalence import CORPUS
 
+import repro.session as session_module
 from repro.core.api import approximate_coreness, approximate_orientation
 from repro.graph.generators.random_graphs import barabasi_albert
 from repro.session import Session
@@ -25,16 +28,43 @@ from repro.store.traj import HEADER_NAME, traj_dir
 #: layer while the full corpus stays with the per-engine kernel suite.
 SUITE = CORPUS[::4]
 
+#: Prefix of a spilled row: ``spill:<spec>`` runs ``<spec>`` in a
+#: store-backed session (a fresh store per session unless the test passes
+#: one) with :data:`repro.session.SPILL_BYTES` patched to 0.
+SPILL = "spill:"
+
 ENGINES = ("vectorized", "sharded:3", "faithful",
            "sharded:shards=3,workers=2",
-           # Out-of-core output: the trajectory itself is appended to an
-           # on-disk .traj buffer (see repro.store.traj) instead of being
-           # held as one (T+1) x n allocation, from threaded shards and from
-           # sequential ones; with a store (the restart matrix below) it is
-           # the store's own file — cold, warm and restarted requests must
-           # stay bit-identical to the in-memory engines.
-           "sharded:shards=3,workers=2,traj=mmap",
-           "sharded:shards=3,traj=mmap")
+           # Out-of-core output: the trajectory itself is appended to the
+           # store's on-disk .traj file (see repro.store.traj) instead of
+           # being held as one (T+1) x n allocation, by whole-graph kernels,
+           # threaded shards and sequential ones — cold, warm, restarted and
+           # delta requests must stay bit-identical to in-memory sessions.
+           SPILL + "vectorized",
+           SPILL + "sharded:shards=3,workers=2",
+           SPILL + "sharded:shards=3")
+
+
+def _spec(engine: str) -> str:
+    """The engine spec of an :data:`ENGINES` row."""
+    return engine[len(SPILL):] if engine.startswith(SPILL) else engine
+
+
+@pytest.fixture
+def open_session(tmp_path, monkeypatch):
+    """``open_session(graph, engine, **options)``: a :class:`Session` on an
+    :data:`ENGINES` row; a spilled row is store-backed and spills every
+    trajectory."""
+    stores = itertools.count()
+
+    def open_(graph, engine, **options):
+        if engine.startswith(SPILL):
+            monkeypatch.setattr(session_module, "SPILL_BYTES", 0)
+            options.setdefault("store", ArtifactStore(
+                tmp_path / f"spill-{next(stores)}"))
+        return Session(graph, engine=_spec(engine), **options)
+
+    return open_
 
 
 def _skip_if_faithful_cannot_run(engine, graph):
@@ -45,20 +75,23 @@ def _skip_if_faithful_cannot_run(engine, graph):
 class TestSessionMatchesFreeFunctions:
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("graph, rounds", SUITE)
-    def test_cold_warm_and_resumed_coreness_identical(self, graph, rounds, engine):
+    def test_cold_warm_and_resumed_coreness_identical(self, graph, rounds, engine,
+                                                      open_session):
         _skip_if_faithful_cannot_run(engine, graph)
-        free = approximate_coreness(graph, rounds=rounds, engine=engine)
+        free = approximate_coreness(graph, rounds=rounds, engine=_spec(engine))
 
-        cold = Session(graph, engine=engine).coreness(rounds=rounds)
+        cold = open_session(graph, engine).coreness(rounds=rounds)
         assert cold.values == free.values
+        if engine.startswith(SPILL):
+            assert isinstance(cold.surviving.trajectory, np.memmap)
 
-        session = Session(graph, engine=engine)
+        session = open_session(graph, engine)
         warm_first = session.coreness(rounds=rounds)
         warm_second = session.coreness(rounds=rounds)
         assert warm_first.values == free.values
         assert warm_second is warm_first  # served from the request cache
 
-        resumed_session = Session(graph, engine=engine)
+        resumed_session = open_session(graph, engine)
         resumed_session.coreness(rounds=max(1, rounds - 1))
         resumed = resumed_session.coreness(rounds=rounds)
         assert resumed.values == free.values
@@ -68,11 +101,12 @@ class TestSessionMatchesFreeFunctions:
 
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("graph, rounds", SUITE)
-    def test_cold_warm_and_resumed_orientation_identical(self, graph, rounds, engine):
+    def test_cold_warm_and_resumed_orientation_identical(self, graph, rounds,
+                                                         engine, open_session):
         _skip_if_faithful_cannot_run(engine, graph)
-        free = approximate_orientation(graph, rounds=rounds, engine=engine)
+        free = approximate_orientation(graph, rounds=rounds, engine=_spec(engine))
 
-        cold = Session(graph, engine=engine).orientation(rounds=rounds)
+        cold = open_session(graph, engine).orientation(rounds=rounds)
         assert cold.values == free.values
         assert cold.surviving.kept == free.surviving.kept
         assert cold.orientation.assignment == free.orientation.assignment
@@ -80,7 +114,7 @@ class TestSessionMatchesFreeFunctions:
 
         # Resume: a coreness request first, then the orientation replays the
         # kept sets from the (possibly extended) cached trajectory.
-        session = Session(graph, engine=engine)
+        session = open_session(graph, engine)
         session.coreness(rounds=max(1, rounds - 1))
         resumed = session.orientation(rounds=rounds)
         assert resumed.orientation.assignment == free.orientation.assignment
@@ -108,17 +142,18 @@ class TestStoreRestartMatrix:
 
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("graph, rounds", SUITE[::2])
-    def test_cold_warm_restart_identical(self, graph, rounds, engine, tmp_path):
+    def test_cold_warm_restart_identical(self, graph, rounds, engine, tmp_path,
+                                         open_session):
         _skip_if_faithful_cannot_run(engine, graph)
         store = ArtifactStore(tmp_path / "store")
 
-        first_session = Session(graph, engine=engine, store=store)
+        first_session = open_session(graph, engine, store=store)
         cold = first_session.orientation(rounds=rounds)
         warm = first_session.orientation(rounds=rounds)   # in-process warm path
         assert warm is cold
         assert first_session.stats.disk_writes >= 1
 
-        restarted = Session(graph, engine=engine, store=store)
+        restarted = open_session(graph, engine, store=store)
         served = restarted.orientation(rounds=rounds)
         assert served.values == warm.values
         assert served.surviving.kept == warm.surviving.kept
@@ -135,11 +170,12 @@ class TestStoreRestartMatrix:
 
     @pytest.mark.parametrize("engine", [e for e in ENGINES if e != "faithful"])
     def test_stored_prefix_warm_starts_longer_budget(self, engine, tmp_path,
-                                                     two_communities):
+                                                     two_communities,
+                                                     open_session):
         store = ArtifactStore(tmp_path / "store")
-        Session(two_communities, engine=engine, store=store).coreness(rounds=8)
+        open_session(two_communities, engine, store=store).coreness(rounds=8)
 
-        restarted = Session(two_communities, engine=engine, store=store)
+        restarted = open_session(two_communities, engine, store=store)
         resumed = restarted.coreness(rounds=32)
         assert restarted.stats.disk_hits == 1
         assert restarted.stats.rounds_reused == 8
@@ -148,7 +184,7 @@ class TestStoreRestartMatrix:
         # ... and the extended trajectory went back to disk.
         assert restarted.stats.disk_writes == 1
 
-        fresh = Session(two_communities, engine=engine).coreness(rounds=32)
+        fresh = Session(two_communities, engine=_spec(engine)).coreness(rounds=32)
         assert resumed.values == fresh.values
         assert np.array_equal(resumed.surviving.trajectory,
                               fresh.surviving.trajectory)
@@ -304,7 +340,8 @@ class TestDeltaEquivalence:
 
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("graph, rounds", SUITE[::2])
-    def test_incremental_matches_cold_solve(self, graph, rounds, engine):
+    def test_incremental_matches_cold_solve(self, graph, rounds, engine,
+                                            open_session):
         from repro.graph import apply_delta
         _skip_if_faithful_cannot_run(engine, graph)
         if graph.num_nodes < 4 or graph.num_edges < 2:
@@ -312,12 +349,14 @@ class TestDeltaEquivalence:
         delta = _mutation_for(graph)
         mutated = apply_delta(graph, delta)
 
-        parent = Session(graph, engine=engine)
+        parent = open_session(graph, engine)
         parent.coreness(rounds=rounds)
         child = parent.apply_delta(delta, max_frontier_fraction=1.0)
         incremental = child.coreness(rounds=rounds)
+        if engine.startswith(SPILL):
+            assert isinstance(incremental.surviving.trajectory, np.memmap)
 
-        cold = Session(mutated, engine=engine).coreness(rounds=rounds)
+        cold = open_session(mutated, engine).coreness(rounds=rounds)
         assert incremental.values == cold.values
         if incremental.surviving.trajectory is not None:
             assert np.array_equal(incremental.surviving.trajectory,
@@ -330,10 +369,11 @@ class TestDeltaEquivalence:
             assert child.stats.incremental_runs == 0
 
     @pytest.mark.parametrize("engine", [e for e in ENGINES if e != "faithful"])
-    def test_fallback_path_is_bit_identical(self, engine, two_communities):
+    def test_fallback_path_is_bit_identical(self, engine, two_communities,
+                                            open_session):
         from repro.graph import apply_delta
         delta = _mutation_for(two_communities)
-        parent = Session(two_communities, engine=engine)
+        parent = open_session(two_communities, engine)
         parent.coreness(rounds=6)
         # fraction 0: the frontier limit is 0 nodes, so every delta falls back.
         child = parent.apply_delta(delta, max_frontier_fraction=0.0)
@@ -341,7 +381,7 @@ class TestDeltaEquivalence:
         assert child.stats.incremental_fallbacks == 1
         assert child.stats.incremental_runs == 0
         cold = Session(apply_delta(two_communities, delta),
-                       engine=engine).coreness(rounds=6)
+                       engine=_spec(engine)).coreness(rounds=6)
         assert fell_back.values == cold.values
 
     def test_orientation_through_delta_matches_cold(self, two_communities):
@@ -357,14 +397,14 @@ class TestDeltaEquivalence:
         assert incremental.orientation.in_weight == cold.orientation.in_weight
 
     @pytest.mark.parametrize("engine", ("vectorized", "sharded:3",
-                                        "sharded:shards=3,traj=mmap"))
+                                        SPILL + "sharded:shards=3"))
     def test_restart_along_lineage_chain(self, engine, tmp_path,
-                                         two_communities):
+                                         two_communities, open_session):
         from repro.graph import apply_delta, chain_fingerprint
         store = ArtifactStore(tmp_path / "store")
         delta = _mutation_for(two_communities)
 
-        parent = Session(two_communities, engine=engine, store=store)
+        parent = open_session(two_communities, engine, store=store)
         parent.coreness(rounds=6)
         child = parent.apply_delta(delta, max_frontier_fraction=1.0)
         first = child.coreness(rounds=6)
@@ -378,7 +418,7 @@ class TestDeltaEquivalence:
 
         # Restart: replaying the delta on a fresh parent session over the same
         # store serves the child's solve from disk, bit-identically.
-        parent2 = Session(two_communities, engine=engine, store=store)
+        parent2 = open_session(two_communities, engine, store=store)
         child2 = parent2.apply_delta(delta, max_frontier_fraction=1.0)
         assert child2.chain_fingerprint == child.chain_fingerprint
         served = child2.coreness(rounds=6)
@@ -390,7 +430,7 @@ class TestDeltaEquivalence:
 
         # ... and a cold session on the mutated graph (no lineage) agrees too.
         cold = Session(apply_delta(two_communities, delta),
-                       engine=engine).coreness(rounds=6)
+                       engine=_spec(engine)).coreness(rounds=6)
         assert served.values == cold.values
 
     def test_chained_deltas_grandchild_matches_cold(self, two_communities):
