@@ -16,8 +16,8 @@ The package is organised as:
 * :mod:`repro.serve`     — async job submission (futures, in-flight dedup, bounded
   backpressure) over sessions and the batch runner;
 * :mod:`repro.baselines` — exact/centralized and distributed comparator algorithms;
-* :mod:`repro.analysis`  — approximation-ratio metrics, invariant checks, experiment
-  harness shared by the benchmarks.
+* :mod:`repro.analysis`  — approximation-ratio metrics, invariant checks and the
+  experiment runners the tests assert on.
 
 Quick start
 -----------

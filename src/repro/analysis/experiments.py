@@ -1,11 +1,11 @@
-"""Experiment runners shared by the benchmark harness and EXPERIMENTS.md.
+"""Experiment runners behind ``tests/test_experiments_and_integration.py``.
 
-Each ``experiment_*`` / ``ablation_*`` function runs one experiment of the
-per-experiment index in DESIGN.md §4 and returns a list of dict records (one per
-table row).  The benchmarks in ``benchmarks/`` call these functions, time their
-core computation with ``pytest-benchmark`` and print the rows with
-:func:`repro.analysis.tables.format_records`; the EXPERIMENTS.md tables are the
-printed output of exactly these functions.
+Each ``experiment_*`` / ``ablation_*`` function runs one of the paper's
+experiments (E2, E5, E6, E8) or ablations (A1, A2) and returns a list of dict
+records, one per table row; :func:`repro.analysis.tables.format_records`
+prints them.  The tests assert on the rows.  The claims that need no table
+(E1, E3, E4 and E7) are asserted directly on :class:`~repro.session.Session`
+and the exact baselines in ``tests/test_paper_claims.py``.
 
 All runners are deterministic (fixed dataset seeds, no wall-clock dependence in the
 reported numbers).
@@ -14,84 +14,30 @@ reported numbers).
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 from repro import obs
 
 from repro.analysis.convergence import convergence_trace, values_at_round
 from repro.analysis.invariants import check_orientation_invariants
 from repro.analysis.ratios import summarize_ratios
-from repro.baselines.bahmani import bahmani_densest_subset
-from repro.baselines.barenboim_elkin import h_partition_orientation, two_phase_orientation
-from repro.baselines.charikar import charikar_peeling
-from repro.baselines.density_decomposition import maximal_densities
 from repro.baselines.exact_kcore import coreness
-from repro.baselines.exact_orientation import (
-    exact_orientation_unweighted,
-    greedy_orientation,
-    lp_lower_bound,
-)
-from repro.baselines.frank_wolfe import frank_wolfe_densities
-from repro.baselines.goldberg import maximum_density
-from repro.baselines.montresor import montresor_kcore
-from repro.baselines.sarma import sarma_densest_subset
+from repro.baselines.exact_orientation import lp_lower_bound
 from repro.core.orientation import orientation_from_kept
-from repro.core.rounds import guarantee_after_rounds, rounds_for_epsilon
+from repro.core.rounds import rounds_for_epsilon
 from repro.core.surviving import run_compact_elimination
 from repro.graph.datasets import load_dataset
 from repro.session import Session
 from repro.graph.generators.lowerbound import figure1_triple, lemma313_pair
-from repro.graph.generators.random_graphs import barabasi_albert, erdos_renyi_gnm
+from repro.graph.generators.random_graphs import barabasi_albert
 from repro.graph.graph import Graph
-from repro.graph.properties import hop_diameter
 
-#: Datasets small enough for the exact flow-based maximal-density decomposition.
-_EXACT_DENSITY_EDGE_LIMIT = 2000
-
-#: Default dataset suites per experiment "size".
+#: The datasets of the E1, E2, E3 and E7 tables.
 SMALL_SUITE = ("collab-small", "communities", "caveman", "road-grid")
-MEDIUM_SUITE = ("collab-small", "communities", "caveman", "social-ba", "p2p-sparse")
 
 
 def _dataset_graphs(names: Iterable[str], *, weighted: bool = False) -> Dict[str, Graph]:
     return {name: load_dataset(name, weighted=weighted) for name in names}
-
-
-# --------------------------------------------------------------------------- E1
-def experiment_e1_convergence(dataset_names: Sequence[str] = SMALL_SUITE, *,
-                              max_rounds: int = 12) -> List[dict]:
-    """E1 — approximation ratio of the surviving numbers vs number of rounds.
-
-    Reference quantities: exact coreness (always) and maximal density (exact for
-    small graphs, Frank–Wolfe estimate otherwise — flagged in the ``r_reference``
-    column).  This reproduces the §V claim that the worst-node ratio reaches ~2 well
-    before the worst-case bound ``2·n^(1/T)`` suggests.
-    """
-    rows: List[dict] = []
-    for name, graph in _dataset_graphs(dataset_names).items():
-        exact_core = coreness(graph)
-        if graph.num_edges <= _EXACT_DENSITY_EDGE_LIMIT:
-            r_values = maximal_densities(graph)
-            r_reference = "exact"
-        else:
-            r_values = frank_wolfe_densities(graph, iterations=200).loads
-            r_reference = "frank-wolfe"
-        session = Session(graph)  # one CSR/trajectory shared by every budget below
-        trace_core = convergence_trace(graph, exact_core, max_rounds=max_rounds,
-                                       reference_name="coreness", session=session)
-        for row in trace_core.rows:
-            estimates = values_at_round(graph, row.rounds, session=session)
-            r_summary = summarize_ratios(estimates, r_values)
-            rows.append({
-                "dataset": name,
-                "rounds": row.rounds,
-                "guarantee_2n^(1/T)": row.theoretical_guarantee,
-                "max_ratio_vs_coreness": row.max_ratio,
-                "mean_ratio_vs_coreness": row.mean_ratio,
-                "max_ratio_vs_maximal_density": r_summary.max,
-                "r_reference": r_reference,
-            })
-    return rows
 
 
 # --------------------------------------------------------------------------- E2
@@ -116,62 +62,6 @@ def experiment_e2_bound_tightness(dataset_names: Sequence[str] = SMALL_SUITE, *,
             "max_ratio_at_theory_rounds": at_theory.max_ratio,
             "guarantee_at_theory_rounds": at_theory.theoretical_guarantee,
             "bound_respected": at_theory.max_ratio <= at_theory.theoretical_guarantee + 1e-9,
-        })
-    return rows
-
-
-# --------------------------------------------------------------------------- E3
-def experiment_e3_orientation(dataset_names: Sequence[str] = SMALL_SUITE, *,
-                              epsilon: float = 0.5, weighted: bool = True) -> List[dict]:
-    """E3 — min-max orientation quality of ours vs the LP bound and the baselines."""
-    rows: List[dict] = []
-    for name, graph in _dataset_graphs(dataset_names, weighted=weighted).items():
-        ours = Session(graph).orientation(epsilon=epsilon)
-        rho_star = lp_lower_bound(graph)
-        greedy = greedy_orientation(graph)
-        two_phase = two_phase_orientation(graph, epsilon=epsilon)
-        ideal = h_partition_orientation(graph, rho_star, epsilon=epsilon)
-        exact_value: Optional[float] = None
-        if graph.is_unit_weighted():
-            exact_value = exact_orientation_unweighted(graph).max_in_weight
-        rows.append({
-            "dataset": name,
-            "weighted": weighted,
-            "rho_star(LP bound)": rho_star,
-            "ours_max_in_degree": ours.max_in_weight,
-            "ours_ratio_vs_LP": ours.max_in_weight / rho_star if rho_star > 0 else math.inf,
-            "ours_guarantee": ours.guarantee,
-            "rounds": ours.rounds,
-            "greedy_max_in_degree": greedy.max_in_weight,
-            "two_phase_max_in_degree": two_phase.max_in_weight,
-            "ideal_h_partition": ideal.max_in_weight,
-            "exact_unweighted": exact_value if exact_value is not None else "n/a",
-        })
-    return rows
-
-
-# --------------------------------------------------------------------------- E4
-def experiment_e4_densest(dataset_names: Sequence[str] = SMALL_SUITE, *,
-                          epsilon: float = 1.0) -> List[dict]:
-    """E4 — weak densest subset quality vs ρ*, Charikar and Bahmani."""
-    rows: List[dict] = []
-    for name, graph in _dataset_graphs(dataset_names).items():
-        result = Session(graph).densest(epsilon=epsilon)
-        rho_star = maximum_density(graph)
-        charikar = charikar_peeling(graph)
-        bahmani = bahmani_densest_subset(graph, epsilon=epsilon)
-        rows.append({
-            "dataset": name,
-            "rho_star": rho_star,
-            "ours_best_density": result.best_density,
-            "ours_ratio(rho*/density)": rho_star / result.best_density
-            if result.best_density > 0 else math.inf,
-            "required_ratio(gamma)": result.gamma,
-            "num_subsets": len(result.subsets),
-            "rounds_total": result.rounds_total,
-            "charikar_density": charikar.density,
-            "bahmani_density": bahmani.density,
-            "subsets_disjoint": result.subsets_are_disjoint(),
         })
     return rows
 
@@ -248,36 +138,6 @@ def experiment_e6_lower_bound(*, cycle_nodes: int = 64,
                 "coreness_root_clique": float(gamma),
                 "distinguishable": abs(tree_value - clique_value) > 1e-12,
             })
-    return rows
-
-
-# --------------------------------------------------------------------------- E7
-def experiment_e7_baselines(dataset_names: Sequence[str] = SMALL_SUITE, *,
-                            epsilon: float = 1.0) -> List[dict]:
-    """E7 — round complexity and quality vs the distributed comparators."""
-    rows: List[dict] = []
-    for name, graph in _dataset_graphs(dataset_names).items():
-        exact_core = coreness(graph)
-        session = Session(graph)  # coreness + densest share one graph's session
-        ours = session.coreness(epsilon=epsilon)
-        ours_summary = summarize_ratios(ours.values, exact_core)
-        montresor = montresor_kcore(graph)
-        sarma = sarma_densest_subset(graph, epsilon=epsilon, exact_diameter=False)
-        densest = session.densest(epsilon=epsilon)
-        rho_star = maximum_density(graph) if graph.num_edges <= _EXACT_DENSITY_EDGE_LIMIT \
-            else charikar_peeling(graph).density
-        rows.append({
-            "dataset": name,
-            "diameter": hop_diameter(graph, exact=False),
-            "ours_rounds(coreness)": ours.rounds,
-            "ours_max_ratio": ours_summary.max,
-            "montresor_rounds(exact)": montresor.rounds_to_convergence,
-            "ours_densest_rounds": densest.rounds_total,
-            "sarma_rounds(diameter-bound)": sarma.rounds,
-            "ours_densest_density": densest.best_density,
-            "sarma_density": sarma.density,
-            "rho_star(or 2-approx)": rho_star,
-        })
     return rows
 
 

@@ -1,7 +1,7 @@
 """Checks of the paper's invariants and theorem statements.
 
 These are used by the tests (including the hypothesis property tests) and by the
-ablation benchmarks; each check returns a small report object rather than raising,
+A1 tie-break ablation; each check returns a small report object rather than raising,
 so the ablations can *measure* how often an invariant breaks when the algorithm is
 deliberately weakened.
 """

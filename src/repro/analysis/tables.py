@@ -1,7 +1,7 @@
 """Plain-text table formatting for experiment output.
 
-The benchmark harness prints its tables with these helpers so that the rows reported
-in EXPERIMENTS.md can be regenerated verbatim by running the benchmarks.
+The experiment runners of :mod:`repro.analysis.experiments` return dict records;
+:func:`format_records` prints them as one aligned table.
 """
 
 from __future__ import annotations

@@ -15,8 +15,8 @@ Algorithm 6 line 10 reads "if ``b_max >= b_v``".  Taken literally this contradic
 Lemma IV.4 / Corollary IV.5 — even for a clique the best achievable density is about
 ``b_v / 2``, so the root would never report anything.  We implement the condition
 the analysis supports, ``b_max >= b_v / γ`` (with ``γ = 2·n^(1/T)`` the Phase-1
-guarantee), and flag the deviation here and in DESIGN.md.  Setting
-``acceptance_factor`` to 1 restores the literal behaviour for ablation purposes.
+guarantee), and flag the deviation here.  Setting ``acceptance_factor`` to 1
+restores the literal behaviour for ablation purposes.
 """
 
 from __future__ import annotations

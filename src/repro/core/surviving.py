@@ -65,11 +65,10 @@ class CompactEliminationProtocol(NodeProtocol):
         super().__init__(context)
         if tie_break not in TIE_BREAK_RULES:
             raise AlgorithmError(f"unknown tie_break rule {tie_break!r}; expected one of {TIE_BREAK_RULES}")
-        if track_kept and not grid.is_exact and tie_break == "history":
-            # Lemma III.11 requires Λ = R for the orientation invariants; tracking the
-            # subsets under rounding is still allowed (the A1/E5 ablations measure the
-            # degradation), so this is not an error — only the guarantee is void.
-            pass
+        # Lemma III.11 requires Λ = R for the orientation invariants.  Tracking
+        # the subsets under rounding is still allowed (the A1/E5 ablations
+        # measure the degradation), so it is not an error; only the guarantee
+        # is void.
         self.grid = grid
         self.tie_break = tie_break
         self.track_kept = track_kept

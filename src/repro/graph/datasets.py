@@ -23,9 +23,9 @@ Every entry is deterministic (fixed seed) so experiment tables are reproducible.
 ``load_dataset(name, weighted=...)`` optionally layers integer weights on top, which
 is the regime used by the weighted experiments (E3, E5).
 
-The substitution is documented in DESIGN.md §5: the paper's empirical claim concerns
-the convergence speed of the peeling process on skewed-degree, community-structured
-graphs, which these models reproduce.
+The substitution keeps what the paper's empirical claim is about: the convergence
+speed of the peeling process on skewed-degree, community-structured graphs, which
+these models reproduce.
 """
 
 from __future__ import annotations

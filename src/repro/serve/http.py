@@ -103,6 +103,7 @@ from repro.errors import (
     AlgorithmError,
     GraphError,
     PayloadTooLargeError,
+    QueueFullError,
     QuotaExceededError,
     ReproError,
     ServeError,
@@ -155,8 +156,7 @@ _JOB_FIELDS = {
 _STATUS_BY_ERROR = {
     PayloadTooLargeError: 413,
     QuotaExceededError: 429,
-    # QueueFullError maps through ServeError's MRO entry below? No — it needs
-    # 429, not 503, so it gets its own row.
+    QueueFullError: 429,     # a ServeError, but backpressure is not a 503
     UnknownResourceError: 404,
     WireFormatError: 400,
     AlgorithmError: 400,
@@ -165,10 +165,6 @@ _STATUS_BY_ERROR = {
     ServeError: 503,
     ReproError: 500,
 }
-# QueueFullError imported lazily into the table to keep the import list tidy.
-from repro.errors import QueueFullError  # noqa: E402  (table completeness)
-
-_STATUS_BY_ERROR[QueueFullError] = 429
 
 
 def _status_for(exc: ReproError) -> int:

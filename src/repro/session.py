@@ -34,7 +34,8 @@ amortisation trade); long-lived servers can bound the result caches with
 process restarts: trajectories are reloaded from disk and resumed
 bit-identically.  :attr:`Session.stats` counts builds, hits, resumes, disk
 traffic and the executed/reused round split, which is what the cache-reuse
-tests and ``scripts/bench_session.py`` observe.
+tests and the warm-session timing test in ``tests/test_engine_bench.py``
+observe.
 """
 
 from __future__ import annotations

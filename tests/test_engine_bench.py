@@ -4,8 +4,8 @@ Run with ``python -m pytest -m bench`` (see pytest.ini).  Each test pins that
 a fast path beats its slower twin on graphs small enough to run anywhere:
 the sharded engine against vectorized, the batched kept-set reconstruction
 against the per-node reference loop, the array densest pipeline against
-the faithful simulator, and a delta child's spliced CSR view against a full
-build.
+the faithful simulator, a delta child's spliced CSR view against a full
+build, and one warm Session against a cold Session per request.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import pytest
 
 from repro.engine import get_engine
 from repro.graph.generators.random_graphs import barabasi_albert, erdos_renyi_gnp
+from repro.session import Session
 
 
 def _small_graphs():
@@ -111,3 +112,33 @@ def test_spliced_child_view_beats_a_full_build():
                                             touched=touched), repeats=5)
     assert 5.0 * spliced <= full, \
         f"spliced {spliced * 1e3:.2f} ms vs full build {full * 1e3:.2f} ms"
+
+
+@pytest.mark.bench
+def test_warm_session_beats_a_cold_session_per_request():
+    """50 mixed requests against one 10k-node graph, the serving shape the
+    session is built for.  Cold opens a fresh Session per request, so every
+    request rebuilds the CSR view and reruns every round; warm answers all
+    of them from one Session, through its request cache, its memoised grids
+    and resumed trajectory prefixes.  Each warm answer must equal its cold
+    one, and warm must be at least 2x faster."""
+    graph = barabasi_albert(10_000, 3, seed=99)
+    budgets = (4, 6, 8, 10)
+    cycle = [("coreness", {"rounds": t}) for t in budgets]
+    cycle.append(("coreness", {"rounds": max(budgets), "lam": 0.1}))
+    cycle.append(("orientation", {"rounds": max(budgets)}))
+    workload = [cycle[i % len(cycle)] for i in range(50)]
+
+    start = time.perf_counter()
+    cold = [Session(graph).solve(problem, **params)
+            for problem, params in workload]
+    cold_seconds = time.perf_counter() - start
+    session = Session(graph)
+    start = time.perf_counter()
+    warm = [session.solve(problem, **params) for problem, params in workload]
+    warm_seconds = time.perf_counter() - start
+
+    for (problem, params), c, w in zip(workload, cold, warm):
+        assert w.to_dict() == c.to_dict(), (problem, params)
+    assert cold_seconds >= 2.0 * warm_seconds, \
+        f"cold {cold_seconds:.2f}s vs warm {warm_seconds:.2f}s"

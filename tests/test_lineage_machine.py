@@ -13,13 +13,24 @@ store-backed version appends its larger trajectories to the shared store's
 ``.traj`` files as they are computed (beside the server's appends) and keeps
 its smaller ones in RAM.  Every run starts one stored chain whose child is
 solved by frontier above the threshold, and fails unless some spilled
-version was frontier-solved.  After every step:
+version was frontier-solved.  Two rules act on held plain versions: one
+writes in place (an added, re-weighted or removed edge) to the graph of a
+version no held version derives from, or to a ``copy.copy`` of it, on a row
+that graph shares copy-on-write with another held version, and replaces the
+version's session with a fresh one on the written graph; the other opens
+``Session(version.graph, store=same)`` on a stored version and must answer
+from disk.  After every step:
 
 * every answer equals a cold ``vectorized`` solve of its version's graph:
   the answer's JSON, the trajectory rows and, for orientations, the
   in-weights (part of that JSON); a stored plain version whose trajectory
   reaches the threshold maps its own ``.traj`` file, frontier re-solves
   included;
+* a write to one graph leaves every other held version's
+  ``graph_fingerprint`` as it was, and a fresh session on the written graph
+  answers as a cold solve does;
+* a restarted stored version answers bit-identically to the version, with a
+  disk hit and no round executed, at a λ the version solved;
 * every server record's content fingerprint equals ``graph_fingerprint`` of
   its graph, which equals the graph the machine derived on its own;
 * a delta POST answers ``chain_fingerprint(parent, delta)``, and a replayed
@@ -63,7 +74,8 @@ _WEIGHTS = st.sampled_from((0.25, 0.5, 1.0, 2.0, 3.0))
 _PROBLEMS = st.sampled_from(("coreness", "orientation"))
 #: Few budgets and two λ, so versions of a chain meet requests their
 #: parents have answered (the frontier re-solve's precondition).
-_ROUNDS = st.sampled_from((2, 4, 7))
+_BUDGETS = (2, 4, 7)
+_ROUNDS = st.sampled_from(_BUDGETS)
 _LAMS = st.sampled_from((0.0, 0.5))
 #: Engines a plain chain runs on; every one must answer as cold vectorized.
 _ENGINES = st.sampled_from(("vectorized", "sharded:3",
@@ -73,7 +85,7 @@ _ENGINES = st.sampled_from(("vectorized", "sharded:3",
 #: ``(T + 1) · n ≥ 40`` (T = 7 from 5 nodes, T = 4 from 8, T = 2 from 14).
 SPILL_AT = 40 * 8
 
-#: What the plain checks saw across one run of the machine.
+#: What the plain checks and the write and restart rules saw across one run.
 _SEEN = Counter()
 
 
@@ -107,6 +119,16 @@ def _draw_delta(data, graph: Graph) -> GraphDelta:
                       add_edges=data.draw(edits))
 
 
+def _derives_from(session: Session, ancestor: Session) -> bool:
+    """Whether ``ancestor`` is on ``session``'s chain of live parents."""
+    parent = session.parent
+    while parent is not None:
+        if parent is ancestor:
+            return True
+        parent = parent.parent
+    return False
+
+
 def _cold(graph: Graph, problem: str, rounds: int, lam: float):
     params = {"rounds": rounds}
     if problem == "coreness":
@@ -127,6 +149,8 @@ class LineageMachine(RuleBasedStateMachine):
         self.uploads, self.history = [], []
         #: plain Session versions the machine still holds
         self.plain = []
+        #: id of a held stored plain version -> {λ: largest T it solved}
+        self.solved = {}
         self.server = self._open_server()
         self.totals = {}
 
@@ -271,8 +295,7 @@ class LineageMachine(RuleBasedStateMachine):
         self._plain(data.draw(_newest_first(self.plain)), problem, rounds,
                     lam)
 
-    @staticmethod
-    def _plain(session, problem, rounds, lam):
+    def _plain(self, session, problem, rounds, lam):
         frontier_runs = session.stats.incremental_runs
         if problem == "orientation":
             lam = 0.0
@@ -293,12 +316,99 @@ class LineageMachine(RuleBasedStateMachine):
                 session.store.root, session.fingerprint, lam))
             if session.stats.incremental_runs > frontier_runs:
                 _SEEN["spilled frontier"] += 1
+        if session.store is not None:
+            solved = self.solved.setdefault(id(session), {})
+            solved[lam] = max(rounds, solved.get(lam, 0))
+        return answer
+
+    def _writable(self):
+        """``(version, nodes)`` pairs: a held version no held version
+        derives from, and the nodes whose rows its graph shares
+        copy-on-write with another held version's graph."""
+        pairs = []
+        for session in self.plain:
+            if any(_derives_from(other, session) for other in self.plain):
+                continue
+            rows = session.graph.neighbor_weights
+            shared = [v for v in session.graph.nodes() if any(
+                other is not session and other.graph.has_node(v) and
+                other.graph.neighbor_weights(v) is rows(v)
+                for other in self.plain)]
+            if shared:
+                pairs.append((session, shared))
+        return pairs
+
+    @precondition(lambda self: self._writable())
+    @rule(data=st.data(), through_copy=st.booleans(), weight=_WEIGHTS,
+          problem=_PROBLEMS, rounds=_ROUNDS, lam=_LAMS)
+    def write_in_place(self, data, through_copy, weight, problem, rounds,
+                       lam):
+        """Add, re-weight or remove an edge at a shared row, in place, in a
+        version's graph or in a ``copy.copy`` of it; a fresh Session on the
+        written graph then replaces the version's."""
+        version, shared = data.draw(st.sampled_from(self._writable()))
+        graph = copy.copy(version.graph) if through_copy else version.graph
+        untouched = [s.graph for s in self.plain if s is not version]
+        if through_copy:
+            untouched.append(version.graph)
+        before = [graph_fingerprint(g) for g in untouched]
+        node = data.draw(st.sampled_from(shared))
+        neighbors = sorted(graph.neighbors(node))
+        strangers = [v for v in graph.nodes()
+                     if v != node and v not in graph.neighbor_weights(node)]
+        edit = data.draw(st.sampled_from(
+            (["add"] if strangers else []) +
+            (["reweight", "remove"] if neighbors else [])))
+        partner = data.draw(st.sampled_from(
+            strangers if edit == "add" else neighbors))
+        u, v = (node, partner) if data.draw(st.booleans()) else (partner, node)
+        if edit == "remove":
+            graph.remove_edge(u, v)
+        else:               # a second add_edge accumulates: a re-weight
+            graph.add_edge(u, v, weight)
+        assert [graph_fingerprint(g) for g in untouched] == before
+        fresh = Session(graph, engine=version.engine, store=version.store)
+        self.plain[self.plain.index(version)] = fresh
+        self.solved.pop(id(version), None)
+        self._plain(fresh, problem, rounds, lam)
+        _SEEN["write through copy" if through_copy else "write"] += 1
+
+    @precondition(lambda self: self.solved)
+    @rule(data=st.data(), engine=_ENGINES)
+    def restart_stored(self, data, engine):
+        """``Session(version.graph, store=same)`` on a held stored version
+        answers as the version does, from disk, at a λ the version solved
+        (orientation only at λ = 0)."""
+        version = data.draw(_newest_first(
+            s for s in self.plain if id(s) in self.solved))
+        solved = self.solved[id(version)]
+        lam = data.draw(st.sampled_from(sorted(solved)))
+        rounds = data.draw(st.sampled_from(
+            [t for t in _BUDGETS if t <= solved[lam]]))
+        problem = data.draw(st.sampled_from(
+            ("coreness", "orientation") if lam == 0.0 else ("coreness",)))
+        restarted = Session(version.graph, engine=engine, store=version.store)
+        answer = self._plain(restarted, problem, rounds, lam)
+        assert restarted.stats.disk_hits == 1, restarted.stats
+        assert restarted.stats.rounds_executed == 0, restarted.stats
+        assert restarted.stats.cold_runs == 0, restarted.stats
+        self.solved.pop(id(restarted), None)
+        if problem == "orientation":
+            own = version.orientation(rounds=rounds)
+        else:
+            own = version.coreness(rounds=rounds, lam=lam)
+        assert json.dumps(answer.to_dict()) == json.dumps(own.to_dict())
+        assert answer.surviving.trajectory.tobytes() == \
+            own.surviving.trajectory.tobytes()
+        _SEEN["store restart"] += 1
 
     @precondition(lambda self: self.plain)
     @rule(data=st.data())
     def drop(self, data):
         """Drop the machine's last reference to one plain version."""
-        del self.plain[data.draw(st.integers(0, len(self.plain) - 1))]
+        dropped = self.plain.pop(data.draw(st.integers(0, len(self.plain) - 1)))
+        self.solved.pop(id(dropped), None)
+        del dropped
         gc.collect()
 
     # ------------------------------------------------------------ invariants
@@ -323,7 +433,8 @@ class LineageMachine(RuleBasedStateMachine):
 
 def _run(max_examples: int) -> None:
     """Run the machine for ``max_examples`` examples under the patched spill
-    threshold; fail unless it solved a spilled frontier child."""
+    threshold; fail unless it solved a spilled frontier child, wrote to a
+    shared row and restarted a stored version."""
     _SEEN.clear()
     with mock.patch.object(session_module, "SPILL_BYTES", SPILL_AT):
         run_state_machine_as_test(LineageMachine, settings=settings(
@@ -331,6 +442,8 @@ def _run(max_examples: int) -> None:
             suppress_health_check=[HealthCheck.too_slow,
                                    HealthCheck.filter_too_much]))
     assert _SEEN["spilled frontier"] > 0, _SEEN
+    assert _SEEN["write"] + _SEEN["write through copy"] > 0, _SEEN
+    assert _SEEN["store restart"] > 0, _SEEN
 
 
 class TestLineageMachine(unittest.TestCase):

@@ -616,6 +616,31 @@ class TestBackpressure:
                 assert metrics["server"]["rejected_backpressure"] == 1
                 assert metrics["serve"]["queue_depth"] == 0
 
+    def test_queue_full_refusal_answers_status_429(self, gated_problem):
+        # ServeClient maps error codes, not statuses, to classes, so read
+        # the status line itself: a QueueFullError is a ServeError, whose
+        # own row answers 503.
+        with ReproHTTPServer(workers=1, max_pending=1) as server:
+            with ServeClient(server.host, server.port) as cli:
+                fp = cli.upload_dataset("caveman")
+                first = cli.submit(fp, problem="gated-http", rounds=3)
+                assert gated_problem.started.wait(timeout=10)
+                conn = http.client.HTTPConnection(server.host, server.port,
+                                                  timeout=10)
+                try:
+                    conn.request("POST", f"/graphs/{fp}/jobs",
+                                 body=json.dumps({"problem": "coreness",
+                                                  "rounds": 4}),
+                                 headers={"Content-Type": "application/json"})
+                    response = conn.getresponse()
+                    document = json.loads(response.read())
+                finally:
+                    conn.close()
+                assert response.status == 429, document
+                assert document["error"]["code"] == "queue-full"
+                gated_problem.release.set()
+                assert cli.result(first["job"])["status"] == "done"
+
 
 class TestBatchStreaming:
     def test_streams_in_submission_order(self, client):
