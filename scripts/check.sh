@@ -133,7 +133,7 @@ trap 'rm -rf "$STORE_DIR"' EXIT
 python -m repro batch --dataset caveman --rounds 6 --store "$STORE_DIR" > /dev/null
 # A plain pipe is safe under pipefail: the CLI exits 0 on BrokenPipeError,
 # so grep -q quitting on the first match cannot fail the check.
-python -m repro batch --dataset caveman --rounds 6 --store "$STORE_DIR" --async \
+python -m repro batch --dataset caveman --rounds 6 --store "$STORE_DIR" \
     | grep -q "disk_hits=1" \
     || { echo "cache smoke: second run missed the store"; exit 1; }
 python -m repro cache ls --store "$STORE_DIR"

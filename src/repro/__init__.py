@@ -14,7 +14,7 @@ The package is organised as:
 * :mod:`repro.store`     — persistent content-addressed artifact store (trajectories
   and results survive process restarts, resumed bit-identically);
 * :mod:`repro.serve`     — async job submission (futures, in-flight dedup, bounded
-  backpressure) over sessions and the batch runner;
+  backpressure) over the batch runner, and the HTTP tier in front of it;
 * :mod:`repro.baselines` — exact/centralized and distributed comparator algorithms;
 * :mod:`repro.analysis`  — approximation-ratio metrics, invariant checks and the
   experiment runners the tests assert on.
@@ -71,7 +71,6 @@ from repro.problems import (
     register_problem,
 )
 from repro.serve import (
-    AsyncSession,
     JobQueue,
     ReproHTTPServer,
     ServeClient,
@@ -104,7 +103,6 @@ __all__ = [
     "BatchRunner",
     "BatchJob",
     "ArtifactStore",
-    "AsyncSession",
     "JobQueue",
     "ServeStats",
     "ReproHTTPServer",

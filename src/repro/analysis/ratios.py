@@ -35,8 +35,7 @@ class RatioSummary:
 
 
 def per_node_ratios(estimates: Mapping[Hashable, float],
-                    exact: Mapping[Hashable, float], *,
-                    tol: float = 1e-9) -> Dict[Hashable, float]:
+                    exact: Mapping[Hashable, float]) -> Dict[Hashable, float]:
     """Per-node ratios ``estimate / exact`` with the 0/0 = 1 convention.
 
     Raises if the two maps cover different node sets.
@@ -46,7 +45,6 @@ def per_node_ratios(estimates: Mapping[Hashable, float],
     ratios: Dict[Hashable, float] = {}
     for v, est in estimates.items():
         ratios[v] = safe_ratio(est, exact[v])
-    del tol
     return ratios
 
 

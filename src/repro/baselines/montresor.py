@@ -36,8 +36,8 @@ class MontresorResult:
         return self.coreness[node]
 
 
-def montresor_kcore(graph: Graph, *, max_rounds: int | None = None,
-                    tol: float = 1e-12) -> MontresorResult:
+def montresor_kcore(graph: Graph, *,
+                    max_rounds: int | None = None) -> MontresorResult:
     """Run the compact elimination procedure to convergence (exact coreness).
 
     Parameters
@@ -45,13 +45,11 @@ def montresor_kcore(graph: Graph, *, max_rounds: int | None = None,
     max_rounds:
         Safety cap; defaults to ``n + 1`` which is always sufficient (each round
         before convergence strictly decreases some node's surviving number through
-        a finite lattice of attainable values).
-    tol:
-        Fixed-point tolerance on the surviving-number vector.
+        a finite lattice of attainable values).  The fixed point is detected
+        exactly: the iteration runs on that finite lattice.
     """
     if graph.num_nodes == 0:
         raise AlgorithmError("k-core decomposition of the empty graph is undefined")
-    del tol  # the fixed point is detected exactly (the iteration is on a finite lattice)
     csr = graph_to_csr(graph)
     values, rounds = iterate_to_fixed_point(csr, max_rounds=max_rounds)
     labels = csr.labels()

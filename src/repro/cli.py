@@ -11,7 +11,7 @@ dataset) without writing Python::
     python -m repro densest --input graph.edges --epsilon 1.0
     python -m repro batch --dataset caveman --dataset communities --epsilon 0.5 --rounds 4
     python -m repro batch --dataset caveman --problem orientation --epsilon 0.5 --json -
-    python -m repro batch --dataset social-ba --rounds 8 --store ./cache --async
+    python -m repro batch --dataset social-ba --rounds 8 --store ./cache
     python -m repro cache ls --store ./cache
     python -m repro cache info --store ./cache
     python -m repro cache purge --store ./cache [--fingerprint HEX]
@@ -47,7 +47,6 @@ from repro.graph.datasets import dataset_info, list_datasets, load_dataset
 from repro.graph.graph import Graph
 from repro.graph.io import read_edge_list
 from repro.problems import available_problems, get_problem
-from repro.serve import JobQueue
 from repro.session import Session
 from repro.store import ArtifactStore
 
@@ -140,12 +139,6 @@ def _build_parser() -> argparse.ArgumentParser:
     batch_parser.add_argument("--store", type=Path, default=None, metavar="DIR",
                               help="persistent artifact store: sessions resume "
                                    "bit-identically from (and extend) this cache")
-    batch_parser.add_argument("--async", dest="use_async", action="store_true",
-                              help="submit jobs through the async JobQueue "
-                                   "(worker pool, in-flight dedup) instead of "
-                                   "running them sequentially")
-    batch_parser.add_argument("--serve-workers", type=int, default=2, metavar="N",
-                              help="JobQueue worker threads for --async (default 2)")
     add_engine_argument(batch_parser)
     add_trace_argument(batch_parser)
 
@@ -195,12 +188,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                    "duration, job id) to PATH; default: no "
                                    "access logging")
     add_trace_argument(serve_parser)
-    serve_parser.add_argument("--trace-sample", type=int, default=1,
-                              metavar="N",
-                              help="with --trace: record 1 in every N trace "
-                                   "trees (deterministic counter over root "
-                                   "spans, not an RNG; default 1 = trace "
-                                   "every request)")
 
     delta_parser = subparsers.add_parser(
         "delta", help="apply a graph delta against a running repro serve "
@@ -363,11 +350,7 @@ def _command_batch(args: argparse.Namespace, out) -> int:
                       lams=args.lam or (0.0,), problem=args.problem)
     store = ArtifactStore(args.store) if args.store is not None else None
     runner = BatchRunner(args.engine, store=store)
-    if args.use_async:
-        with JobQueue(runner, max_workers=args.serve_workers) as queue:
-            results = queue.run(jobs)
-    else:
-        results = runner.run(jobs)
+    results = runner.run(jobs)
     header = ["job", "engine", "problem", "n", "m", "rounds", "seconds", "converged",
               "objective"]
     json_to_stdout = args.json == "-"
@@ -542,8 +525,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     trace_path = getattr(args, "trace", None)
     if trace_path is not None:
         from repro.obs import trace as obs_trace
-        obs_trace.enable(jsonl_path=trace_path,
-                         sample_rate=getattr(args, "trace_sample", 1))
+        obs_trace.enable(jsonl_path=trace_path)
     try:
         if args.command in _PLAIN_COMMANDS:
             code = _PLAIN_COMMANDS[args.command](out)

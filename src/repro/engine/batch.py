@@ -162,7 +162,6 @@ class BatchRunner:
     """
 
     def __init__(self, engine: EngineLike = "vectorized", *, store=None,
-                 max_cached_results: Optional[int] = None,
                  max_sessions: Optional[int] = None,
                  **engine_options) -> None:
         if max_sessions is not None and max_sessions < 1:
@@ -175,7 +174,6 @@ class BatchRunner:
         #: trajectory is appended to the store's own ``.traj`` file as the
         #: engine computes it.
         self.store = store
-        self.max_cached_results = max_cached_results
         self.max_sessions = max_sessions
         self._lock = threading.Lock()
         # id() keys require keeping the graph alive; the Session holds it.
@@ -208,11 +206,10 @@ class BatchRunner:
             return hit
 
     def new_session(self, graph: Graph) -> Session:
-        """A fresh :class:`Session` on ``graph`` with the runner's engine,
-        store and cache bound; it owns nothing in the runner until
+        """A fresh :class:`Session` on ``graph`` with the runner's engine
+        and store; it owns nothing in the runner until
         :meth:`adopt_session` registers it."""
-        return Session(graph, engine=self.engine, store=self.store,
-                       max_cached_results=self.max_cached_results)
+        return Session(graph, engine=self.engine, store=self.store)
 
     def adopt_session(self, session: Session) -> Session:
         """Register an externally built session as the owner of its graph.

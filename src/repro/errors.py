@@ -96,8 +96,8 @@ class StoreError(ReproError):
 class ServeError(ReproError):
     """Raised by the async serving layer when it is driven incorrectly.
 
-    Examples: submitting to a closed :class:`~repro.serve.JobQueue` /
-    :class:`~repro.serve.AsyncSession`, or invalid worker/backpressure bounds.
+    Examples: submitting to a closed :class:`~repro.serve.JobQueue`, invalid
+    worker/backpressure bounds, or a job sent to a draining server.
     """
 
     code = "serve"

@@ -9,10 +9,13 @@ Two halves, both disabled-by-default and dependency-free:
   spans carry the shard ranges).  A recorded JSONL trace renders to Chrome
   trace-event format (``repro trace export --chrome``) so a solve opens in
   Perfetto, and aggregates to a per-span-name latency table
-  (``repro trace summarize``).  When tracing is disabled — the default —
-  ``span()`` returns a shared no-op object; the hot paths pay one module
-  attribute read per span site (``tests/test_obs.py`` bounds that cost, and
-  a traced ``bench/`` run reports the end-to-end cost of enabling tracing as
+  (``repro trace summarize``).  An enabled tracer records every span;
+  ``with trace.SUPPRESSED_SPAN:`` silences the current thread for a block
+  (a traced ``bench/`` run times a layer as one span that way).  When
+  tracing is disabled — the default — ``span()`` returns a shared no-op
+  object; the hot paths pay one module attribute read per span site
+  (``tests/test_obs.py`` bounds that cost, and a traced ``bench/`` run
+  reports the end-to-end cost of enabling tracing as
   ``obs.trace_overhead``).
 
 * **Metrics** (:mod:`repro.obs.metrics`) — a :class:`MetricsRegistry` of

@@ -134,12 +134,12 @@ NOOP_SPAN = _NoopSpan()
 
 
 class _SuppressedSpan:
-    """Context manager for an unsampled root span.
+    """Context manager that silences tracing on this thread.
 
-    Records nothing, but suppresses descendant tracing on this thread for
-    its dynamic extent (``active()`` answers ``None`` and ``span()`` returns
-    the no-op inside it), so a sampled-out request drops its *whole* tree —
-    not just the root with orphaned children.  Stateless, hence shared.
+    Records nothing, but suppresses every span on this thread for its
+    dynamic extent (``active()`` answers ``None`` and ``span()`` returns the
+    no-op inside it), so a caller can time a block as one span without the
+    spans of everything it calls.  Stateless, hence shared.
     """
 
     __slots__ = ()
@@ -255,7 +255,7 @@ class _Timed:
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.seconds = time.perf_counter() - self._start_perf
-        tracer = active()   # honours sampling suppression, unlike _TRACER
+        tracer = active()   # honours SUPPRESSED_SPAN, unlike _TRACER
         if tracer is not None:
             tracer.record_span(self.name, start_unix=self._start_unix,
                                duration=self.seconds,
@@ -280,32 +280,17 @@ class Tracer:
     """Bounded in-memory ring of span records plus an optional JSONL sink."""
 
     def __init__(self, *, ring_size: int = 4096,
-                 jsonl_path: Optional[str] = None,
-                 sample_rate: int = 1):
+                 jsonl_path: Optional[str] = None):
         ring_size = int(ring_size)
         if ring_size < 1:
             raise ValueError("tracer ring_size must be >= 1")
-        sample_rate = int(sample_rate)
-        if sample_rate < 1:
-            raise ValueError("tracer sample_rate must be >= 1")
         self.ring_size = ring_size
-        self.sample_rate = sample_rate
         self.jsonl_path = os.fspath(jsonl_path) if jsonl_path is not None else None
         self._ring: deque = deque(maxlen=ring_size)
         self._lock = threading.Lock()
         self._jsonl = (open(self.jsonl_path, "a", encoding="utf-8")
                        if self.jsonl_path is not None else None)
         self.emitted = 0
-        # Deterministic 1-in-N sampling: a plain counter over root spans, not
-        # an RNG, so a test hitting a sampled server N times knows exactly
-        # which requests were traced.  ``count.__next__`` is GIL-atomic.
-        self._root_counter = itertools.count()
-
-    def sample_root(self) -> bool:
-        """Admission decision for a new root span (1-in-``sample_rate``)."""
-        if self.sample_rate <= 1:
-            return True
-        return next(self._root_counter) % self.sample_rate == 0
 
     def _record(self, record: Dict[str, Any]) -> None:
         with self._lock:
@@ -360,20 +345,14 @@ _TRACER: Optional[Tracer] = None
 
 
 def enable(*, ring_size: int = 4096,
-           jsonl_path: Optional[str] = None,
-           sample_rate: int = 1) -> Tracer:
+           jsonl_path: Optional[str] = None) -> Tracer:
     """Install (and return) a process-wide tracer; replaces any previous one.
 
-    ``sample_rate=N`` keeps 1 in every N trace *trees*: the decision is made
-    once per root span by a deterministic counter (the 1st, N+1st, ... roots
-    are traced), and an unsampled root suppresses every descendant span on
-    its thread for its dynamic extent.  ``sample_rate=1`` (default) traces
-    everything.
+    Every span is recorded (into the ring, and the JSONL file when given).
     """
     global _TRACER
     previous = _TRACER
-    _TRACER = Tracer(ring_size=ring_size, jsonl_path=jsonl_path,
-                     sample_rate=sample_rate)
+    _TRACER = Tracer(ring_size=ring_size, jsonl_path=jsonl_path)
     if previous is not None:
         previous.close()
     return _TRACER
@@ -395,9 +374,9 @@ def enabled() -> bool:
 def active() -> Optional[Tracer]:
     """The installed tracer, or ``None`` — the cheap hot-loop gate.
 
-    Answers ``None`` inside a sampled-out root span's extent, so hot loops
+    Answers ``None`` inside a :data:`SUPPRESSED_SPAN`'s extent, so hot loops
     gating on ``active()`` drop their records along with the rest of the
-    suppressed tree.
+    suppressed block.
     """
     if getattr(_LOCAL, "suppressed", 0) > 0:
         return None
@@ -405,12 +384,11 @@ def active() -> Optional[Tracer]:
 
 
 def span(name: str, parent: Optional[SpanContext] = None, **attrs):
-    """Open a span; returns the shared no-op when tracing is disabled."""
+    """Open a span; returns the shared no-op when tracing is disabled or
+    suppressed on this thread."""
     tracer = _TRACER
     if tracer is None or getattr(_LOCAL, "suppressed", 0) > 0:
         return NOOP_SPAN
-    if parent is None and not _stack() and not tracer.sample_root():
-        return SUPPRESSED_SPAN
     return Span(tracer, name, parent, attrs)
 
 

@@ -1,11 +1,10 @@
 """Async job serving: futures, in-flight dedup, bounded backpressure — and HTTP.
 
-:class:`JobQueue` serves :class:`~repro.engine.batch.BatchJob`\\ s over a
-shared :class:`~repro.engine.batch.BatchRunner` worker pool;
-:class:`AsyncSession` serves parametrised requests against one graph's
-:class:`~repro.session.Session`.  Both return
-:class:`concurrent.futures.Future`\\ s, coalesce identical in-flight requests,
-bound their queue with ``max_pending`` backpressure, and stream results via
+:class:`JobQueue` is the one async front-end: it serves
+:class:`~repro.engine.batch.BatchJob`\\ s on a worker pool over a shared
+:class:`~repro.engine.batch.BatchRunner`, returns
+:class:`concurrent.futures.Future`\\ s, coalesces identical in-flight jobs,
+bounds its queue with ``max_pending`` backpressure, and streams results via
 ``map`` — see :mod:`repro.serve.queue` for the semantics and the
 bit-identical-to-sequential guarantee.
 
@@ -15,17 +14,17 @@ content-fingerprinted graph resources, job submission/long-polling, streamed
 batches, per-tenant quotas and a ``/metrics`` endpoint — and
 :class:`ServeClient` (:mod:`repro.serve.client`) is its stdlib client.
 
->>> from repro import AsyncSession, load_dataset
->>> with AsyncSession(load_dataset("caveman"), max_workers=2) as serve:
-...     future = serve.submit("coreness", rounds=4)
-...     result = future.result()
->>> len(result.values) > 0
+>>> from repro import BatchJob, JobQueue, load_dataset
+>>> with JobQueue(max_workers=2) as queue:
+...     future = queue.submit(BatchJob(graph=load_dataset("caveman"), rounds=4))
+...     batch = future.result()
+>>> len(batch.values) > 0
 True
 """
 
 from repro.serve.client import ServeClient
 from repro.serve.http import ReproHTTPServer, TokenBucket
-from repro.serve.queue import AsyncSession, JobQueue, ServeStats
+from repro.serve.queue import JobQueue, ServeStats
 
-__all__ = ["AsyncSession", "JobQueue", "ServeStats", "ReproHTTPServer",
-           "ServeClient", "TokenBucket"]
+__all__ = ["JobQueue", "ServeStats", "ReproHTTPServer", "ServeClient",
+           "TokenBucket"]

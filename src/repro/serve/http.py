@@ -40,7 +40,7 @@ a no-op unless tracing is enabled) and, when the server was built with
 tenant, duration; job id + dedup flag on submissions).  Default stderr
 request logging stays suppressed either way.  Job records keep a by-status
 count updated on completion (no full scan under the state lock) and finished
-records are garbage-collected beyond ``max_finished_jobs`` — polling an
+records are garbage-collected beyond :data:`MAX_FINISHED_JOBS` — polling an
 evicted id answers 404 like a never-issued one.  A finished record keeps
 its stats row and a copy of the result without the surviving numbers, so a
 retained record pins no trajectory.
@@ -135,6 +135,10 @@ MAX_BODY_BYTES = 256 * 1024 * 1024
 #: evicted first).  Each holds a graph version's CSR view, trajectories and
 #: cached answers; an evicted one re-opens from the store on its next job.
 MAX_SESSIONS = 32
+
+#: Finished (done/error) job records a server retains; the oldest beyond it
+#: are evicted and answer 404 like a never-issued id.  Read at each eviction.
+MAX_FINISHED_JOBS = 1024
 
 #: BatchJob fields a wire submission may set (everything else is 400), with
 #: the JSON type each must carry.  A bool is never a number here, and the
@@ -262,7 +266,10 @@ class ReproHTTPServer(ThreadingHTTPServer):
         Forwarded to the owned :class:`~repro.serve.JobQueue` /
         :class:`~repro.engine.batch.BatchRunner` (``store`` also registers
         the artifact store the metrics report on).  With a store, the
-        runner keeps at most :data:`MAX_SESSIONS` sessions open.
+        runner keeps at most :data:`MAX_SESSIONS` sessions open.  Any other
+        keyword is an engine option, so an unknown one is the registry's
+        "invalid options" :class:`~repro.errors.AlgorithmError`, raised
+        before the socket binds.
     quota_rate, quota_burst:
         Per-tenant token bucket (requests/s refill and bucket size); ``None``
         disables quotas.  Tenants are named by the ``X-Repro-Tenant`` header
@@ -270,10 +277,8 @@ class ReproHTTPServer(ThreadingHTTPServer):
     access_log:
         ``None`` (default, no access logging), a path to append NDJSON
         access-log lines to, or an open text stream (not closed on drain).
-    max_finished_jobs:
-        Retain at most this many finished (done/error) job records; the
-        oldest finished records beyond the cap are evicted and answer 404.
-        ``None`` disables the bound (pre-PR behaviour).
+
+    At most :data:`MAX_FINISHED_JOBS` finished job records are retained.
     """
 
     daemon_threads = False     #: drain joins handler threads: finish, not kill
@@ -286,7 +291,6 @@ class ReproHTTPServer(ThreadingHTTPServer):
                  quota_rate: Optional[float] = None,
                  quota_burst: Optional[float] = None,
                  access_log=None,
-                 max_finished_jobs: Optional[int] = 1024,
                  **engine_options) -> None:
         self.store: Optional[ArtifactStore] = (
             ArtifactStore(store) if store is not None
@@ -300,10 +304,6 @@ class ReproHTTPServer(ThreadingHTTPServer):
         self.quota_rate = quota_rate
         self.quota_burst = (quota_burst if quota_burst is not None
                             else max(1.0, float(quota_rate or 0.0)))
-        if max_finished_jobs is not None and max_finished_jobs < 0:
-            raise ServeError(f"max_finished_jobs must be >= 0 or None, "
-                             f"got {max_finished_jobs}")
-        self.max_finished_jobs = max_finished_jobs
         self._buckets: Dict[str, TokenBucket] = {}
         self._graphs: Dict[str, _GraphRecord] = {}
         self._jobs: Dict[str, _JobRecord] = {}   # insertion-ordered (dict)
@@ -619,16 +619,14 @@ class ReproHTTPServer(ThreadingHTTPServer):
             self._evict_finished_locked()
 
     def _evict_finished_locked(self) -> None:
-        """Drop the oldest finished records beyond ``max_finished_jobs``."""
-        if self.max_finished_jobs is None:
-            return
+        """Drop the oldest finished records beyond :data:`MAX_FINISHED_JOBS`."""
         finished = (self._jobs_by_status["done"]
                     + self._jobs_by_status["error"])
-        if finished <= self.max_finished_jobs:
+        if finished <= MAX_FINISHED_JOBS:
             return
         for job_id in [record.id for record in self._jobs.values()
                        if record.status != "pending"]:
-            if finished <= self.max_finished_jobs:
+            if finished <= MAX_FINISHED_JOBS:
                 break
             record = self._jobs.pop(job_id)
             self._jobs_by_status[record.status] -= 1

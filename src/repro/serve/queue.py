@@ -1,25 +1,21 @@
 """Async job submission: futures, in-flight dedup, bounded backpressure.
 
-The in-process serving stack so far is synchronous: a
-:class:`~repro.session.Session` answers one request at a time and a
-:class:`~repro.engine.batch.BatchRunner` walks jobs in order.  This module adds
-the concurrent front-end a long-lived server needs:
+A :class:`~repro.session.Session` answers one request at a time and a
+:class:`~repro.engine.batch.BatchRunner` walks jobs in order.
+:class:`JobQueue` is the concurrent front-end a long-lived server needs, and
+the only one: it accepts :class:`~repro.engine.batch.BatchJob`\\ s, returns
+:class:`concurrent.futures.Future`\\ s, and executes them on a worker pool
+over one shared :class:`BatchRunner` (so the per-graph sessions, caches and
+any persistent :class:`~repro.store.ArtifactStore` are shared by every job).
+A request thus travels ``Session`` → ``BatchRunner`` → ``JobQueue`` → the
+HTTP tier (:mod:`repro.serve.http`).
 
-* :class:`JobQueue` — accepts :class:`~repro.engine.batch.BatchJob`\\ s, returns
-  :class:`concurrent.futures.Future`\\ s, and executes them on a worker pool
-  over one shared :class:`BatchRunner` (so the per-graph sessions, caches and
-  any persistent :class:`~repro.store.ArtifactStore` are shared by every job);
-* :class:`AsyncSession` — the same shape over a single graph's
-  :class:`Session`, for ``submit("coreness", rounds=8)``-style requests.
+Three serving behaviours:
 
-Three serving behaviours, shared by both:
-
-* **in-flight dedup** — identical requests submitted while the first is still
+* **in-flight dedup** — identical jobs submitted while the first is still
   running share one future (one execution); the dedup key is built on the
-  problem's own :meth:`~repro.problems.Problem.request_key` (an
-  :class:`AsyncSession` coalesces on its session's result-cache key,
-  :meth:`~repro.session.Session.resolve_request`), so every equivalent
-  spelling coalesces.
+  problem's own :meth:`~repro.problems.Problem.request_key`, so every
+  equivalent spelling coalesces.
 * **bounded backpressure** — with ``max_pending=N``, at most ``N`` jobs are
   queued-or-running; further ``submit`` calls block until capacity frees.
   :meth:`~JobQueue.map` streams results in submission order while the window
@@ -28,7 +24,7 @@ Three serving behaviours, shared by both:
   its CSR view and caches — is bounded by the runner, not by
   ``max_pending``: ``BatchRunner(max_sessions=N)`` keeps the ``N`` most
   recently used sessions and re-opens an evicted one from the store on its
-  next job, and ``max_cached_results`` bounds each session's caches.)
+  next job.)
 * **session safety** — sessions are single-threaded by design (their caches
   are plain dicts), so execution is serialised per graph; concurrency comes
   from distinct graphs, from in-flight dedup, and from the engines themselves
@@ -54,13 +50,12 @@ from repro.engine.batch import BatchJob, BatchResult, BatchRunner
 from repro.errors import QueueFullError, ServeError
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import counter_families, family, gauge_family
-from repro.problems import Problem, ProblemLike, get_problem
-from repro.session import Session
+from repro.problems import Problem, get_problem
 
 
 @dataclass
 class ServeStats:
-    """Counters of what an async front-end accepted and ran.
+    """Counters of what a :class:`JobQueue` accepted and ran.
 
     ``queue_depth`` is a live gauge (requests accepted but not yet completed
     — exactly what ``max_pending`` bounds), not a monotone counter;
@@ -120,151 +115,15 @@ class ServeStats:
         return families
 
 
-class _AsyncFrontend:
-    """Shared submit/dedup/backpressure plumbing of the serving layer."""
-
-    def __init__(self, *, max_workers: int, max_pending: Optional[int],
-                 name: str) -> None:
-        if max_workers < 1:
-            raise ServeError(f"max_workers must be >= 1, got {max_workers}")
-        if max_pending is not None and max_pending < 1:
-            raise ServeError(f"max_pending must be >= 1, got {max_pending}")
-        self.max_pending = max_pending
-        self.stats = ServeStats()
-        self._pool = ThreadPoolExecutor(max_workers=max_workers,
-                                        thread_name_prefix=name)
-        self._registry_lock = threading.Lock()
-        self._inflight: Dict[object, Future] = {}
-        self._capacity = (threading.BoundedSemaphore(max_pending)
-                          if max_pending is not None else None)
-        self._closed = False
-
-    # ------------------------------------------------------------- submission
-    def _submit(self, key, fn, *args, block: bool = True,
-                problem: Optional[str] = None) -> Future:
-        """Submit ``fn(*args)``, coalescing onto an in-flight future for ``key``.
-
-        ``key=None`` (unhashable request parameters) skips dedup.  When
-        ``max_pending`` executions are already queued-or-running, ``block=True``
-        waits for capacity while ``block=False`` raises
-        :class:`~repro.errors.QueueFullError` immediately (the shape a network
-        front-end needs: backpressure becomes a 429, not a stalled socket).
-        ``problem`` is the canonical problem name counted in
-        :attr:`ServeStats.per_problem`.
-        """
-        with self._registry_lock:
-            if self._closed:
-                raise ServeError(f"{type(self).__name__} is closed")
-            if key is not None:
-                hit = self._inflight.get(key)
-                if hit is not None:
-                    self.stats.deduplicated += 1
-                    self.stats.count_problem(problem)
-                    return hit
-        if self._capacity is not None:
-            # Backpressure: block until capacity frees, or refuse outright.
-            if not self._capacity.acquire(blocking=block):
-                raise QueueFullError(
-                    f"{type(self).__name__} is at max_pending={self.max_pending} "
-                    f"jobs queued-or-running")
-        holding_permit = self._capacity is not None
-        try:
-            with self._registry_lock:
-                if self._closed:
-                    raise ServeError(f"{type(self).__name__} is closed")
-                if key is not None:
-                    # A racing submitter registered the same request while we
-                    # waited for capacity: join its future, return the permit.
-                    hit = self._inflight.get(key)
-                    if hit is not None:
-                        self.stats.deduplicated += 1
-                        self.stats.count_problem(problem)
-                        return hit
-                # When tracing, the submitter's span context and submit time
-                # ride along so the worker can record the queue wait and
-                # parent its execution span across the pool boundary.
-                obs_ctx = None
-                if obs_trace.active() is not None:
-                    obs_ctx = (obs_trace.current_context(), time.time(),
-                               time.perf_counter())
-                future = self._pool.submit(self._run_one, obs_ctx, fn, *args)
-                holding_permit = False   # the running job now owns the permit
-                if key is not None:
-                    self._inflight[key] = future
-                self.stats.submitted += 1
-                self.stats.queue_depth += 1
-                self.stats.count_problem(problem)
-        finally:
-            if holding_permit:
-                self._capacity.release()
-        if key is not None:
-            future.add_done_callback(lambda _done, key=key: self._forget(key))
-        return future
-
-    def _run_one(self, obs_ctx, fn, *args):
-        execute_span = None
-        tracer = obs_trace.active()
-        if tracer is not None and obs_ctx is not None:
-            parent, submit_unix, submit_perf = obs_ctx
-            tracer.record_span(
-                "serve.queue_wait", start_unix=submit_unix,
-                duration=time.perf_counter() - submit_perf, parent=parent)
-            execute_span = obs_trace.span("serve.execute", parent=parent)
-        try:
-            if execute_span is not None:
-                with execute_span:
-                    return fn(*args)
-            return fn(*args)
-        finally:
-            with self._registry_lock:
-                self.stats.completed += 1
-                self.stats.queue_depth -= 1
-            if self._capacity is not None:
-                self._capacity.release()
-
-    def _forget(self, key) -> None:
-        with self._registry_lock:
-            self._inflight.pop(key, None)
-
-    def _stream(self, futures: Iterable[Future]) -> Iterator:
-        """Yield results in submission order, draining as they complete."""
-        pending: deque = deque()
-        for future in futures:
-            pending.append(future)
-            while pending and pending[0].done():
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-
-    # -------------------------------------------------------------- lifecycle
-    @property
-    def in_flight(self) -> int:
-        """Number of deduplicatable requests currently queued or running."""
-        with self._registry_lock:
-            return len(self._inflight)
-
-    def close(self, wait: bool = True) -> None:
-        """Stop accepting submissions; optionally wait for running jobs."""
-        with self._registry_lock:
-            self._closed = True
-        self._pool.shutdown(wait=wait)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close(wait=exc_type is None)
-
-
-class JobQueue(_AsyncFrontend):
+class JobQueue:
     """Asynchronous, deduplicating front-end over a :class:`BatchRunner`.
 
     Parameters
     ----------
     runner:
         The batch runner to execute on (owns one session per graph and the
-        optional persistent store).  When omitted, one is built from
-        ``engine`` / ``store`` / ``engine_options``.
+        optional persistent store).  When omitted, a default
+        ``BatchRunner()`` (``vectorized`` engine, no store).
     max_workers:
         Worker threads.  Jobs on the *same* graph are serialised (sessions
         are single-threaded by design); distinct graphs run concurrently.
@@ -272,22 +131,29 @@ class JobQueue(_AsyncFrontend):
         Backpressure bound: at most this many jobs queued-or-running;
         ``submit`` blocks beyond it.  ``None`` means unbounded.
 
-    >>> with JobQueue(max_workers=4, max_pending=64) as queue:    # doctest: +SKIP
+    >>> with JobQueue(BatchRunner(store="./cache"), max_workers=4,
+    ...               max_pending=64) as queue:           # doctest: +SKIP
     ...     futures = [queue.submit(job) for job in jobs]
     ...     results = [f.result() for f in futures]
     """
 
     def __init__(self, runner: Optional[BatchRunner] = None, *,
-                 engine=None, store=None, max_workers: int = 2,
-                 max_pending: Optional[int] = None, **engine_options) -> None:
-        super().__init__(max_workers=max_workers, max_pending=max_pending,
-                         name="repro-serve")
-        if runner is not None and (engine is not None or store is not None
-                                   or engine_options):
-            raise ServeError("pass either a runner or engine/store options, not both")
-        self.runner = runner if runner is not None else BatchRunner(
-            engine if engine is not None else "vectorized",
-            store=store, **engine_options)
+                 max_workers: int = 2,
+                 max_pending: Optional[int] = None) -> None:
+        if max_workers < 1:
+            raise ServeError(f"max_workers must be >= 1, got {max_workers}")
+        if max_pending is not None and max_pending < 1:
+            raise ServeError(f"max_pending must be >= 1, got {max_pending}")
+        self.runner = runner if runner is not None else BatchRunner()
+        self.max_pending = max_pending
+        self.stats = ServeStats()
+        self._pool = ThreadPoolExecutor(max_workers=max_workers,
+                                        thread_name_prefix="repro-serve")
+        self._registry_lock = threading.Lock()
+        self._inflight: Dict[object, Future] = {}
+        self._capacity = (threading.BoundedSemaphore(max_pending)
+                          if max_pending is not None else None)
+        self._closed = False
         #: id(graph) -> (weakref to the graph, its serialisation lock).  The
         #: weakref detects id() reuse after a graph is collected (an aliased
         #: lock would serialise unrelated graphs — or worse, hand a recycled
@@ -328,21 +194,92 @@ class JobQueue(_AsyncFrontend):
             self._graph_locks[key] = (weakref.ref(graph), lock)
             return lock
 
-    def _execute(self, job: BatchJob) -> BatchResult:
-        with self._graph_lock(job.graph):
-            return self.runner.run_job(job)
-
+    # ------------------------------------------------------------- submission
     def submit(self, job: BatchJob, *, block: bool = True) -> "Future[BatchResult]":
         """Accept one job; returns a future of its :class:`BatchResult`.
 
         An identical in-flight job (same graph, problem and canonicalised
-        parameters) shares one future and one execution.  With ``max_pending``
+        parameters) shares one future and one execution; a job whose
+        parameters are unhashable is never coalesced.  With ``max_pending``
         jobs already in flight, ``block=True`` waits for capacity;
-        ``block=False`` raises :class:`~repro.errors.QueueFullError` instead.
+        ``block=False`` raises :class:`~repro.errors.QueueFullError` instead
+        (the shape a network front-end needs: backpressure becomes a 429, not
+        a stalled socket).  Every request counts against its canonical
+        problem name in :attr:`ServeStats.per_problem`.
         """
         problem = get_problem(job.problem)
-        return self._submit(self._job_key(job, problem), self._execute, job,
-                            block=block, problem=problem.name)
+        key = self._job_key(job, problem)
+        with self._registry_lock:
+            if self._closed:
+                raise ServeError(f"{type(self).__name__} is closed")
+            if key is not None:
+                hit = self._inflight.get(key)
+                if hit is not None:
+                    self.stats.deduplicated += 1
+                    self.stats.count_problem(problem.name)
+                    return hit
+        if self._capacity is not None:
+            # Backpressure: block until capacity frees, or refuse outright.
+            if not self._capacity.acquire(blocking=block):
+                raise QueueFullError(
+                    f"{type(self).__name__} is at max_pending={self.max_pending} "
+                    f"jobs queued-or-running")
+        holding_permit = self._capacity is not None
+        try:
+            with self._registry_lock:
+                if self._closed:
+                    raise ServeError(f"{type(self).__name__} is closed")
+                if key is not None:
+                    # A racing submitter registered the same request while we
+                    # waited for capacity: join its future, return the permit.
+                    hit = self._inflight.get(key)
+                    if hit is not None:
+                        self.stats.deduplicated += 1
+                        self.stats.count_problem(problem.name)
+                        return hit
+                # When tracing, the submitter's span context and submit time
+                # ride along so the worker can record the queue wait and
+                # parent its execution span across the pool boundary.
+                obs_ctx = None
+                if obs_trace.active() is not None:
+                    obs_ctx = (obs_trace.current_context(), time.time(),
+                               time.perf_counter())
+                future = self._pool.submit(self._run_one, obs_ctx, job)
+                holding_permit = False   # the running job now owns the permit
+                if key is not None:
+                    self._inflight[key] = future
+                self.stats.submitted += 1
+                self.stats.queue_depth += 1
+                self.stats.count_problem(problem.name)
+        finally:
+            if holding_permit:
+                self._capacity.release()
+        if key is not None:
+            future.add_done_callback(lambda _done, key=key: self._forget(key))
+        return future
+
+    def _run_one(self, obs_ctx, job: BatchJob) -> BatchResult:
+        execute_span = obs_trace.NOOP_SPAN
+        tracer = obs_trace.active()
+        if tracer is not None and obs_ctx is not None:
+            parent, submit_unix, submit_perf = obs_ctx
+            tracer.record_span(
+                "serve.queue_wait", start_unix=submit_unix,
+                duration=time.perf_counter() - submit_perf, parent=parent)
+            execute_span = obs_trace.span("serve.execute", parent=parent)
+        try:
+            with execute_span, self._graph_lock(job.graph):
+                return self.runner.run_job(job)
+        finally:
+            with self._registry_lock:
+                self.stats.completed += 1
+                self.stats.queue_depth -= 1
+            if self._capacity is not None:
+                self._capacity.release()
+
+    def _forget(self, key) -> None:
+        with self._registry_lock:
+            self._inflight.pop(key, None)
 
     def map(self, jobs: Iterable[BatchJob]) -> Iterator[BatchResult]:
         """Stream results in submission order with bounded in-flight jobs.
@@ -353,62 +290,33 @@ class JobQueue(_AsyncFrontend):
         bounded by the runner's ``max_sessions`` — see the module docstring).
         Exceptions from a job surface at its position in the stream.
         """
-        return self._stream(self.submit(job) for job in jobs)
+        pending: deque = deque()
+        for job in jobs:
+            pending.append(self.submit(job))
+            while pending and pending[0].done():
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
 
     def run(self, jobs: Iterable[BatchJob]) -> List[BatchResult]:
         """Submit every job and collect the results (submission order)."""
         return list(self.map(jobs))
 
+    # -------------------------------------------------------------- lifecycle
+    @property
+    def in_flight(self) -> int:
+        """Number of deduplicatable requests currently queued or running."""
+        with self._registry_lock:
+            return len(self._inflight)
 
-class AsyncSession(_AsyncFrontend):
-    """Asynchronous, deduplicating front-end over one graph's :class:`Session`.
+    def close(self, wait: bool = True) -> None:
+        """Stop accepting submissions; optionally wait for running jobs."""
+        with self._registry_lock:
+            self._closed = True
+        self._pool.shutdown(wait=wait)
 
-    ``submit("coreness", rounds=8)`` returns a future of the same result object
-    the synchronous ``session.solve`` would produce; identical in-flight
-    requests share one future.  Execution is serialised on the underlying
-    session (sessions are single-threaded by design), so results are
-    bit-identical to sequential calls; concurrency buys request pipelining,
-    dedup and non-blocking callers rather than parallel rounds.
+    def __enter__(self):
+        return self
 
-    Pass an existing ``session=`` to serve a warmed (or store-backed) session,
-    or a ``graph=`` plus session options to own a fresh one.
-    """
-
-    def __init__(self, graph=None, *, session: Optional[Session] = None,
-                 engine="vectorized", lam: float = 0.0, store=None,
-                 max_cached_results: Optional[int] = None,
-                 max_workers: int = 2, max_pending: Optional[int] = None,
-                 **engine_options) -> None:
-        super().__init__(max_workers=max_workers, max_pending=max_pending,
-                         name="repro-serve-session")
-        if (session is None) == (graph is None):
-            raise ServeError("pass exactly one of graph= or session=")
-        if session is None:
-            session = Session(graph, engine=engine, lam=lam, store=store,
-                              max_cached_results=max_cached_results,
-                              **engine_options)
-        elif engine_options or store is not None:
-            raise ServeError("session= carries its own engine/store; "
-                             "do not pass engine/store options with it")
-        self.session = session
-        self._session_lock = threading.Lock()
-
-    def _execute(self, problem: ProblemLike, params: dict):
-        with self._session_lock:
-            return self.session.solve(problem, **params)
-
-    def submit(self, problem: ProblemLike, **params) -> Future:
-        """Accept one request; returns a future of the problem result.
-
-        Identical requests coalesce on the session's own request key
-        (:meth:`Session.resolve_request`, the key its result cache uses), so
-        an unknown problem or a non-finite λ fails here, not in a worker.
-        """
-        prob, params, key = self.session.resolve_request(problem, params)
-        return self._submit(key, self._execute, problem, params,
-                            problem=prob.name)
-
-    def map(self, requests: Iterable[Tuple[ProblemLike, dict]]) -> Iterator:
-        """Stream results for ``(problem, params)`` pairs in submission order."""
-        return self._stream(self.submit(problem, **params)
-                            for problem, params in requests)
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close(wait=exc_type is None)

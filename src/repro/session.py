@@ -27,22 +27,21 @@ A session owns and amortises, per graph:
 
 Cached result objects are shared between identical requests — treat them as
 read-only.  The caches grow with the number of distinct requests (that is the
-amortisation trade); long-lived servers can bound the result caches with
-``max_cached_results=`` (LRU eviction) or shed them with
-:meth:`Session.clear_cache`.  With a persistent ``store=``
-(:class:`~repro.store.ArtifactStore`) the expensive artifacts also survive
-process restarts: trajectories are reloaded from disk and resumed
-bit-identically.  :attr:`Session.stats` counts builds, hits, resumes, disk
-traffic and the executed/reused round split, which is what the cache-reuse
-tests and the warm-session timing test in ``tests/test_engine_bench.py``
-observe.
+amortisation trade); long-lived callers shed them with
+:meth:`Session.clear_cache`, and a serving runner bounds the sessions it
+keeps open instead (``BatchRunner(max_sessions=N)``).  With a persistent
+``store=`` (:class:`~repro.store.ArtifactStore`) the expensive artifacts
+also survive process restarts: trajectories are reloaded from disk and
+resumed bit-identically.  :attr:`Session.stats` counts builds, hits,
+resumes, disk traffic and the executed/reused round split, which is what the
+cache-reuse tests and the warm-session timing test in
+``tests/test_engine_bench.py`` observe.
 """
 
 from __future__ import annotations
 
 import time
 import weakref
-from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar, Dict, List, Optional, Tuple, Union
@@ -101,7 +100,6 @@ class SessionStats:
     disk_hits: int = 0          #: requests (partially) served from the artifact store
     disk_misses: int = 0        #: store probes that found nothing usable
     disk_writes: int = 0        #: artifacts persisted to the store
-    evictions: int = 0          #: cached results dropped by the LRU bound
     incremental_runs: int = 0   #: runs served by the frontier-restricted path
     incremental_fallbacks: int = 0  #: frontier attempts finished by full rounds
     frontier_nodes_recomputed: int = 0  #: node-rounds recomputed incrementally
@@ -196,22 +194,18 @@ class Session:
         as it goes (bit-identical results, and its trajectory maps that
         file).  The engine holds no storage of its own, so one engine
         instance can serve sessions on any number of stores.
-    max_cached_results:
-        Optional bound on the in-memory result caches (surviving-number and
-        problem results each keep at most this many entries, evicting the
-        least recently used).  ``None`` (the default) keeps every distinct
-        request for the session's lifetime.
+
+    Every distinct request stays cached for the session's lifetime (see
+    :meth:`clear_cache`); any other keyword is an engine option, so a
+    misspelt or removed session option is the registry's "invalid options"
+    :class:`~repro.errors.AlgorithmError`.
     """
 
     def __init__(self, graph: Graph, *, engine: EngineLike = "vectorized",
                  lam: float = 0.0, store: Optional[StoreLike] = None,
-                 max_cached_results: Optional[int] = None,
                  **engine_options) -> None:
         if graph.num_nodes == 0:
             raise AlgorithmError("a Session needs a non-empty graph")
-        if max_cached_results is not None and max_cached_results < 1:
-            raise AlgorithmError(
-                f"max_cached_results must be >= 1, got {max_cached_results}")
         self.graph = graph
         self.engine: Engine = get_engine(engine, **engine_options)
         # Canonical λ from the very first entry point: -0.0 collapses to 0.0
@@ -219,15 +213,13 @@ class Session:
         self._default_lam = canonical_lam(lam)
         self.store: Optional[ArtifactStore] = (
             ArtifactStore(store) if isinstance(store, (str, Path)) else store)
-        self.max_cached_results = max_cached_results
         self.stats = SessionStats()
         self._csr: Optional[CSRAdjacency] = None
         self._fingerprint: Optional[str] = None
         self._grids: Dict[float, LambdaGrid] = {}
-        self._results: "OrderedDict[Tuple[int, float, str, bool], SurvivingNumbers]" \
-            = OrderedDict()
+        self._results: Dict[Tuple[int, float, str, bool], SurvivingNumbers] = {}
         self._trajectories: Dict[float, np.ndarray] = {}
-        self._problem_results: "OrderedDict[tuple, object]" = OrderedDict()
+        self._problem_results: Dict[tuple, object] = {}
         #: rounds known to be on disk per λ (-1: known empty, absent: unknown).
         self._disk_rounds: Dict[float, int] = {}
         # Incremental state (set by apply_delta on the child session, None
@@ -392,8 +384,7 @@ class Session:
         fraction = check_frontier_fraction(max_frontier_fraction)
         child_graph = apply_graph_delta(self.graph, delta)
         child = Session(child_graph, engine=self.engine, lam=self._default_lam,
-                        store=self.store,
-                        max_cached_results=self.max_cached_results)
+                        store=self.store)
         child._link = DeltaLink(
             parent=weakref.ref(self), parent_nodes=self.graph.num_nodes,
             parent_fingerprint=(None if self.store is None
@@ -450,21 +441,6 @@ class Session:
             ptraj, changed, max_frontier_fraction=link.max_frontier_fraction)
         return warm if warm.covers(T) else None
 
-    def _cache_put(self, cache: OrderedDict, key, value) -> None:
-        """Insert into an LRU-bounded result cache, evicting the oldest."""
-        cache[key] = value
-        cache.move_to_end(key)
-        if self.max_cached_results is not None:
-            while len(cache) > self.max_cached_results:
-                cache.popitem(last=False)
-                self.stats.evictions += 1
-
-    def _cache_get(self, cache: OrderedDict, key):
-        hit = cache.get(key)
-        if hit is not None:
-            cache.move_to_end(key)
-        return hit
-
     def clear_cache(self) -> None:
         """Drop every cached result and trajectory, keeping the CSR view and grids.
 
@@ -506,7 +482,7 @@ class Session:
                                  f"expected one of {TIE_BREAK_RULES}")
         lam = self.default_lam if lam is None else canonical_lam(lam)
         key = (T, lam, tie_break, bool(track_kept))
-        hit = self._cache_get(self._results, key)
+        hit = self._results.get(key)
         if hit is not None:
             self.stats.result_hits += 1
             return hit
@@ -532,7 +508,7 @@ class Session:
                                                       tie_break=tie_break,
                                                       track_kept=track_kept)
                     if loaded is not None:
-                        self._cache_put(self._results, key, loaded)
+                        self._results[key] = loaded
                         self._parent_pin = None
                         return loaded
                 # The documented Engine.run hints: trajectory engines get
@@ -578,7 +554,7 @@ class Session:
                         cached.trajectory = result.trajectory[:cached_T + 1]
             self._persist(lam, result, tie_break=tie_break,
                           track_kept=track_kept)
-            self._cache_put(self._results, key, result)
+            self._results[key] = result
             self._parent_pin = None
             return result
 
@@ -722,7 +698,7 @@ class Session:
         """
         prob, params, key = self.resolve_request(problem, params)
         if key is not None:
-            hit = self._cache_get(self._problem_results, key)
+            hit = self._problem_results.get(key)
             if hit is not None:
                 self.stats.problem_hits += 1
                 return hit
@@ -733,7 +709,7 @@ class Session:
         SOLVE_SECONDS.observe(time.perf_counter() - start, problem=prob.name)
         self._parent_pin = None
         if key is not None:
-            self._cache_put(self._problem_results, key, result)
+            self._problem_results[key] = result
         return result
 
     def resolve_request(self, problem: ProblemLike,
@@ -744,10 +720,8 @@ class Session:
         canonicalised and an explicit λ at the session default collapsed
         onto the omitted spelling; and the request key, None when the
         params are unhashable.  The one place a request's identity is
-        computed: :meth:`solve` caches results on the key, and
-        :class:`repro.serve.AsyncSession` coalesces in-flight submissions on
-        it.  An unknown problem or a non-finite λ raises here, before any
-        work runs.
+        computed: :meth:`solve` caches results on it.  An unknown problem or
+        a non-finite λ raises here, before any work runs.
         """
         prob = get_problem(problem)
         # Canonical λ: the same spelling in the request cache, the surviving

@@ -40,6 +40,11 @@ class TestRatios:
         with pytest.raises(AlgorithmError):
             per_node_ratios({"a": 1.0}, {"b": 1.0})
 
+    def test_per_node_ratios_takes_no_tolerance(self):
+        # A ratio is exact; only summarize_ratios reads a tolerance.
+        with pytest.raises(TypeError):
+            per_node_ratios({"a": 1.0}, {"a": 1.0}, tol=1e-9)
+
     def test_summary_statistics(self):
         estimates = {i: float(i + 1) for i in range(10)}
         exact = {i: 1.0 for i in range(10)}

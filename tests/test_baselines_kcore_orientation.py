@@ -149,6 +149,11 @@ class TestMontresor:
         with pytest.raises(AlgorithmError):
             montresor_kcore(Graph())
 
+    def test_takes_no_tolerance(self, ba_graph):
+        # The fixed point is detected exactly, so there is nothing to tune.
+        with pytest.raises(TypeError):
+            montresor_kcore(ba_graph, tol=1e-12)
+
 
 class TestExactOrientation:
     def test_lp_bound_is_maximum_density(self, k6):

@@ -1,5 +1,5 @@
-"""CLI surfaces of the persistent store and the async serving layer:
-``repro cache ls|info|purge``, ``repro batch --store`` and ``--async``."""
+"""CLI surfaces of the persistent store: ``repro cache ls|info|purge`` and
+``repro batch --store``."""
 
 from __future__ import annotations
 
@@ -40,26 +40,33 @@ class TestBatchStoreFlag:
         assert "disk_hits=1" in second
         assert "disk_writes=0" in second
 
-    def test_async_flag_matches_sequential_json(self, tmp_path, k6_file):
+    def test_disk_served_json_matches_a_storeless_run(self, tmp_path, k6_file):
+        store_dir = tmp_path / "store"
         base = ["batch", "--input", str(k6_file), "--rounds", "3",
                 "--rounds", "5", "--json", "-"]
-        code, sequential = _run(base)
+        code, storeless = _run(base)
         assert code == 0
-        code, concurrent = _run(base + ["--async", "--serve-workers", "3"])
-        assert code == 0
+        for _ in range(2):   # the first run writes the store, the second reads it
+            code, stored = _run(base + ["--store", str(store_dir)])
+            assert code == 0
+        assert ArtifactStore(store_dir).info()["files"] > 0
 
         def stable(text):  # everything but the wall-clock must be identical
             return [{k: v for k, v in row.items() if k != "seconds"}
                     for row in json.loads(text)]
 
-        assert stable(concurrent) == stable(sequential)
+        assert stable(stored) == stable(storeless)
 
-    def test_async_with_store(self, tmp_path, k6_file):
-        store_dir = tmp_path / "store"
-        code, text = _run(["batch", "--input", str(k6_file), "--rounds", "4",
-                           "--store", str(store_dir), "--async"])
-        assert code == 0
-        assert ArtifactStore(store_dir).info()["files"] > 0
+    @pytest.mark.parametrize("flag", [["--async"], ["--serve-workers", "3"]],
+                             ids=["async", "serve-workers"])
+    def test_async_flags_are_rejected(self, k6_file, capsys, flag):
+        # A batch always runs in order on one BatchRunner; the async path
+        # is the JobQueue behind repro serve.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["batch", "--input", str(k6_file), "--rounds", "4", *flag],
+                 out=io.StringIO())
+        assert excinfo.value.code == 2
+        assert flag[0] in capsys.readouterr().err
 
 
 class TestCacheCommand:

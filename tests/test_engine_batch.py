@@ -59,6 +59,11 @@ class TestBatchRunnerCaching:
                     BatchJob(graph=k6, rounds=3)])
         assert runner.cached_graphs == 2
 
+    def test_session_cache_bound_is_not_an_option(self):
+        # Any keyword the runner does not take is an engine option.
+        with pytest.raises(AlgorithmError, match="invalid options"):
+            BatchRunner(max_cached_results=2)
+
 
 class TestSessionBound:
     """``max_sessions``: a locked LRU whose evicted sessions fold their

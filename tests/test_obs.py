@@ -140,6 +140,27 @@ class TestSpanIntegrity:
         (record,) = tracer.spans()
         assert record["attrs"]["error"] == "RuntimeError"
 
+    def test_suppressed_span_silences_its_block(self):
+        # What the bench's quiet layer wrappers rely on: one span for the
+        # block, none for what it calls.
+        tracer = obs_trace.enable()
+        with obs_trace.span("layer"):
+            with obs_trace.SUPPRESSED_SPAN:
+                assert obs_trace.active() is None
+                assert obs_trace.span("inner") is obs_trace.NOOP_SPAN
+                with obs_trace.timed("timed") as timing:
+                    pass
+            assert obs_trace.active() is tracer
+        assert timing.seconds is not None
+        assert [r["name"] for r in tracer.spans()] == ["layer"]
+
+    def test_root_sampling_is_not_an_option(self):
+        with pytest.raises(TypeError):
+            obs.enable(sample_rate=2)
+        with pytest.raises(TypeError):
+            obs_trace.Tracer(sample_rate=2)
+        assert not hasattr(obs_trace.Tracer, "sample_root")
+
 
 # -------------------------------------------------------- export / summarize
 class TestExport:
@@ -358,8 +379,11 @@ class TestServeObservability:
                 client.health()
         assert "GET /health" not in capsys.readouterr().err  # stderr stays quiet
 
-    def test_finished_jobs_are_garbage_collected(self):
-        with ReproHTTPServer(workers=1, max_finished_jobs=2) as server:
+    def test_finished_jobs_are_garbage_collected(self, monkeypatch):
+        from repro.serve import http as serve_http
+
+        monkeypatch.setattr(serve_http, "MAX_FINISHED_JOBS", 2)
+        with ReproHTTPServer(workers=1) as server:
             with ServeClient(server.host, server.port) as client:
                 fp = client.upload_dataset("caveman")
                 job_ids = []

@@ -2,9 +2,8 @@
 
 The acceptance contract is the concurrent-submission equivalence: N mixed jobs
 submitted through a :class:`JobQueue` produce results bit-identical to running
-the same jobs sequentially through a :class:`BatchRunner` (and the
-:class:`AsyncSession` route matches synchronous ``Session.solve``).  Timing
-tests are gated on events, never sleeps-as-synchronisation.
+the same jobs sequentially through a :class:`BatchRunner`.  Timing tests are
+gated on events, never sleeps-as-synchronisation.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from repro.engine.batch import BatchJob, BatchRunner
 from repro.errors import ServeError
 from repro.graph.datasets import load_dataset
 from repro.problems import CorenessProblem
-from repro.serve import AsyncSession, JobQueue
+from repro.serve import JobQueue
 from repro.session import Session
 
 
@@ -75,11 +74,49 @@ class TestJobQueueEquivalence:
     def test_queue_with_store_matches_sequential(self, graphs, tmp_path):
         jobs = _mixed_jobs(graphs)
         sequential = BatchRunner().run(jobs)
-        with JobQueue(max_workers=4, store=tmp_path / "store") as queue:
+        with JobQueue(BatchRunner(store=tmp_path / "store"),
+                      max_workers=4) as queue:
             concurrent = queue.run(jobs)
         for seq, conc in zip(sequential, concurrent):
             assert conc.surviving.values == seq.surviving.values
         assert (tmp_path / "store").is_dir()  # artifacts were persisted
+
+    def test_queue_matches_synchronous_session(self, graphs):
+        # The whole chain: a job through BatchRunner and JobQueue answers as
+        # Session.solve does, orientation assignment included.
+        g1, _ = graphs
+        sync = Session(g1)
+        expected = [sync.solve("coreness", rounds=3),
+                    sync.solve("orientation", rounds=3),
+                    sync.solve("coreness", rounds=6)]
+        with JobQueue(max_workers=2) as queue:
+            results = queue.run([BatchJob(graph=g1, rounds=3),
+                                 BatchJob(graph=g1, problem="orientation",
+                                          rounds=3),
+                                 BatchJob(graph=g1, rounds=6)])
+        assert results[0].values == expected[0].values
+        assert results[1].result.orientation.assignment == \
+            expected[1].orientation.assignment
+        assert results[2].values == expected[2].values
+
+    def test_warmed_runner_serves_from_its_session_cache(self, graphs):
+        g1, _ = graphs
+        runner = BatchRunner()
+        warmed = runner.run_job(BatchJob(graph=g1, rounds=4))
+        with JobQueue(runner, max_workers=1) as queue:
+            again = queue.submit(BatchJob(graph=g1, rounds=4)).result()
+        assert again.result is warmed.result
+        assert runner.session(g1).stats.problem_hits == 1
+
+    def test_store_backed_queues_share_the_disk_cache(self, graphs, tmp_path):
+        g1, _ = graphs
+        store = tmp_path / "store"
+        with JobQueue(BatchRunner(store=store), max_workers=2) as queue:
+            first = queue.submit(BatchJob(graph=g1, rounds=4)).result()
+        with JobQueue(BatchRunner(store=store), max_workers=2) as queue:
+            again = queue.submit(BatchJob(graph=g1, rounds=4)).result()
+            assert queue.runner.aggregate_stats()["disk_hits"] == 1
+        assert again.values == first.values
 
     def test_same_graph_jobs_share_one_session(self, graphs):
         g1, _ = graphs
@@ -116,6 +153,38 @@ class TestInFlightDedup:
             assert second is first
             gated.release.set()
             first.result()
+
+    def test_lambda_spellings_coalesce_in_flight(self, graphs):
+        # The in-flight key is the problem's request_key, which canonicalises
+        # a finite λ: -0.0 and 0.0 are one request (the explicit name keeps
+        # the two job labels, and so their stats rows, identical).
+        g1, _ = graphs
+        gated = _Gated()
+        with JobQueue(max_workers=2) as queue:
+            first = queue.submit(BatchJob(graph=g1, problem=gated, rounds=3,
+                                          lam=-0.0, name="q"))
+            assert gated.started.wait(timeout=10)
+            second = queue.submit(BatchJob(graph=g1, problem=gated, rounds=3,
+                                           lam=0.0, name="q"))
+            assert second is first
+            assert queue.stats.deduplicated == 1
+            gated.release.set()
+            first.result()
+        assert queue.stats.submitted == 1
+
+    def test_identical_burst_computes_once(self, graphs):
+        # Every identical submission either coalesces in flight or hits the
+        # session's result cache: one engine run, one result object.
+        g1, _ = graphs
+        with JobQueue(max_workers=2) as queue:
+            futures = [queue.submit(BatchJob(graph=g1, rounds=4))
+                       for _ in range(6)]
+            results = [future.result() for future in futures]
+        assert all(r.result is results[0].result for r in results)
+        assert queue.stats.submitted + queue.stats.deduplicated == 6
+        session = queue.runner.session(g1)
+        assert session.stats.cold_runs == 1
+        assert session.stats.rounds_executed == 4
 
     def test_differently_named_jobs_do_not_coalesce(self, graphs):
         # A shared future carries one job identity in its stats row, so only
@@ -226,14 +295,6 @@ class TestLifecycleAndErrors:
                 # orientation does not take lam: rejected before any worker runs
                 queue.submit(BatchJob(graph=g1, problem="orientation",
                                       rounds=3, lam=0.5))
-
-    def test_runner_and_options_are_mutually_exclusive(self):
-        with pytest.raises(ServeError):
-            JobQueue(BatchRunner(), store="/tmp/nope")
-        with pytest.raises(ServeError):
-            # An explicit engine alongside a runner must be rejected, not
-            # silently dropped in favour of the runner's engine.
-            JobQueue(BatchRunner("faithful"), engine="sharded:8")
 
 
 class TestGraphLockHygiene:
@@ -358,106 +419,22 @@ class TestServeStatsCounters:
             assert queue.submit(BatchJob(graph=g1, rounds=4),
                                 block=False).result().surviving.values
 
-    def test_async_session_counts_problems_too(self, graphs):
-        g1, _ = graphs
-        with AsyncSession(g1, max_workers=2) as serve:
-            serve.submit("coreness", rounds=3).result()
-            serve.submit("orientation", rounds=3).result()
-            serve.submit("coreness", rounds=3).result()  # session-cache hit
-        assert serve.stats.per_problem == {"coreness": 2, "orientation": 1}
 
+class TestRemovedSpellings:
+    """The queue takes a runner, and the package has one async front-end."""
 
-class TestAsyncSession:
-    def test_matches_synchronous_session(self, graphs):
-        g1, _ = graphs
-        sync = Session(g1)
-        expected = [sync.solve("coreness", rounds=3),
-                    sync.solve("orientation", rounds=3),
-                    sync.solve("coreness", rounds=6)]
-        with AsyncSession(g1, max_workers=2) as serve:
-            results = list(serve.map([("coreness", {"rounds": 3}),
-                                      ("orientation", {"rounds": 3}),
-                                      ("coreness", {"rounds": 6})]))
-        assert results[0].values == expected[0].values
-        assert results[1].orientation.assignment == expected[1].orientation.assignment
-        assert results[2].values == expected[2].values
+    def test_queue_takes_no_engine_or_store_options(self, tmp_path):
+        with pytest.raises(TypeError):
+            JobQueue(store=tmp_path / "store")
+        with pytest.raises(TypeError):
+            JobQueue(engine="sharded:3")
+        with pytest.raises(TypeError):
+            JobQueue(BatchRunner(), num_shards=3)
 
-    def test_identical_requests_share_the_result_object(self, graphs):
-        g1, _ = graphs
-        with AsyncSession(g1, max_workers=2) as serve:
-            futures = [serve.submit("coreness", rounds=4) for _ in range(6)]
-            results = [future.result() for future in futures]
-        assert all(result is results[0] for result in results)
-        # Every submission either coalesced in flight or hit the session cache.
-        assert serve.stats.submitted + serve.stats.deduplicated == 6
+    def test_async_session_is_gone(self):
+        import repro
+        import repro.serve
 
-    def test_wraps_an_existing_session(self, graphs):
-        g1, _ = graphs
-        session = Session(g1)
-        warmed = session.coreness(rounds=4)
-        with AsyncSession(session=session, max_workers=1) as serve:
-            assert serve.submit("coreness", rounds=4).result() is warmed
-
-    def test_graph_and_session_are_mutually_exclusive(self, graphs):
-        g1, _ = graphs
-        with pytest.raises(ServeError):
-            AsyncSession(g1, session=Session(g1))
-        with pytest.raises(ServeError):
-            AsyncSession()
-        with pytest.raises(ServeError):
-            AsyncSession(session=Session(g1), store="/tmp/nope")
-
-    def test_lambda_spellings_coalesce_in_flight(self, graphs):
-        # Regression: AsyncSession's in-flight key skipped the λ
-        # canonicalisation Session.solve performs (both now take the key from
-        # Session.resolve_request), so equivalent spellings of the same request
-        # could miss the in-flight dedup (and a bad λ only failed inside the
-        # worker future).  Serve with a non-default λ so the explicit
-        # spellings stay in the key and must canonicalise to coalesce.
-        g1, _ = graphs
-        gated = _Gated()
-        with AsyncSession(g1, lam=0.25, max_workers=2) as serve:
-            first = serve.submit(gated, rounds=3, lam=-0.0)
-            assert gated.started.wait(timeout=10)
-            second = serve.submit(gated, rounds=3, lam=0.0)
-            assert second is first  # -0.0 and 0.0 are one request
-            assert serve.stats.deduplicated == 1
-            gated.release.set()
-            first.result()
-        assert serve.stats.submitted == 1
-
-    def test_default_lambda_spelled_explicitly_coalesces(self, graphs):
-        g1, _ = graphs
-        gated = _Gated()
-        with AsyncSession(g1, max_workers=2) as serve:
-            first = serve.submit(gated, rounds=3)
-            assert gated.started.wait(timeout=10)
-            # -0.0 must canonicalise first, then collapse onto the omitted
-            # spelling of the session default 0.0.
-            second = serve.submit(gated, rounds=3, lam=-0.0)
-            assert second is first
-            assert serve.stats.deduplicated == 1
-            gated.release.set()
-            first.result()
-
-    def test_non_finite_lambda_fails_at_submit_time(self, graphs):
-        from repro.errors import InvalidLambdaError
-
-        g1, _ = graphs
-        with AsyncSession(g1, max_workers=1) as serve:
-            for bad in (float("nan"), float("inf"), float("-inf")):
-                with pytest.raises(InvalidLambdaError):
-                    # Rejected before any worker runs — a NaN λ would
-                    # otherwise never dedup (NaN != NaN) and only fail
-                    # inside the future.
-                    serve.submit("coreness", rounds=3, lam=bad)
-        assert serve.stats.submitted == 0
-
-    def test_store_backed_async_session(self, graphs, tmp_path):
-        g1, _ = graphs
-        with AsyncSession(g1, store=tmp_path / "store", max_workers=2) as serve:
-            first = serve.submit("coreness", rounds=4).result()
-        with AsyncSession(g1, store=tmp_path / "store", max_workers=2) as serve:
-            again = serve.submit("coreness", rounds=4).result()
-            assert serve.session.stats.disk_hits == 1
-        assert again.values == first.values
+        assert not hasattr(repro, "AsyncSession")
+        assert "AsyncSession" not in repro.__all__
+        assert not hasattr(repro.serve, "AsyncSession")

@@ -367,6 +367,16 @@ class TestSessionBound:
 
 
 class TestJobLifecycle:
+    def test_finished_job_bound_is_not_an_option(self, monkeypatch):
+        # Retention is the module constant MAX_FINISHED_JOBS; any other
+        # keyword is an engine option, refused before the socket binds.
+        bound = []
+        monkeypatch.setattr(ReproHTTPServer, "server_bind",
+                            lambda self: bound.append(self))
+        with pytest.raises(AlgorithmError, match="invalid options"):
+            ReproHTTPServer(max_finished_jobs=2)
+        assert bound == []
+
     def test_submit_poll_result(self, client):
         fp = client.upload_dataset("caveman")
         issued = client.submit(fp, problem="coreness", rounds=6)
@@ -906,3 +916,12 @@ class TestCLIServeCommand:
         runner.join(timeout=30)
         assert not runner.is_alive()
         assert "drained" in out.getvalue()
+
+    def test_trace_sample_flag_is_rejected(self, capsys):
+        # --trace records every span; there is no root sampling.
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--port", "0", "--trace-sample", "2"])
+        assert excinfo.value.code == 2
+        assert "--trace-sample" in capsys.readouterr().err

@@ -166,63 +166,40 @@ class TestArtifactCaching:
         assert session.stats.cold_runs == 2
 
 
-class TestBoundedResultCache:
-    """``max_cached_results`` bounds the result caches with LRU eviction."""
+class TestResultCache:
+    """The result caches keep every distinct request; there is no bound."""
 
-    def test_unbounded_by_default(self, two_communities):
+    def test_every_distinct_request_stays_cached(self, two_communities):
         session = Session(two_communities)
         for t in range(1, 9):
             session.surviving(rounds=t)
         assert len(session._results) == 8
-        assert session.stats.evictions == 0
+        assert "evictions" not in session.stats.to_dict()
 
-    def test_bound_is_enforced_on_surviving_results(self, two_communities):
-        session = Session(two_communities, max_cached_results=3)
-        for t in range(1, 9):
-            session.surviving(rounds=t)
-        assert len(session._results) == 3
-        assert session.stats.evictions == 5
+    def test_problem_results_stay_cached(self, two_communities):
+        session = Session(two_communities)
+        first = [session.coreness(rounds=t) for t in range(1, 6)]
+        assert len(session._problem_results) == 5
+        assert all(session.coreness(rounds=t) is result
+                   for t, result in zip(range(1, 6), first))
+        assert session.stats.problem_hits == 5
 
-    def test_least_recently_used_entry_is_evicted_first(self, two_communities):
-        session = Session(two_communities, max_cached_results=2)
-        first = session.surviving(rounds=1)
-        session.surviving(rounds=2)
-        assert session.surviving(rounds=1) is first   # touch: 1 is now MRU
-        session.surviving(rounds=3)                   # evicts the LRU entry (2)
-        assert set(session._results) == {(1, 0.0, "history", False),
-                                         (3, 0.0, "history", False)}
-        assert session.surviving(rounds=1) is first   # survived as a hit
-
-    def test_evicted_requests_recompute_identically(self, two_communities):
-        session = Session(two_communities, max_cached_results=1)
-        first = session.surviving(rounds=4)
-        session.surviving(rounds=6)                   # evicts the T=4 entry
-        again = session.surviving(rounds=4)
-        assert again is not first
-        assert again.values == first.values
-        # The trajectory cache is not LRU-bounded (one array per λ), so the
-        # recompute is served by slicing, not by running rounds again.
-        assert session.stats.rounds_executed == 6
-
-    def test_problem_results_are_bounded_too(self, two_communities):
-        session = Session(two_communities, max_cached_results=2)
-        for t in range(1, 6):
-            session.coreness(rounds=t)
-        assert len(session._problem_results) == 2
-
-    def test_clear_cache_resets_a_bounded_session(self, two_communities):
-        session = Session(two_communities, max_cached_results=2)
+    def test_clear_cache_empties_every_result_cache(self, two_communities):
+        session = Session(two_communities)
         session.coreness(rounds=2)
         session.coreness(rounds=3)
         session.clear_cache()
         assert len(session._results) == 0
         assert len(session._problem_results) == 0
+        assert len(session._trajectories) == 0
         repeat = session.coreness(rounds=2)
         assert repeat.values == Session(two_communities).coreness(rounds=2).values
 
-    def test_invalid_bound_rejected(self, two_communities):
-        with pytest.raises(AlgorithmError, match="max_cached_results"):
-            Session(two_communities, max_cached_results=0)
+    def test_cache_bound_is_not_an_option(self, two_communities):
+        # Any keyword a Session does not take is an engine option, so the
+        # removed bound is the registry's invalid-options error.
+        with pytest.raises(AlgorithmError, match="invalid options"):
+            Session(two_communities, max_cached_results=2)
 
 
 class TestPrefixReuse:
@@ -564,7 +541,7 @@ class TestLambdaCanonicalisationRegression:
             problem.request_key({"rounds": 4, "lam": 0.0})
 
     def test_resolve_request_keys_every_spelling_of_one_request(self, k6):
-        # The key Session.solve caches on and AsyncSession coalesces on.
+        # The key Session.solve caches on.
         session = Session(k6, lam=0.5)
         keys = {session.resolve_request(problem, params)[2]
                 for problem, params in (
