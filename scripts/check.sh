@@ -4,9 +4,10 @@
 # at 5k nodes, and the warm-session throughput gate: >= 2x over a cold session
 # per request on repeated mixed requests, bit-identical), smoke runs of every
 # example, the trajectory spill smoke (store-backed sessions with the spill
-# threshold patched to 0: vectorized and threaded sharded roots append to the
-# store's .traj bit-identically, a restarted session extends the stored
-# prefix, and a one-edge delta child's frontier re-solve spills), the
+# threshold patched to 0: the one trajectory engine's one-range plan,
+# `vectorized`, and its threaded 4-range plan, `sharded:shards=4,workers=2`,
+# append to the store's .traj bit-identically, a restarted session extends
+# the stored prefix, and a one-edge delta child's frontier re-solve spills), the
 # persistent-store smoke (the cold run leaves one append-only trajectory-lam0.0.traj/ and no
 # .npz; second run served from disk, bit-identical; a resumed 2x-rounds run
 # appends without rewriting the stored rows of rows.bin; then a chain of
@@ -87,6 +88,7 @@ child_in_ram = Session(graph, engine="sharded:4")
 child_in_ram.surviving(rounds=8)
 child_in_ram = child_in_ram.apply_delta(delta).surviving(rounds=8).trajectory
 session_module.SPILL_BYTES = 0  # every store-backed trajectory spills
+# One engine class, two plans: one range, and four ranges on two threads.
 for spec in ("vectorized", "sharded:shards=4,workers=2"):
     with tempfile.TemporaryDirectory(prefix="repro-traj-smoke-") as tmp:
         store = ArtifactStore(tmp)
@@ -116,9 +118,9 @@ for spec in ("vectorized", "sharded:shards=4,workers=2"):
             f"{spec}: delta child did not spill to disk"
         assert mapped.tobytes() == child_in_ram.tobytes(), \
             f"{spec}: spilled delta child is not bit-identical"
-print("traj smoke: vectorized and threaded sharded roots spill bit-identically "
-      "on n=2000, a restart extends 8 -> 12 rounds from the stored prefix, "
-      "and a delta child's frontier spills")
+print("traj smoke: the one-range and threaded 4-range plans spill "
+      "bit-identically on n=2000, a restart extends 8 -> 12 rounds from the "
+      "stored prefix, and a delta child's frontier spills")
 PY
 
 

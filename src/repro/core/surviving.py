@@ -221,8 +221,8 @@ def surviving_numbers_vectorized(csr: CSRAdjacency, rounds: int, *,
     remaining rows simply repeat it.
 
     This is the single-range special case of
-    :func:`repro.engine.kernels.compact_trajectory` (which the sharded engine
-    calls with a multi-range shard plan).
+    :func:`repro.engine.kernels.compact_trajectory` (which the trajectory
+    engine calls with its shard plan).
     """
     return compact_trajectory(csr, rounds, lam=lam)
 

@@ -9,9 +9,9 @@ through :func:`~repro.engine.base.get_engine`:
 ('faithful', 'sharded', 'vectorized')
 >>> engine = get_engine("sharded", num_shards=4)
 
-The per-round NumPy kernels shared by the array engines are in
-:mod:`repro.engine.kernels`; multi-job execution with shared per-graph sessions
-is in :mod:`repro.engine.batch`.
+The per-round NumPy kernels of the trajectory engine (``vectorized`` and
+``sharded``) are in :mod:`repro.engine.kernels`; multi-job execution with
+shared per-graph sessions is in :mod:`repro.engine.batch`.
 
 The batch symbols are re-exported lazily (PEP 562): :mod:`repro.engine.batch`
 routes jobs through :mod:`repro.session` and :mod:`repro.problems`, which in

@@ -16,7 +16,7 @@ name          implementation
 ``sharded``   the same kernels executed shard-by-shard over contiguous node
               ranges, bounding peak memory to one shard's frontier arrays;
               with ``workers=N`` each round's shards run on an ``N``-thread
-              pool
+              pool (both are :class:`~repro.engine.vectorized.TrajectoryEngine`)
 ============  ===============================================================
 
 Where a trajectory engine's output lives is not an engine option: its
@@ -205,10 +205,12 @@ def _make_faithful(**options) -> Engine:
     return FaithfulEngine(**options)
 
 
-def _make_vectorized(**options) -> Engine:
-    from repro.engine.vectorized import VectorizedEngine
+def _make_vectorized() -> Engine:
+    from repro.engine.vectorized import TrajectoryEngine
 
-    return VectorizedEngine(**options)
+    engine = TrajectoryEngine(num_shards=1)
+    engine.name = "vectorized"
+    return engine
 
 
 #: Friendly spelling aliases accepted in sharded engine specs.
@@ -216,10 +218,10 @@ _SHARDED_OPTION_ALIASES = {"shards": "num_shards", "workers": "max_workers"}
 
 
 def _make_sharded(**options) -> Engine:
-    from repro.engine.sharded import ShardedEngine
+    from repro.engine.vectorized import TrajectoryEngine
 
-    return ShardedEngine(**{_SHARDED_OPTION_ALIASES.get(k, k): v
-                            for k, v in options.items()})
+    return TrajectoryEngine(**{_SHARDED_OPTION_ALIASES.get(k, k): v
+                               for k, v in options.items()})
 
 
 register_engine("faithful", _make_faithful, aliases=("simulation", "distsim"))

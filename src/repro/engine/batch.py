@@ -31,6 +31,7 @@ from repro.graph.csr import CSRAdjacency
 from repro.graph.graph import Graph
 from repro.problems import Problem, ProblemLike, get_problem
 from repro.session import DeltaLink, Session, SessionStats
+from repro.utils.numeric import canonical_lam
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.surviving import SurvivingNumbers
@@ -303,6 +304,9 @@ class BatchRunner:
     # -------------------------------------------------------------------- runs
     @staticmethod
     def _job_params(job: BatchJob, problem: Problem) -> dict:
+        """The ``solve`` params of ``job``; raises for a bad job before any
+        work: a non-finite λ (:class:`~repro.errors.InvalidLambdaError`) or
+        an optional field the problem does not take."""
         params: dict = {}
         if job.epsilon is not None:
             params["epsilon"] = job.epsilon
@@ -312,6 +316,8 @@ class BatchRunner:
             params["rounds"] = job.rounds
         for name, default in _OPTIONAL_JOB_PARAMS.items():
             value = getattr(job, name)
+            if name == "lam":
+                value = canonical_lam(value)
             if name in problem.batch_params:
                 params[name] = value
             elif value != default and value != problem.forced_params.get(name, default):

@@ -1,4 +1,4 @@
-"""Per-round NumPy kernels shared by the vectorised execution engines.
+"""Per-round NumPy kernels shared by the array execution paths.
 
 These are the innermost loops of the library, extracted from the original
 monolithic implementations in :mod:`repro.core.surviving` and
@@ -20,10 +20,10 @@ composes the *same* kernels instead of re-implementing them:
 
 Every kernel takes an explicit ``[lo, hi)`` node range and only materialises the
 frontier arrays (gathered neighbour values, sort permutation, prefix sums) for
-that range, which is what bounds the peak memory of the sharded engine: with a
-shard plan of ``k`` ranges, at most one range's frontier arrays exist at a time
-(unless a concurrent executor is supplied, in which case each in-flight shard
-owns one set).
+that range, which is what bounds the peak memory of a shard plan
+(:class:`~repro.engine.vectorized.TrajectoryEngine`): with ``k`` ranges, at
+most one range's frontier arrays exist at a time (unless a concurrent executor
+is supplied, in which case each in-flight shard owns one set).
 
 Numerical note: within a kernel invocation the per-row prefix sums are derived
 from a single cumulative sum over the range (exactly like the original
@@ -444,7 +444,10 @@ def _gathered_sub_csr(csr: CSRAdjacency, ids: np.ndarray) -> CSRAdjacency:
 
 
 def frontier_trajectory(csr: CSRAdjacency, rounds: int, *, lam: float = 0.0,
-                        warm: FrontierWarmStart, out=None) -> np.ndarray:
+                        warm: FrontierWarmStart,
+                        plan: Optional[ShardPlan] = None,
+                        shard_map: Optional[Callable] = None,
+                        out=None) -> np.ndarray:
     """Incremental Algorithm 2 trajectory of a delta-derived graph: the
     round loop of :func:`compact_trajectory` with ``warm=``.
 
@@ -456,12 +459,15 @@ def frontier_trajectory(csr: CSRAdjacency, rounds: int, *, lam: float = 0.0,
     Returns the full ``(rounds + 1, n)`` trajectory, or the exact rows
     ``0..t-1`` when round ``t``'s dirty set exceeds
     ``max_frontier_fraction·n`` (row 0 alone when the parent's rows do not
-    cover ``rounds``), which the caller finishes with full rounds.  An
-    ``out`` sink receives the rows as :func:`compact_trajectory` appends
-    them.  Like any shard plan, copied-vs-recomputed equality is exact for
-    integer/dyadic weights; other float weights carry the last-ulp caveat.
+    cover ``rounds``), which the caller finishes with full rounds.  Each
+    ``plan`` range recomputes its own dirty rows, on ``shard_map`` when
+    given, and an ``out`` sink receives the rows, all as in
+    :func:`compact_trajectory`.  Like any shard plan, copied-vs-recomputed
+    equality is exact for integer/dyadic weights; other float weights carry
+    the last-ulp caveat.
     """
-    return compact_trajectory(csr, rounds, lam=lam, warm=warm, out=out)
+    return compact_trajectory(csr, rounds, lam=lam, plan=plan,
+                              shard_map=shard_map, out=out, warm=warm)
 
 
 def threshold_round_range(csr: CSRAdjacency, alive: np.ndarray, threshold: float,

@@ -5,10 +5,11 @@ Two halves, both disabled-by-default and dependency-free:
 * **Tracing** (:mod:`repro.obs.trace`) — hierarchical wall-clock spans
   (``obs.span("session.solve", lam=0.0)``) recorded into a bounded in-memory
   ring and, optionally, a JSONL file.  Span context propagates across the
-  serving worker pool and into the sharded engine's shard threads (their
-  spans carry the shard ranges).  A recorded JSONL trace renders to Chrome
-  trace-event format (``repro trace export --chrome``) so a solve opens in
-  Perfetto, and aggregates to a per-span-name latency table
+  serving worker pool and into a threaded shard plan's pool threads
+  (``sharded:workers=N``; their spans carry the shard ranges).  A recorded
+  JSONL trace renders to Chrome trace-event format
+  (``repro trace export --chrome``) so a solve opens in Perfetto, and
+  aggregates to a per-span-name latency table
   (``repro trace summarize``).  An enabled tracer records every span;
   ``with trace.SUPPRESSED_SPAN:`` silences the current thread for a block
   (a traced ``bench/`` run times a layer as one span that way).  When

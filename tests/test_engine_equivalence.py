@@ -21,7 +21,7 @@ import pytest
 from repro.core.orientation import orientation_from_kept
 from repro.core.surviving import run_compact_elimination
 from repro.engine import get_engine
-from repro.engine.sharded import ShardedEngine
+from repro.engine.vectorized import TrajectoryEngine
 from repro.errors import SimulationError
 from repro.graph.generators.community import core_periphery, planted_partition
 from repro.graph.generators.random_graphs import barabasi_albert, erdos_renyi_gnp
@@ -143,8 +143,8 @@ SHARD_COUNTS = (1, 2, 5, 10_000)
 
 
 def _shard_variants(graph):
-    return [ShardedEngine(num_shards=k) for k in SHARD_COUNTS] + \
-        [ShardedEngine(num_shards=3, max_workers=2)]
+    return [TrajectoryEngine(num_shards=k) for k in SHARD_COUNTS] + \
+        [TrajectoryEngine(num_shards=3, max_workers=2)]
 
 
 #: Out-of-core output: every trajectory engine, sequential and threaded,

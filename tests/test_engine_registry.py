@@ -13,8 +13,7 @@ from repro.engine import (
     register_engine,
 )
 from repro.engine.kernels import shard_plan
-from repro.engine.sharded import ShardedEngine
-from repro.engine.vectorized import VectorizedEngine
+from repro.engine.vectorized import TrajectoryEngine
 from repro.errors import AlgorithmError
 
 
@@ -43,22 +42,24 @@ class TestRegistryResolution:
             get_engine("quantum")
 
     def test_default_is_vectorized(self):
-        assert isinstance(get_engine(), VectorizedEngine)
+        engine = get_engine()
+        assert isinstance(engine, TrajectoryEngine)
+        assert engine.name == "vectorized"
 
     def test_engine_instance_passes_through(self):
-        engine = ShardedEngine(num_shards=3)
+        engine = TrajectoryEngine(num_shards=3)
         assert get_engine(engine) is engine
 
     def test_engine_instance_rejects_extra_options(self):
         with pytest.raises(AlgorithmError, match="already-constructed"):
-            get_engine(ShardedEngine(), num_shards=2)
+            get_engine(TrajectoryEngine(), num_shards=2)
 
     def test_non_string_non_engine_rejected(self):
         with pytest.raises(AlgorithmError, match="name string or an Engine"):
             get_engine(42)
 
     def test_register_custom_engine(self):
-        class EchoEngine(VectorizedEngine):
+        class EchoEngine(TrajectoryEngine):
             name = "echo-test"
 
         register_engine("echo-test", lambda **opts: EchoEngine())
@@ -74,7 +75,7 @@ class TestRegistryResolution:
     def test_compact_elimination_routes_through_registry(self, k6):
         with pytest.raises(AlgorithmError):
             compact_elimination(k6, 2, engine="quantum")
-        result = compact_elimination(k6, 2, engine=ShardedEngine(num_shards=2))
+        result = compact_elimination(k6, 2, engine=TrajectoryEngine(num_shards=2))
         assert all(v == pytest.approx(5.0) for v in result.values.values())
 
 
@@ -119,20 +120,54 @@ class TestSpecParsing:
 class TestShardedConstruction:
     def test_invalid_shard_count(self):
         with pytest.raises(AlgorithmError, match="num_shards must be >= 1"):
-            ShardedEngine(num_shards=0)
+            TrajectoryEngine(num_shards=0)
 
     def test_invalid_worker_count(self):
         with pytest.raises(AlgorithmError, match="max_workers must be >= 1"):
-            ShardedEngine(max_workers=0)
+            TrajectoryEngine(max_workers=0)
 
     def test_auto_plan_scales_with_graph(self):
-        engine = ShardedEngine()
+        engine = TrajectoryEngine()
         assert engine.plan_for(100) == ((0, 100),)
         plan = engine.plan_for(40000)
         assert len(plan) == 3
 
     def test_describe_mentions_configuration(self):
-        assert "shards=4" in ShardedEngine(num_shards=4).describe()
+        assert "shards=4" in TrajectoryEngine(num_shards=4).describe()
+
+
+class TestOneTrajectoryEngine:
+    """``vectorized`` and ``sharded`` are one class with a shard plan."""
+
+    @pytest.mark.parametrize("spec, name", [
+        ("vectorized", "vectorized"), ("numpy", "vectorized"),
+        ("sharded", "sharded"), ("sharded:1", "sharded"),
+        ("sharded:4", "sharded"), ("sharded:shards=4,workers=2", "sharded"),
+    ])
+    def test_every_array_spec_is_a_trajectory_engine(self, spec, name):
+        engine = get_engine(spec)
+        assert type(engine) is TrajectoryEngine
+        assert engine.name == name
+
+    def test_vectorized_is_the_one_range_plan(self):
+        engine = get_engine("vectorized")
+        for n in (0, 1, 100, 40000):
+            assert engine.plan_for(n) == ((0, n),)
+        assert engine.max_workers is None
+        assert engine.describe() == "vectorized (whole-graph NumPy kernels)"
+
+    @pytest.mark.parametrize("make", [
+        lambda: get_engine("vectorized", num_shards=2),
+        lambda: get_engine("vectorized:num_shards=2"),
+        lambda: get_engine("numpy:shards=2"),
+        lambda: get_engine("vectorized", max_workers=2),
+        lambda: get_engine("vectorized:workers=2"),
+        lambda: get_engine("vectorized:storage=mmap"),
+    ], ids=["keyword-shards", "spec-shards", "alias-shards",
+            "keyword-workers", "spec-workers", "spec-storage"])
+    def test_vectorized_takes_no_option(self, make):
+        with pytest.raises(AlgorithmError, match="invalid options"):
+            make()
 
 
 class TestShardPlan:

@@ -1,4 +1,4 @@
-"""The sharded engine: shard plans, options and threaded execution.
+"""The sharded plans of the trajectory engine: options and threads.
 
 The cross-engine *value* equivalence of the sharded engine lives in
 ``test_engine_equivalence.py`` / ``test_session_equivalence.py``; this module
@@ -17,7 +17,7 @@ import pytest
 
 from repro.engine import get_engine, kernels
 from repro.engine.kernels import shard_plan
-from repro.engine.sharded import ShardedEngine
+from repro.engine.vectorized import TrajectoryEngine
 from repro.errors import AlgorithmError
 from repro.graph.generators.random_graphs import barabasi_albert
 from repro.graph.generators.structured import complete_graph, path_graph
@@ -70,18 +70,18 @@ class TestShardedEngineOptions:
         threaded.close()
 
     def test_auto_plan_covers_the_workers(self):
-        engine = ShardedEngine(max_workers=4)
+        engine = TrajectoryEngine(max_workers=4)
         assert len(engine.plan_for(100)) == 4  # auto-sizing would give 1 shard
         assert len(engine.plan_for(2)) == 2    # still clamped to n
 
     def test_invalid_workers_rejected(self):
         with pytest.raises(AlgorithmError, match="max_workers"):
-            ShardedEngine(max_workers=0)
+            TrajectoryEngine(max_workers=0)
 
     @pytest.mark.parametrize("make", [
         lambda: get_engine("sharded:parallel=process"),
         lambda: get_engine("sharded:workers=2,parallel=thread"),
-        lambda: ShardedEngine(parallel="thread"),
+        lambda: TrajectoryEngine(parallel="thread"),
     ], ids=["spec-process", "spec-thread-with-workers", "keyword-thread"])
     def test_parallel_option_is_rejected(self, make):
         with pytest.raises(AlgorithmError, match="invalid options"):
@@ -90,14 +90,14 @@ class TestShardedEngineOptions:
     @pytest.mark.parametrize("make", [
         lambda: get_engine("sharded:storage=mmap"),
         lambda: get_engine("sharded:shards=3,storage=memory"),
-        lambda: ShardedEngine(storage="mmap"),
+        lambda: TrajectoryEngine(storage="mmap"),
         lambda: get_engine("sharded:spill=0"),
-        lambda: ShardedEngine(spill_bytes=1 << 20),
+        lambda: TrajectoryEngine(spill_bytes=1 << 20),
         lambda: Session(path_graph(4), engine="sharded", spill_bytes=1),
         lambda: get_engine("sharded:traj=mmap"),
         lambda: get_engine("sharded:shards=2,dir=traj"),
-        lambda: ShardedEngine(trajectory_storage="mmap"),
-        lambda: ShardedEngine(storage_dir="traj"),
+        lambda: TrajectoryEngine(trajectory_storage="mmap"),
+        lambda: TrajectoryEngine(storage_dir="traj"),
         lambda: get_engine("sharded", trajectory_storage="memory"),
         lambda: Session(path_graph(4), engine="sharded",
                         trajectory_storage="mmap"),
@@ -116,7 +116,52 @@ class TestShardedEngineOptions:
     def test_takes_only_shards_and_workers(self):
         with pytest.raises(AlgorithmError,
                            match="it takes num_shards and max_workers"):
-            ShardedEngine(storage_dir="traj")
+            TrajectoryEngine(storage_dir="traj")
+
+
+class TestOneRoundLoopPerPlan:
+    """Every plan runs its rounds through the two round-loop names of
+    :mod:`repro.engine.vectorized` (the names a traced run attributes), with
+    its own plan and pool: cold runs and prefix resumes through
+    ``compact_trajectory``, a delta child's frontier through
+    ``frontier_trajectory``."""
+
+    @pytest.mark.parametrize("spec, ranges, threaded", [
+        ("vectorized", 1, False), ("sharded:3", 3, False),
+        ("sharded:shards=3,workers=2", 3, True),
+    ])
+    def test_rounds_go_through_the_module_names(self, monkeypatch, spec,
+                                                ranges, threaded):
+        from repro.engine import vectorized
+        from repro.graph.delta import GraphDelta
+
+        calls = []
+
+        def recording(name):
+            real = getattr(vectorized, name)
+
+            def wrapper(csr, rounds, **kwargs):
+                calls.append((name, len(kwargs["plan"]),
+                              kwargs["shard_map"] is not None))
+                return real(csr, rounds, **kwargs)
+            return wrapper
+
+        for name in ("compact_trajectory", "frontier_trajectory"):
+            monkeypatch.setattr(vectorized, name, recording(name))
+        graph = barabasi_albert(300, 3, seed=5)
+        session = Session(graph, engine=spec)
+        session.surviving(rounds=3)                 # cold
+        session.surviving(rounds=6)                 # prefix resume
+        child = session.apply_delta(GraphDelta(add_edges=[(0, 299, 1.0)]),
+                                    max_frontier_fraction=1.0)
+        result = child.surviving(rounds=6)          # frontier re-solve
+        assert child.stats.incremental_runs == 1
+        assert calls == [("compact_trajectory", ranges, threaded),
+                         ("compact_trajectory", ranges, threaded),
+                         ("frontier_trajectory", ranges, threaded)]
+        cold = Session(child.graph, engine="vectorized").surviving(rounds=6)
+        assert result.trajectory.tobytes() == cold.trajectory.tobytes()
+        session.engine.close()
 
 
 class TestThreadedExecution:
@@ -139,7 +184,7 @@ class TestThreadedExecution:
 
     def test_prefix_covering_every_round_is_served_by_slicing(self):
         graph = path_graph(40)
-        engine = ShardedEngine(num_shards=4, max_workers=2)
+        engine = TrajectoryEngine(num_shards=4, max_workers=2)
         full = engine.run(graph, 4, track_kept=False)
         # A prefix longer than the budget: no round runs, the rows are sliced.
         sliced = engine.run(graph, 2, track_kept=False,
@@ -148,14 +193,14 @@ class TestThreadedExecution:
 
     def test_single_shard_falls_back_to_sequential(self):
         graph = complete_graph(6)
-        engine = ShardedEngine(num_shards=1, max_workers=2)
+        engine = TrajectoryEngine(num_shards=1, max_workers=2)
         result = engine.run(graph, 3, track_kept=True)
         reference = get_engine("vectorized").run(graph, 3, track_kept=True)
         assert result.values == reference.values
         assert engine._thread_pool is None  # one range needs no pool
 
     def test_empty_and_single_node_graphs(self):
-        engine = ShardedEngine(num_shards=4, max_workers=2)
+        engine = TrajectoryEngine(num_shards=4, max_workers=2)
         empty = engine.run(Graph(), 2)
         assert empty.values == {}
         lonely = Graph(edges=[("v", "v", 2.0)])
@@ -165,7 +210,7 @@ class TestThreadedExecution:
     def test_shard_exception_propagates_and_the_pool_survives(self,
                                                              monkeypatch):
         graph = barabasi_albert(200, 2, seed=8)
-        engine = ShardedEngine(num_shards=4, max_workers=2)
+        engine = TrajectoryEngine(num_shards=4, max_workers=2)
         real = kernels.compact_round_range
         failed_in = []
 

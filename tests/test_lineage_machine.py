@@ -21,9 +21,12 @@ version's session with a fresh one on the written graph; the other opens
 ``Session(version.graph, store=same)`` on a stored version and must answer
 from disk.  After every step:
 
-* every answer equals a cold ``vectorized`` solve of its version's graph:
-  the answer's JSON, the trajectory rows and, for orientations, the
-  in-weights (part of that JSON); a stored plain version whose trajectory
+* every answer equals a reference solve of its version's graph on a fresh
+  ``Session(graph, engine=spec)``, the spec drawn per solve from the same
+  three engines, at the solve's tie-break (drawn per orientation job and
+  per plain solve from ``history``, ``stable`` and ``naive``): the answer's
+  JSON, the trajectory rows and, bit for bit, the values and, for
+  orientations, the in-weights; a stored plain version whose trajectory
   reaches the threshold maps its own ``.traj`` file, frontier re-solves
   included;
 * a write to one graph leaves every other held version's
@@ -77,9 +80,11 @@ _PROBLEMS = st.sampled_from(("coreness", "orientation"))
 _BUDGETS = (2, 4, 7)
 _ROUNDS = st.sampled_from(_BUDGETS)
 _LAMS = st.sampled_from((0.0, 0.5))
-#: Engines a plain chain runs on; every one must answer as cold vectorized.
+#: Engines a plain chain runs on, and the reference solve's engine, drawn
+#: per solve: one shard plan must answer as any other.
 _ENGINES = st.sampled_from(("vectorized", "sharded:3",
                             "sharded:shards=3,workers=2"))
+_TIE_BREAKS = st.sampled_from(("history", "stable", "naive"))
 
 #: The patched spill threshold: a stored version spills once
 #: ``(T + 1) · n ≥ 40`` (T = 7 from 5 nodes, T = 4 from 8, T = 2 from 14).
@@ -129,11 +134,29 @@ def _derives_from(session: Session, ancestor: Session) -> bool:
     return False
 
 
-def _cold(graph: Graph, problem: str, rounds: int, lam: float):
-    params = {"rounds": rounds}
+def _cold(graph: Graph, problem: str, rounds: int, lam: float,
+          tie_break: str, engine: str):
+    """The reference answer: a fresh session on ``engine`` solves cold."""
+    params = {"rounds": rounds, "tie_break": tie_break}
     if problem == "coreness":
         params["lam"] = lam
-    return Session(graph, engine="vectorized").solve(problem, **params)
+    return Session(graph, engine=engine).solve(problem, **params)
+
+
+def _bits(values) -> bytes:
+    """A value mapping's floats, in its own order, as bytes."""
+    return np.fromiter(values.values(), dtype=np.float64,
+                       count=len(values)).tobytes()
+
+
+def _same_answer(answer, cold) -> None:
+    assert json.dumps(answer.to_dict()) == json.dumps(cold.to_dict())
+    assert list(answer.values) == list(cold.values)
+    assert _bits(answer.values) == _bits(cold.values)
+    if hasattr(answer, "orientation"):
+        in_weight = answer.orientation.in_weight
+        assert list(in_weight) == list(cold.orientation.in_weight)
+        assert _bits(in_weight) == _bits(cold.orientation.in_weight)
 
 
 class LineageMachine(RuleBasedStateMachine):
@@ -182,8 +205,10 @@ class LineageMachine(RuleBasedStateMachine):
 
     @precondition(lambda self: self.expected)
     @rule(data=st.data(), warm=st.booleans(), problem=_PROBLEMS,
-          rounds=_ROUNDS, lam=_LAMS)
-    def post_delta(self, data, warm, problem, rounds, lam):
+          rounds=_ROUNDS, lam=_LAMS, tie_break=_TIE_BREAKS,
+          reference=_ENGINES)
+    def post_delta(self, data, warm, problem, rounds, lam, tie_break,
+                   reference):
         """POST a delta on a version (a replay, or a new one); ``warm`` runs
         one job on the parent before it and the same job on the child after
         it, the shape of a stream of updates."""
@@ -194,7 +219,7 @@ class LineageMachine(RuleBasedStateMachine):
         else:
             delta = _draw_delta(data, self.expected[parent])
         if warm:
-            self._job(parent, problem, rounds, lam)
+            self._job(parent, problem, rounds, lam, tie_break, reference)
         doc = self.server.apply_delta(parent, {"delta": delta.to_dict()})
         assert doc["fingerprint"] == chain_fingerprint(parent, delta)
         made = self.posted.get((parent, delta))
@@ -207,27 +232,34 @@ class LineageMachine(RuleBasedStateMachine):
             self.expected[doc["fingerprint"]] = apply_delta(
                 self.expected[parent], delta)
         if warm:
-            self._job(doc["fingerprint"], problem, rounds, lam)
+            self._job(doc["fingerprint"], problem, rounds, lam, tie_break,
+                      reference)
 
     @precondition(lambda self: self.expected)
-    @rule(data=st.data(), problem=_PROBLEMS, rounds=_ROUNDS, lam=_LAMS)
-    def run_job(self, data, problem, rounds, lam):
+    @rule(data=st.data(), problem=_PROBLEMS, rounds=_ROUNDS, lam=_LAMS,
+          tie_break=_TIE_BREAKS, reference=_ENGINES)
+    def run_job(self, data, problem, rounds, lam, tie_break, reference):
         self._job(data.draw(_newest_first(self.expected)), problem, rounds,
-                  lam)
+                  lam, tie_break, reference)
 
-    def _job(self, version, problem, rounds, lam):
+    def _job(self, version, problem, rounds, lam, tie_break, reference):
+        """A job on ``version``; an orientation job asks for ``tie_break``
+        (a coreness job keeps the default), and the job's JSON, whose
+        floats read back exactly, must equal the reference's."""
         payload = {"problem": problem, "rounds": rounds}
         if problem == "coreness":
             payload["lam"] = lam
+            tie_break = "history"
         else:
             lam = 0.0
+            payload["tie_break"] = tie_break
         record = self.server.job_record(
             self.server.submit_job(version, payload)["job"])
         self.server.wait_job(record, 30)
         doc = self.server.job_document(record, include_result=True)
         assert doc["status"] == "done", doc
         graph = self.expected[version]
-        cold = _cold(graph, problem, rounds, lam)
+        cold = _cold(graph, problem, rounds, lam, tie_break, reference)
         assert json.dumps(doc["result"]) == json.dumps(cold.to_dict())
         stored = self.store.load_trajectory(graph_fingerprint(graph), lam,
                                             num_nodes=graph.num_nodes)
@@ -253,16 +285,17 @@ class LineageMachine(RuleBasedStateMachine):
 
     # ------------------------------------------------------- plain sessions
     @initialize(graph=_graphs(min_nodes=5), engine=_ENGINES, lam=_LAMS,
-                weight=_WEIGHTS)
-    def spilled_chain(self, graph, engine, lam, weight):
+                weight=_WEIGHTS, tie_break=_TIE_BREAKS, reference=_ENGINES)
+    def spilled_chain(self, graph, engine, lam, weight, tie_break,
+                      reference):
         """A stored root and a child one edge (to a new node) away, both
         solved at T = 7, so the child's frontier re-solve spills."""
         root = Session(copy.deepcopy(graph), engine=engine, store=self.store)
-        self._plain(root, "coreness", 7, lam)
+        self._plain(root, "coreness", 7, lam, tie_break, reference)
         child = root.apply_delta(
             GraphDelta(add_edges=[(0, graph.num_nodes, weight)]),
             max_frontier_fraction=1.0)
-        self._plain(child, "coreness", 7, lam)
+        self._plain(child, "coreness", 7, lam, tie_break, reference)
         self.plain += [root, child]
 
     @precondition(lambda self: self.expected)
@@ -274,36 +307,42 @@ class LineageMachine(RuleBasedStateMachine):
 
     @precondition(lambda self: self.plain)
     @rule(data=st.data(), fraction=st.sampled_from((0.25, 1.0)),
-          warm=st.booleans(), rounds=_ROUNDS, lam=_LAMS)
-    def plain_derive(self, data, fraction, warm, rounds, lam):
+          warm=st.booleans(), rounds=_ROUNDS, lam=_LAMS,
+          tie_break=_TIE_BREAKS, reference=_ENGINES)
+    def plain_derive(self, data, fraction, warm, rounds, lam, tie_break,
+                     reference):
         """Derive a child of a held version; ``warm`` first solves the
         parent at both λ and then the child at one, so a later solve of the
         child at the other λ needs the parent's trajectory again."""
         parent = data.draw(_newest_first(self.plain))
         if warm:
             for each in (0.0, 0.5):
-                self._plain(parent, "coreness", rounds, each)
+                self._plain(parent, "coreness", rounds, each, tie_break,
+                            reference)
         child = parent.apply_delta(_draw_delta(data, parent.graph),
                                    max_frontier_fraction=fraction)
         self.plain.append(child)
         if warm:
-            self._plain(child, "coreness", rounds, lam)
+            self._plain(child, "coreness", rounds, lam, tie_break, reference)
 
     @precondition(lambda self: self.plain)
-    @rule(data=st.data(), problem=_PROBLEMS, rounds=_ROUNDS, lam=_LAMS)
-    def plain_solve(self, data, problem, rounds, lam):
+    @rule(data=st.data(), problem=_PROBLEMS, rounds=_ROUNDS, lam=_LAMS,
+          tie_break=_TIE_BREAKS, reference=_ENGINES)
+    def plain_solve(self, data, problem, rounds, lam, tie_break, reference):
         self._plain(data.draw(_newest_first(self.plain)), problem, rounds,
-                    lam)
+                    lam, tie_break, reference)
 
-    def _plain(self, session, problem, rounds, lam):
+    def _plain(self, session, problem, rounds, lam, tie_break, reference):
         frontier_runs = session.stats.incremental_runs
         if problem == "orientation":
             lam = 0.0
-            answer = session.orientation(rounds=rounds)
+            answer = session.orientation(rounds=rounds, tie_break=tie_break)
         else:
-            answer = session.coreness(rounds=rounds, lam=lam)
-        cold = _cold(session.graph, problem, rounds, lam)
-        assert json.dumps(answer.to_dict()) == json.dumps(cold.to_dict())
+            answer = session.solve("coreness", rounds=rounds, lam=lam,
+                                   tie_break=tie_break)
+        cold = _cold(session.graph, problem, rounds, lam, tie_break,
+                     reference)
+        _same_answer(answer, cold)
         trajectory = answer.surviving.trajectory
         assert trajectory.tobytes() == cold.surviving.trajectory.tobytes()
         # A stored version whose trajectory reaches the threshold maps its
@@ -340,9 +379,10 @@ class LineageMachine(RuleBasedStateMachine):
 
     @precondition(lambda self: self._writable())
     @rule(data=st.data(), through_copy=st.booleans(), weight=_WEIGHTS,
-          problem=_PROBLEMS, rounds=_ROUNDS, lam=_LAMS)
+          problem=_PROBLEMS, rounds=_ROUNDS, lam=_LAMS,
+          tie_break=_TIE_BREAKS, reference=_ENGINES)
     def write_in_place(self, data, through_copy, weight, problem, rounds,
-                       lam):
+                       lam, tie_break, reference):
         """Add, re-weight or remove an edge at a shared row, in place, in a
         version's graph or in a ``copy.copy`` of it; a fresh Session on the
         written graph then replaces the version's."""
@@ -370,12 +410,13 @@ class LineageMachine(RuleBasedStateMachine):
         fresh = Session(graph, engine=version.engine, store=version.store)
         self.plain[self.plain.index(version)] = fresh
         self.solved.pop(id(version), None)
-        self._plain(fresh, problem, rounds, lam)
+        self._plain(fresh, problem, rounds, lam, tie_break, reference)
         _SEEN["write through copy" if through_copy else "write"] += 1
 
     @precondition(lambda self: self.solved)
-    @rule(data=st.data(), engine=_ENGINES)
-    def restart_stored(self, data, engine):
+    @rule(data=st.data(), engine=_ENGINES, tie_break=_TIE_BREAKS,
+          reference=_ENGINES)
+    def restart_stored(self, data, engine, tie_break, reference):
         """``Session(version.graph, store=same)`` on a held stored version
         answers as the version does, from disk, at a λ the version solved
         (orientation only at λ = 0)."""
@@ -388,16 +429,17 @@ class LineageMachine(RuleBasedStateMachine):
         problem = data.draw(st.sampled_from(
             ("coreness", "orientation") if lam == 0.0 else ("coreness",)))
         restarted = Session(version.graph, engine=engine, store=version.store)
-        answer = self._plain(restarted, problem, rounds, lam)
+        answer = self._plain(restarted, problem, rounds, lam, tie_break,
+                             reference)
         assert restarted.stats.disk_hits == 1, restarted.stats
         assert restarted.stats.rounds_executed == 0, restarted.stats
         assert restarted.stats.cold_runs == 0, restarted.stats
         self.solved.pop(id(restarted), None)
         if problem == "orientation":
-            own = version.orientation(rounds=rounds)
+            own = version.orientation(rounds=rounds, tie_break=tie_break)
         else:
             own = version.coreness(rounds=rounds, lam=lam)
-        assert json.dumps(answer.to_dict()) == json.dumps(own.to_dict())
+        _same_answer(answer, own)
         assert answer.surviving.trajectory.tobytes() == \
             own.surviving.trajectory.tobytes()
         _SEEN["store restart"] += 1

@@ -119,7 +119,7 @@ class TestSpanIntegrity:
             parent = by_id[shard["parent"]]
             # Recorded from pool threads with an explicit parent: the
             # enclosing engine context, not a thread-local orphan.
-            assert parent["name"] in ("engine.run", "engine.trajectory",
+            assert parent["name"] in ("engine.run",
                                       "session.surviving", "session.solve")
             assert {"lo", "hi", "round"} <= set(shard["attrs"])
 

@@ -296,6 +296,25 @@ class TestLifecycleAndErrors:
                 queue.submit(BatchJob(graph=g1, problem="orientation",
                                       rounds=3, lam=0.5))
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"),
+                                     float("-inf")])
+    @pytest.mark.parametrize("problem", ["coreness", "orientation"])
+    def test_non_finite_lambda_fails_at_submit_time(self, graphs, lam,
+                                                    problem):
+        from repro.errors import InvalidLambdaError
+
+        g1, _ = graphs
+        with JobQueue(max_workers=1) as queue:
+            with pytest.raises(InvalidLambdaError):
+                queue.submit(BatchJob(graph=g1, problem=problem, rounds=3,
+                                      lam=lam))
+            assert queue.stats.submitted == 0
+            assert queue.stats.per_problem == {}
+            assert queue.in_flight == 0
+        with pytest.raises(InvalidLambdaError):
+            BatchRunner().run_job(BatchJob(graph=g1, problem=problem,
+                                           rounds=3, lam=lam))
+
 
 class TestGraphLockHygiene:
     """Regression: the per-graph lock map grew forever and trusted id() reuse.
@@ -303,8 +322,8 @@ class TestGraphLockHygiene:
     ``JobQueue._graph_locks`` was keyed by ``id(graph)`` and never pruned, so
     a long-lived queue leaked one lock per graph it ever served — and a
     recycled ``id()`` could hand a brand-new graph a lock some thread still
-    held for a dead one.  The map now holds weakrefs (like
-    ``ShardedEngine._fingerprints``) and prunes dead entries on access.
+    held for a dead one.  The map now holds weakrefs and prunes dead entries
+    on access.
     """
 
     def _fresh_graph(self, seed):

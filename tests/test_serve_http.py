@@ -486,6 +486,34 @@ class TestMalformedWireInput:
         assert client.jobs() == []
 
 
+class TestNonFiniteLambda:
+    """``json.loads`` reads the tokens ``NaN``, ``Infinity`` and
+    ``-Infinity`` as floats, so a non-finite λ reaches the job fields' type
+    check as a number: the queue refuses it at submit, before a job is
+    counted or recorded."""
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("route", ["jobs", "batch"])
+    def test_answers_400_and_registers_no_job(self, server, client, token,
+                                              route):
+        fp = client.upload_dataset("caveman")
+        job = '{"rounds": 3, "lam": %s}' % token
+        body = job if route == "jobs" else '{"requests": [%s]}' % job
+        conn = http.client.HTTPConnection(server.host, server.port, timeout=30)
+        try:
+            conn.request("POST", f"/graphs/{fp}/{route}", body=body,
+                         headers={"Content-Type": "application/json"})
+            response = conn.getresponse()
+            status, document = response.status, json.loads(response.read())
+        finally:
+            conn.close()
+        assert status == 400, document
+        assert document["error"]["code"] == "invalid-lambda"
+        assert client.jobs() == []
+        assert server.queue.stats.submitted == 0
+        assert client.metrics()["serve"]["submitted"] == 0
+
+
 def _raw_exchange(server, request: bytes, *, close_write: bool = False):
     """Send hand-built request bytes; read until the server closes.
 

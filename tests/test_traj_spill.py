@@ -39,7 +39,7 @@ import pytest
 import repro.session as session_module
 import repro.store.traj as traj_module
 from repro.engine import get_engine
-from repro.engine.sharded import ShardedEngine
+from repro.engine.vectorized import TrajectoryEngine
 from repro.errors import StoreError
 from repro.graph.csr import csr_fingerprint, graph_to_csr
 from repro.graph.generators.random_graphs import barabasi_albert
@@ -317,24 +317,24 @@ class TestEngineEquivalence:
         assert np.array_equal(result.trajectory, reference.trajectory)
         # The trajectory really is the on-disk buffer, not a copy.
         assert isinstance(result.trajectory, np.memmap)
-        if isinstance(engine, ShardedEngine):
+        if isinstance(engine, TrajectoryEngine):
             engine.close()
 
     def test_fresh_engine_resumes_from_the_spilled_prefix(self, graph,
                                                           tmp_path):
         reference = get_engine("vectorized").run(graph, 9, track_kept=False)
         with _sink(tmp_path, graph) as sink:
-            ShardedEngine(num_shards=4).run(graph, 5, track_kept=False,
+            TrajectoryEngine(num_shards=4).run(graph, 5, track_kept=False,
                                             out=sink)
         with _sink(tmp_path, graph) as sink:
-            result = ShardedEngine(num_shards=4).run(graph, 9,
+            result = TrajectoryEngine(num_shards=4).run(graph, 9,
                                                      track_kept=False,
                                                      out=sink)
         assert np.array_equal(result.trajectory, reference.trajectory)
 
     def test_crash_recovery_through_the_engine(self, graph, tmp_path):
         reference = get_engine("vectorized").run(graph, 8, track_kept=False)
-        engine = ShardedEngine(num_shards=4)
+        engine = TrajectoryEngine(num_shards=4)
         with _sink(tmp_path, graph) as sink:
             engine.run(graph, 8, track_kept=False, out=sink)
         fingerprint = csr_fingerprint(graph_to_csr(graph))
@@ -350,7 +350,7 @@ class TestEngineEquivalence:
         graph = Graph(nodes=range(5))
         reference = get_engine("vectorized").run(graph, 3, track_kept=True)
         with _sink(tmp_path, graph) as sink:
-            result = ShardedEngine(num_shards=2).run(graph, 3,
+            result = TrajectoryEngine(num_shards=2).run(graph, 3,
                                                      track_kept=True,
                                                      out=sink)
         assert result.values == reference.values
@@ -360,7 +360,7 @@ class TestEngineEquivalence:
     def test_corrupt_header_through_the_engine_recomputes(self, graph,
                                                           tmp_path):
         reference = get_engine("vectorized").run(graph, 6, track_kept=False)
-        engine = ShardedEngine(num_shards=4)
+        engine = TrajectoryEngine(num_shards=4)
         with _sink(tmp_path, graph) as sink:
             engine.run(graph, 6, track_kept=False, out=sink)
         fingerprint = csr_fingerprint(graph_to_csr(graph))
@@ -403,7 +403,7 @@ class TestSessionOwnsTheSink:
 
     def test_one_engine_instance_spills_into_each_sessions_store(
             self, graph, tmp_path, spill_everything):
-        engine = ShardedEngine(num_shards=2)
+        engine = TrajectoryEngine(num_shards=2)
         first = Session(graph, engine=engine,
                         store=ArtifactStore(tmp_path / "a"))
         second = Session(graph, engine=engine,
@@ -418,7 +418,7 @@ class TestThreadPoolReuse:
     """Perf fix: one pool per engine, not a fresh ThreadPoolExecutor per call."""
 
     def test_pool_is_created_lazily_and_reused(self, graph):
-        engine = ShardedEngine(num_shards=4, max_workers=2)
+        engine = TrajectoryEngine(num_shards=4, max_workers=2)
         assert engine._thread_pool is None
         engine.run(graph, 3, track_kept=False)
         pool = engine._thread_pool
@@ -427,7 +427,7 @@ class TestThreadPoolReuse:
         assert engine._thread_pool is pool
 
     def test_close_shuts_the_pool_down(self, graph):
-        engine = ShardedEngine(num_shards=4, max_workers=2)
+        engine = TrajectoryEngine(num_shards=4, max_workers=2)
         engine.run(graph, 3, track_kept=False)
         pool = engine._thread_pool
         engine.close()
@@ -442,7 +442,7 @@ class TestThreadPoolReuse:
             graph, 3, track_kept=False).values
 
     def test_close_without_a_pool_is_a_noop(self):
-        ShardedEngine(num_shards=2).close()
+        TrajectoryEngine(num_shards=2).close()
 
 
 class TestStoreIntegration:
